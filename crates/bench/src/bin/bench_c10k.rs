@@ -27,9 +27,9 @@
 //! `SessionStart` over a 32-parameter space, `FETCHES` idempotent
 //! `Fetch`es, `SessionEnd` — each session is `FETCHES + 3` requests.
 //! Nothing is reported, so no run is recorded and the experience
-//! database stays empty — the copy-on-write append path is
-//! `bench_daemon`'s subject; here it would only blur the
-//! connection-model comparison.
+//! database stays empty — the copy-on-write append path is the subject
+//! of `bench_stack`'s `experience_churn` workload; here it would only
+//! blur the connection-model comparison.
 //!
 //! Reports connections sustained, requests/s (whole phase and the
 //! steady-state loop after the all-sessions-live barrier), p95/p99

@@ -500,6 +500,7 @@ fn tune_with_engine(
         Box::new(harmony_engines::SimplexEngine::new(
             space.clone(),
             TuningOptions::original().with_max_iterations(iterations),
+            TrainingMode::Replay(10),
         ))
     } else {
         // The registry's fixed seed keeps repeated invocations exploring

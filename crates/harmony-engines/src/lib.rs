@@ -178,6 +178,13 @@ pub trait SearchEngine {
     /// engine-specific (seeded simplex, pre-bounded region, pre-resolved
     /// sensitivity).
     fn warm_start(&mut self, history: &RunHistory);
+
+    /// Virtual iterations the warm start spent training before the live
+    /// stage. Engines that fold the prior run in without a virtual
+    /// search report none.
+    fn training_iterations(&self) -> usize {
+        0
+    }
 }
 
 /// Result of driving an engine to completion.

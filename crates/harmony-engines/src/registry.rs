@@ -12,7 +12,7 @@ use crate::simplex::SimplexEngine;
 use crate::tuneful::{TunefulEngine, TunefulOptions};
 use crate::SearchEngine;
 use harmony::kernel::SimplexOptions;
-use harmony::tuner::TuningOptions;
+use harmony::tuner::{TrainingMode, TuningOptions};
 use harmony_space::{Configuration, ParamDef, ParameterSpace};
 
 /// Every registered engine name, in registry order.
@@ -24,6 +24,10 @@ pub const ENGINE_NAMES: [&str; 3] = ["simplex", "divide-diverge", "tuneful"];
 /// local `tune --engine` uses it too, which is what makes a remote
 /// trajectory reproducible against a local one.
 pub const DEFAULT_SEED: u64 = 42;
+
+/// Virtual replay budget the registry's simplex engine spends on a prior
+/// run's records when warm-started (the CLI's default training mode).
+const WARM_REPLAY_BUDGET: usize = 10;
 
 /// `lookup` was asked for a name nobody registered.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -122,7 +126,12 @@ impl EngineSpec {
                     sigma: pct(3),
                 };
                 let options = TuningOptions::improved().with_max_iterations(budget);
-                Box::new(SimplexEngine::with_simplex_options(space, options, simplex))
+                Box::new(SimplexEngine::with_simplex_options(
+                    space,
+                    options,
+                    simplex,
+                    TrainingMode::Replay(WARM_REPLAY_BUDGET),
+                ))
             }
             "divide-diverge" => {
                 let opts = DivideDivergeOptions {

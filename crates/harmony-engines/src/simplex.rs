@@ -12,22 +12,21 @@ use harmony::kernel::SimplexOptions;
 use harmony::tuner::{TrainingMode, Tuner, TuningOptions, TuningSession};
 use harmony_space::{Configuration, ParameterSpace};
 
-/// Virtual replay budget a warm start spends on the prior run's records
-/// (mirrors the CLI's default training mode).
-const WARM_REPLAY_BUDGET: usize = 10;
-
 /// The discrete simplex kernel as a [`SearchEngine`].
 #[derive(Debug, Clone)]
 pub struct SimplexEngine {
     options: TuningOptions,
     simplex: SimplexOptions,
+    /// How [`warm_start`](SearchEngine::warm_start) trains on a prior run.
+    training: TrainingMode,
     session: TuningSession,
 }
 
 impl SimplexEngine {
-    /// Cold-start engine with default simplex coefficients.
-    pub fn new(space: ParameterSpace, options: TuningOptions) -> Self {
-        Self::with_simplex_options(space, options, SimplexOptions::default())
+    /// Cold-start engine with default simplex coefficients; a later
+    /// warm start trains in `training` mode (§4.2).
+    pub fn new(space: ParameterSpace, options: TuningOptions, training: TrainingMode) -> Self {
+        Self::with_simplex_options(space, options, SimplexOptions::default(), training)
     }
 
     /// Cold-start engine with custom reflection/expansion/contraction/
@@ -36,11 +35,13 @@ impl SimplexEngine {
         space: ParameterSpace,
         options: TuningOptions,
         simplex: SimplexOptions,
+        training: TrainingMode,
     ) -> Self {
         let session = Tuner::new(space, options.clone()).session_with_options(simplex);
         SimplexEngine {
             options,
             simplex,
+            training,
             session,
         }
     }
@@ -89,9 +90,9 @@ impl SearchEngine for SimplexEngine {
         self.session.best().map(|(c, p)| (c.clone(), p))
     }
 
-    /// Rebuild the session trained on the prior run (replay mode, same
-    /// as the CLI's default §4.2 flow). Discards any live measurements
-    /// already observed, so call before the first proposal.
+    /// Rebuild the session trained on the prior run in the mode given at
+    /// construction. Discards any live measurements already observed,
+    /// so call before the first proposal.
     ///
     /// The trained kernel starts from the history's diverse seeds with
     /// *default* coefficients: seeding computes kernel state eagerly,
@@ -102,7 +103,11 @@ impl SearchEngine for SimplexEngine {
         self.session = if history.records.is_empty() {
             tuner.session_with_options(self.simplex)
         } else {
-            tuner.session_trained(history, TrainingMode::Replay(WARM_REPLAY_BUDGET))
+            tuner.session_trained(history, self.training)
         };
+    }
+
+    fn training_iterations(&self) -> usize {
+        self.session.training_iterations()
     }
 }

@@ -624,7 +624,19 @@ impl Client {
                 Some(envelope) => {
                     let ctx = client.trace_context().expect("envelope implies trace");
                     let _rpc = trace::continue_from(ctx, stage::NET_RPC, request.kind());
-                    client.exchange(&envelope)?
+                    let result = client.exchange(&envelope);
+                    if let (Err(_), Request::Traced { spans, .. }) = (&result, envelope) {
+                        // The envelope drained these spans out of the
+                        // recorder and may never have arrived: put them
+                        // back so the retry ships them (a daemon that
+                        // did receive them skips the repeats by span id).
+                        trace::ingest(
+                            ctx.trace_id,
+                            spans.into_iter().map(Into::into).collect(),
+                            false,
+                        );
+                    }
+                    result?
                 }
                 None => client.exchange(request)?,
             };

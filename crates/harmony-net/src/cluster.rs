@@ -440,7 +440,7 @@ impl ClusterState {
     }
 
     /// Replicate one session snapshot (`session` is a serialized
-    /// `PersistedSession`, the same shape `<db>.sessions` holds) to
+    /// `SessionRecord`, the same shape `<db>.sessions` holds) to
     /// the token's replica set.
     pub fn ship_session(&self, token: &str, session: &str) {
         let request = Request::PeerShipSession {

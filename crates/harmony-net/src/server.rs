@@ -9,9 +9,8 @@
 //! thread stack, and requests pipelined on one connection are parsed
 //! while earlier ones execute. The original thread-per-connection model
 //! (one acceptor thread plus one thread per live connection) is kept
-//! behind [`DaemonConfig::threaded`] — the same honest-comparison
-//! pattern as [`DaemonConfig::legacy_lock`] — and remains the fallback
-//! on platforms without `epoll`. Both models refuse connections over
+//! behind [`DaemonConfig::threaded`] and remains the fallback on
+//! platforms without `epoll`. Both models refuse connections over
 //! [`DaemonConfig::max_connections`] with an in-protocol `Error` rather
 //! than queuing, so a stalled client cannot starve new ones, and both
 //! funnel every request through the same `serve_request` path, so
@@ -31,10 +30,14 @@
 //! write-ahead journal (see [`harmony::history::wal`]) and periodically
 //! folds journal plus snapshot into a fresh whole-file snapshot
 //! (*compaction*). A slow disk therefore delays nothing but the flusher.
-//! The pre-snapshot design (one `RwLock`, synchronous whole-file save on
-//! the request thread) is preserved behind
-//! [`DaemonConfig::legacy_lock`] so `bench_daemon` can measure the
-//! difference.
+//!
+//! Every session — the default simplex kernel included — is a
+//! [`SearchEngine`] plus the `SessionRecord` that defines it: kernel
+//! name, space, budget, warm-start prior and the observations so far.
+//! That record is the only persisted shape (sessions file, peer
+//! replicas); `build_session` turns one back into a live session by
+//! deterministic replay, and `SessionStart` goes through the same
+//! function with an empty trace.
 
 use crate::cluster::{ClusterConfig, ClusterState, TOKEN_DRAWS};
 use crate::codec::{clamp_scratch, write_frame, write_frame_buf_as, WireFormat, READ_CHUNK};
@@ -49,8 +52,8 @@ use harmony::history::{
 };
 use harmony::report::TraceEntry;
 use harmony::sensitivity::SensitivityReport;
-use harmony::tuner::{TrainingMode, Tuner, TuningOptions, TuningSession};
-use harmony_engines::{registry as engines, SearchEngine};
+use harmony::tuner::{TrainingMode, TuningOptions};
+use harmony_engines::{registry as engines, EngineError, SearchEngine, SimplexEngine};
 use harmony_obs::event::{event, Level};
 use harmony_obs::trace::{self, stage, TraceContext};
 use harmony_space::{parse_rsl, Configuration, ParameterSpace};
@@ -92,21 +95,14 @@ pub struct DaemonConfig {
     pub training: TrainingMode,
     /// Classification mechanism and match gate.
     pub analyzer: DataAnalyzer,
-    /// Legacy mode only: persist the database after every N completed
-    /// sessions. The snapshot path persists via the journal instead.
-    pub save_every: usize,
     /// Fold journal + snapshot into a fresh snapshot after this many
     /// journal appends (0 compacts only at shutdown).
     pub compact_every: usize,
-    /// Run the pre-snapshot scheme: one `RwLock` around the database and
-    /// synchronous whole-file persistence on the request thread. Kept so
-    /// `bench_daemon --legacy-lock` can measure the old behavior.
-    pub legacy_lock: bool,
     /// Serve with the original thread-per-connection model instead of
-    /// the event-driven reactor. Kept (like `legacy_lock`) so
-    /// `bench_c10k --threaded` can measure the difference honestly; also
-    /// the forced fallback on platforms without `epoll`. Protocol
-    /// behavior is identical either way.
+    /// the event-driven reactor. Kept so `bench_c10k --threaded` can
+    /// measure the difference honestly; also the forced fallback on
+    /// platforms without `epoll`. Protocol behavior is identical either
+    /// way.
     pub threaded: bool,
     /// Name reported in the `Hello` exchange.
     pub server_name: String,
@@ -189,12 +185,6 @@ impl DaemonConfigBuilder {
         self
     }
 
-    /// Serve with the pre-snapshot `RwLock` scheme.
-    pub fn legacy_lock(mut self, on: bool) -> Self {
-        self.config.legacy_lock = on;
-        self
-    }
-
     /// Serve thread-per-connection instead of the epoll reactor.
     pub fn threaded(mut self, on: bool) -> Self {
         self.config.threaded = on;
@@ -256,9 +246,7 @@ impl Default for DaemonConfig {
             tuning: TuningOptions::improved(),
             training: TrainingMode::Replay(12),
             analyzer: DataAnalyzer::new(),
-            save_every: 1,
             compact_every: 64,
-            legacy_lock: false,
             threaded: false,
             server_name: "harmony-net".into(),
             session_ttl: Duration::from_secs(30),
@@ -363,18 +351,6 @@ impl DbCell {
         crate::obs::db_snapshot_swaps_total().inc();
         len
     }
-}
-
-enum Backend {
-    /// Atomic snapshots + background flusher (the default).
-    Snapshot {
-        cell: DbCell,
-        /// Hands recorded runs to the flusher; `None` when nothing
-        /// persists. Taking it closes the channel and stops the flusher.
-        tx: Mutex<Option<mpsc::Sender<RunHistory>>>,
-    },
-    /// Pre-snapshot scheme: lock-per-request reads, synchronous saves.
-    Legacy(RwLock<ExperienceDb>),
 }
 
 /// A disconnected session waiting for its client to [`Request::Resume`].
@@ -511,7 +487,10 @@ impl SessionRegistry {
 
 pub(crate) struct Shared {
     pub(crate) config: DaemonConfig,
-    backend: Backend,
+    db: DbCell,
+    /// Hands recorded runs to the flusher; `None` when nothing persists.
+    /// Taking it closes the channel and stops the flusher.
+    flusher_tx: Mutex<Option<mpsc::Sender<RunHistory>>>,
     pub(crate) registry: SessionRegistry,
     pub(crate) active: AtomicUsize,
     completed: AtomicUsize,
@@ -523,43 +502,31 @@ pub(crate) struct Shared {
     /// keyed by token: if the owner dies, the client's `Resume` lands
     /// here (the token's next ring successor) and the snapshot becomes
     /// a live adopted session.
-    replicas: Mutex<HashMap<String, PersistedSession>>,
+    replicas: Mutex<HashMap<String, SessionRecord>>,
 }
 
 impl Shared {
     /// Classify `observed` against the shared experience (§4.2).
     fn select_prior(&self, observed: &[f64]) -> Option<RunHistory> {
-        match &self.backend {
-            Backend::Snapshot { cell, .. } => {
-                let snap = cell.load();
-                self.config
-                    .analyzer
-                    .select_with(&snap.db, Some(&snap.index), observed)
-            }
-            Backend::Legacy(lock) => {
-                let db = lock.read().expect("db lock poisoned");
-                self.config.analyzer.select(&db, observed)
-            }
-        }
+        let snap = self.db.load();
+        self.config
+            .analyzer
+            .select_with(&snap.db, Some(&snap.index), observed)
     }
 
-    /// Fold a recorded run into the shared database (and, in snapshot
-    /// mode, queue it for the flusher).
+    /// Fold a recorded run into the shared database and queue it for
+    /// the flusher.
     fn record_run(&self, run: RunHistory) {
-        match &self.backend {
-            Backend::Snapshot { cell, tx } => {
-                let len = cell.add_run(run.clone());
-                crate::obs::db_runs().set(len as i64);
-                if let Some(tx) = tx.lock().expect("flusher sender poisoned").as_ref() {
-                    // A dead flusher only costs durability, not serving.
-                    let _ = tx.send(run);
-                }
-            }
-            Backend::Legacy(lock) => {
-                let mut db = lock.write().expect("db lock poisoned");
-                db.add_run(run);
-                crate::obs::db_runs().set(db.len() as i64);
-            }
+        let len = self.db.add_run(run.clone());
+        crate::obs::db_runs().set(len as i64);
+        if let Some(tx) = self
+            .flusher_tx
+            .lock()
+            .expect("flusher sender poisoned")
+            .as_ref()
+        {
+            // A dead flusher only costs durability, not serving.
+            let _ = tx.send(run);
         }
     }
 
@@ -578,9 +545,9 @@ impl Shared {
     }
 
     /// Hold a peer-shipped session snapshot for possible adoption.
-    fn store_replica(&self, snapshot: PersistedSession) {
+    fn store_replica(&self, token: String, snapshot: SessionRecord) {
         let mut replicas = self.replicas.lock().expect("replica store poisoned");
-        replicas.insert(snapshot.token.clone(), snapshot);
+        replicas.insert(token, snapshot);
         crate::obs::shard_replica_sessions_entries().set(replicas.len() as i64);
     }
 
@@ -594,7 +561,7 @@ impl Shared {
 
     /// Take a replica for adoption: its owner is gone and the client's
     /// `Resume` landed here.
-    fn adopt_replica(&self, token: &str) -> Option<PersistedSession> {
+    fn adopt_replica(&self, token: &str) -> Option<SessionRecord> {
         let mut replicas = self.replicas.lock().expect("replica store poisoned");
         let taken = replicas.remove(token);
         if taken.is_some() {
@@ -604,47 +571,18 @@ impl Shared {
     }
 
     fn run_summaries(&self) -> Vec<RunSummary> {
-        let summarize = |db: &ExperienceDb| {
-            db.runs()
-                .iter()
-                .map(|run| RunSummary {
-                    label: run.label.clone(),
-                    characteristics: run.characteristics.clone(),
-                    records: run.records.len(),
-                    best_performance: run.best().map(|r| r.performance),
-                })
-                .collect()
-        };
-        match &self.backend {
-            Backend::Snapshot { cell, .. } => summarize(&cell.load().db),
-            Backend::Legacy(lock) => summarize(&lock.read().expect("db lock poisoned")),
-        }
-    }
-
-    fn db_len(&self) -> usize {
-        match &self.backend {
-            Backend::Snapshot { cell, .. } => cell.load().db.len(),
-            Backend::Legacy(lock) => lock.read().expect("db lock poisoned").len(),
-        }
-    }
-
-    /// Legacy mode: write the database to its configured path, logging
-    /// (not propagating) failures — persistence must never take down
-    /// serving.
-    fn persist_legacy(&self) {
-        let Backend::Legacy(lock) = &self.backend else {
-            return;
-        };
-        if let Some(path) = &self.config.db_path {
-            let db = lock.read().expect("db lock poisoned");
-            if let Err(e) = db.save(path) {
-                crate::obs::db_persist_failures_total().inc();
-                event(Level::Error, "net.db_persist_failed")
-                    .str("path", path.display().to_string())
-                    .str("error", e.to_string())
-                    .emit();
-            }
-        }
+        self.db
+            .load()
+            .db
+            .runs()
+            .iter()
+            .map(|run| RunSummary {
+                label: run.label.clone(),
+                characteristics: run.characteristics.clone(),
+                records: run.records.len(),
+                best_performance: run.best().map(|r| r.performance),
+            })
+            .collect()
     }
 }
 
@@ -664,153 +602,86 @@ fn sessions_path(db_path: &Path) -> PathBuf {
     PathBuf::from(name)
 }
 
-/// One parked session as written to the sessions file and shipped
-/// between peers: everything a successor daemon needs to continue the
-/// exact trajectory.
+/// Everything that defines a session, and everything a successor daemon
+/// needs to continue its exact trajectory — the one shape written to the
+/// sessions file and shipped between peers.
 ///
-/// Exactly one of `session` (the default simplex kernel, serialized
-/// whole) and `engine` (a registry engine, rebuilt by replay) is
-/// present. Serde layers `Option` transparently, so pre-cluster
-/// sessions files — which wrote the `TuningSession` unwrapped — load
-/// unchanged, and simplex sessions written by this version still load
-/// on the old code.
+/// Engines are not serializable themselves; [`build_session`] rebuilds
+/// one — same kernel, same [`engines::DEFAULT_SEED`], same warm start —
+/// and replays `trace` through it. Engines are deterministic, so the
+/// rebuilt engine continues the exact trajectory the original would
+/// have produced, and the outstanding proposal (if the client had
+/// fetched one) is recomputed by the idempotent ask.
 #[derive(Serialize, Deserialize)]
-struct PersistedSession {
-    token: String,
+struct SessionRecord {
+    /// Resume token, issued on protocol ≥ 2 connections. A tokened
+    /// session parks on disconnect instead of being abandoned, and only
+    /// tokened sessions are ever persisted or shipped.
+    token: Option<String>,
+    /// The registry engine `SessionStart::engine` named; absent for the
+    /// daemon's default kernel (the simplex under
+    /// [`DaemonConfig::tuning`], trained per [`DaemonConfig::training`]).
     #[serde(default, skip_serializing_if = "Option::is_none")]
-    session: Option<TuningSession>,
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    engine: Option<EngineSessionState>,
-    label: String,
-    characteristics: Vec<f64>,
-    prior: Option<RunHistory>,
-    next_seq: u64,
-}
-
-/// A registry engine's resumable state. Engines are not serializable
-/// themselves; instead the successor rebuilds one — same registry
-/// entry, same [`engines::DEFAULT_SEED`], same warm start — and
-/// replays the recorded trace through it. Engines are deterministic,
-/// so the rebuilt engine continues the exact trajectory the original
-/// would have produced.
-#[derive(Serialize, Deserialize)]
-struct EngineSessionState {
-    name: String,
+    engine: Option<String>,
     space: ParameterSpace,
     budget: usize,
+    /// Every observation in order — the live trace and the replay
+    /// script.
     trace: Vec<TraceEntry>,
-}
-
-impl EngineSessionState {
-    fn rebuild(self, prior: Option<&RunHistory>) -> Result<EngineSession, String> {
-        let EngineSessionState {
-            name,
-            space,
-            budget,
-            trace,
-        } = self;
-        let spec = engines::lookup(&name).map_err(|e| e.to_string())?;
-        let mut engine = spec.build(space, budget, engines::DEFAULT_SEED);
-        if let Some(run) = prior {
-            engine.warm_start(run);
-        }
-        for entry in &trace {
-            if engine.next_config().is_none() {
-                break;
-            }
-            engine
-                .observe(entry.performance)
-                .map_err(|e| e.to_string())?;
-        }
-        Ok(EngineSession {
-            name,
-            engine,
-            budget,
-            trace,
-            pending: None,
-        })
-    }
-}
-
-/// Borrowed mirror of [`PersistedSession`] (field-for-field, so it
-/// serializes to the identical JSON): lets the owner snapshot a live
-/// session for shipping without cloning the kernel. Serialized by hand
-/// because the vendored `serde_derive` cannot expand lifetime-generic
-/// structs.
-struct PersistedSessionRef<'a> {
-    token: &'a str,
-    session: Option<&'a TuningSession>,
-    engine: Option<EngineSessionStateRef<'a>>,
-    label: &'a str,
-    characteristics: &'a [f64],
-    prior: &'a Option<RunHistory>,
+    label: String,
+    characteristics: Vec<f64>,
+    /// The prior run selected at `SessionStart`, kept for `Sensitivity`
+    /// and for repeating the warm start on a rebuild.
+    prior: Option<RunHistory>,
+    /// The next `Report` sequence number accepted; everything below it
+    /// was already observed and a replay answers `Reported` unchanged.
     next_seq: u64,
 }
 
-impl Serialize for PersistedSessionRef<'_> {
-    fn to_value(&self) -> serde::Value {
-        let mut m = serde::Map::new();
-        m.insert("token".to_string(), self.token.to_value());
-        if let Some(session) = self.session {
-            m.insert("session".to_string(), session.to_value());
+impl SessionRecord {
+    /// Split out the token a persisted or shipped record must carry.
+    fn tokened(self) -> Result<(String, SessionRecord), String> {
+        match self.token.clone() {
+            Some(token) => Ok((token, self)),
+            None => Err("session record carries no token".into()),
         }
-        if let Some(engine) = &self.engine {
-            m.insert("engine".to_string(), engine.to_value());
-        }
-        m.insert("label".to_string(), self.label.to_value());
-        m.insert(
-            "characteristics".to_string(),
-            self.characteristics.to_value(),
-        );
-        m.insert("prior".to_string(), self.prior.to_value());
-        m.insert("next_seq".to_string(), self.next_seq.to_value());
-        serde::Value::Object(m)
     }
 }
 
-/// Borrowed mirror of [`EngineSessionState`].
-struct EngineSessionStateRef<'a> {
-    name: &'a str,
-    space: &'a ParameterSpace,
-    budget: usize,
-    trace: &'a [TraceEntry],
-}
-
-impl Serialize for EngineSessionStateRef<'_> {
-    fn to_value(&self) -> serde::Value {
-        let mut m = serde::Map::new();
-        m.insert("name".to_string(), self.name.to_value());
-        m.insert("space".to_string(), self.space.to_value());
-        m.insert("budget".to_string(), self.budget.to_value());
-        m.insert("trace".to_string(), self.trace.to_value());
-        serde::Value::Object(m)
-    }
-}
-
-/// Rebuild a live session from a persisted snapshot — the sessions
-/// file a predecessor wrote, or a peer-shipped replica being adopted.
-fn revive_persisted(p: PersistedSession) -> Result<ActiveSession, String> {
-    let PersistedSession {
-        token,
-        session,
-        engine,
-        label,
-        characteristics,
-        prior,
-        next_seq,
-    } = p;
-    let kernel = match (session, engine) {
-        (Some(session), _) => SessionKernel::Simplex(session),
-        (None, Some(state)) => SessionKernel::Engine(state.rebuild(prior.as_ref())?),
-        (None, None) => return Err("session snapshot names no kernel".into()),
+/// Bring a session to life from its record: build the kernel, repeat the
+/// warm start, replay the trace. `SessionStart` (empty trace), the
+/// sessions file a predecessor wrote, and adoption of a peer-shipped
+/// replica all come through here, which is what makes a resumed
+/// trajectory identical to an uninterrupted one.
+fn build_session(record: SessionRecord, config: &DaemonConfig) -> Result<ActiveSession, String> {
+    let mut engine: Box<dyn SearchEngine + Send> = match &record.engine {
+        Some(name) => engines::lookup(name).map_err(|e| e.to_string())?.build(
+            record.space.clone(),
+            record.budget,
+            engines::DEFAULT_SEED,
+        ),
+        None => Box::new(SimplexEngine::new(
+            record.space.clone(),
+            config.tuning.clone().with_max_iterations(record.budget),
+            config.training,
+        )),
     };
+    if let Some(history) = &record.prior {
+        let _span = trace::child(stage::WARM_START, &history.label);
+        engine.warm_start(history);
+    }
+    for entry in &record.trace {
+        if engine.next_config().is_none() {
+            break;
+        }
+        engine
+            .observe(entry.performance)
+            .map_err(|e| e.to_string())?;
+    }
     Ok(ActiveSession {
-        kernel,
-        label,
-        characteristics,
-        prior,
-        token: Some(token),
-        next_seq,
+        record,
+        engine,
+        pending: None,
     })
 }
 
@@ -819,37 +690,27 @@ fn revive_persisted(p: PersistedSession) -> Result<ActiveSession, String> {
 /// replicas saw the mutation, or a failover could lose acknowledged
 /// progress. No-op without a cluster or a token.
 fn ship_snapshot(shared: &Shared, sess: &ActiveSession) {
-    let (Some(cluster), Some(token)) = (&shared.cluster, &sess.token) else {
+    let (Some(cluster), Some(token)) = (&shared.cluster, &sess.record.token) else {
         return;
     };
-    let snapshot = PersistedSessionRef {
-        token,
-        session: match &sess.kernel {
-            SessionKernel::Simplex(session) => Some(session),
-            SessionKernel::Engine(_) => None,
-        },
-        engine: match &sess.kernel {
-            SessionKernel::Simplex(_) => None,
-            SessionKernel::Engine(e) => Some(EngineSessionStateRef {
-                name: &e.name,
-                space: e.engine.space(),
-                budget: e.budget,
-                trace: &e.trace,
-            }),
-        },
-        label: &sess.label,
-        characteristics: &sess.characteristics,
-        prior: &sess.prior,
-        next_seq: sess.next_seq,
-    };
-    if let Ok(text) = serde_json::to_string(&snapshot) {
+    if let Ok(text) = serde_json::to_string(&sess.record) {
         cluster.ship_session(token, &text);
     }
 }
 
+/// A persisted session this version cannot read or rebuild — one written
+/// in the pre-replay `session: <TuningSession>` shape, say — is refused
+/// on its own, never as a failure of whatever carried it.
+fn revive_failed(token: &str, error: String) {
+    event(Level::Error, "net.session_revive_failed")
+        .str("token", token)
+        .str("error", error)
+        .emit();
+}
+
 /// Load (and remove) the sessions file a predecessor left behind,
 /// parking its sessions for `Resume`.
-fn load_parked_sessions(registry: &SessionRegistry, db_path: &Path) {
+fn load_parked_sessions(registry: &SessionRegistry, config: &DaemonConfig, db_path: &Path) {
     let path = sessions_path(db_path);
     let Ok(text) = std::fs::read_to_string(&path) else {
         return;
@@ -857,7 +718,7 @@ fn load_parked_sessions(registry: &SessionRegistry, db_path: &Path) {
     // Consumed either way: a file that fails to parse must not poison
     // every future startup.
     let _ = std::fs::remove_file(&path);
-    let loaded: Vec<PersistedSession> = match serde_json::from_str(&text) {
+    let loaded: Vec<serde_json::Value> = match serde_json::from_str(&text) {
         Ok(sessions) => sessions,
         Err(e) => {
             event(Level::Error, "net.sessions_load_failed")
@@ -868,17 +729,17 @@ fn load_parked_sessions(registry: &SessionRegistry, db_path: &Path) {
         }
     };
     let mut count = 0u64;
-    for p in loaded {
-        let token = p.token.clone();
-        match revive_persisted(p) {
-            Ok(sess) => {
+    for value in &loaded {
+        let revived = serde_json::from_value::<SessionRecord>(value)
+            .map_err(|e| e.to_string())
+            .and_then(SessionRecord::tokened)
+            .and_then(|(token, record)| Ok((token, build_session(record, config)?)));
+        match revived {
+            Ok((token, sess)) => {
                 registry.park(token, sess);
                 count += 1;
             }
-            Err(e) => event(Level::Error, "net.session_revive_failed")
-                .str("token", token)
-                .str("error", e)
-                .emit(),
+            Err(e) => revive_failed(value.get("token").and_then(|t| t.as_str()).unwrap_or(""), e),
         }
     }
     if count > 0 {
@@ -896,9 +757,6 @@ impl TuningDaemon {
     /// Bind, load any persisted experience (snapshot plus journal), and
     /// start serving.
     pub fn start(config: DaemonConfig) -> Result<DaemonHandle, NetError> {
-        if config.legacy_lock {
-            return Self::start_legacy(config);
-        }
         let sink = match &config.db_path {
             Some(path) => {
                 let journal = effective_wal_path(&config, path);
@@ -908,7 +766,7 @@ impl TuningDaemon {
             }
             None => None,
         };
-        Self::start_snapshot(config, sink)
+        Self::start_inner(config, sink)
     }
 
     /// [`start`](Self::start) with a caller-provided persistence sink —
@@ -917,10 +775,10 @@ impl TuningDaemon {
         config: DaemonConfig,
         sink: Box<dyn DbSink>,
     ) -> Result<DaemonHandle, NetError> {
-        Self::start_snapshot(config, Some(sink))
+        Self::start_inner(config, Some(sink))
     }
 
-    fn start_snapshot(
+    fn start_inner(
         config: DaemonConfig,
         sink: Option<Box<dyn DbSink>>,
     ) -> Result<DaemonHandle, NetError> {
@@ -942,27 +800,23 @@ impl TuningDaemon {
         event(Level::Info, "net.daemon_start")
             .str("addr", addr.to_string())
             .u64("db_runs", db.len() as u64)
-            .bool("legacy_lock", false)
             .bool("threaded", config.threaded)
             .emit();
-        let (tx, rx) = match sink {
-            Some(_) => {
-                let (tx, rx) = mpsc::channel();
-                (Some(tx), Some(rx))
-            }
-            None => (None, None),
-        };
+        let (tx, rx) = mpsc::channel();
         let registry = SessionRegistry::new();
         if let Some(path) = &config.db_path {
-            load_parked_sessions(&registry, path);
+            load_parked_sessions(&registry, &config, path);
         }
-        let cluster = build_cluster(&config)?;
+        let cluster = match &config.cluster {
+            Some(c) => Some(Arc::new(
+                ClusterState::new(c.clone()).map_err(NetError::Protocol)?,
+            )),
+            None => None,
+        };
         let shared = Arc::new(Shared {
             config,
-            backend: Backend::Snapshot {
-                cell: DbCell::new(db),
-                tx: Mutex::new(tx),
-            },
+            db: DbCell::new(db),
+            flusher_tx: Mutex::new(sink.is_some().then_some(tx)),
             registry,
             active: AtomicUsize::new(0),
             completed: AtomicUsize::new(0),
@@ -971,13 +825,10 @@ impl TuningDaemon {
             cluster,
             replicas: Mutex::new(HashMap::new()),
         });
-        let flusher = match (sink, rx) {
-            (Some(sink), Some(rx)) => {
-                let shared = Arc::clone(&shared);
-                Some(std::thread::spawn(move || flusher_loop(rx, sink, shared)))
-            }
-            _ => None,
-        };
+        let flusher = sink.map(|sink| {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || flusher_loop(rx, sink, shared))
+        });
         let reaper = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || reaper_loop(&shared))
@@ -991,65 +842,6 @@ impl TuningDaemon {
             reaper: Some(reaper),
         })
     }
-
-    fn start_legacy(config: DaemonConfig) -> Result<DaemonHandle, NetError> {
-        let db = match &config.db_path {
-            Some(path) if path.exists() => ExperienceDb::load(path)
-                .map_err(|e| NetError::Protocol(format!("cannot load experience db: {e}")))?,
-            _ => ExperienceDb::new(),
-        };
-        let listener = TcpListener::bind(&config.listen)?;
-        let addr = listener.local_addr()?;
-        crate::obs::preregister();
-        if config.tracing && !trace::is_enabled() {
-            trace::enable(trace::RecorderConfig::default());
-        }
-        crate::obs::db_runs().set(db.len() as i64);
-        event(Level::Info, "net.daemon_start")
-            .str("addr", addr.to_string())
-            .u64("db_runs", db.len() as u64)
-            .bool("legacy_lock", true)
-            .bool("threaded", config.threaded)
-            .emit();
-        let registry = SessionRegistry::new();
-        if let Some(path) = &config.db_path {
-            load_parked_sessions(&registry, path);
-        }
-        let cluster = build_cluster(&config)?;
-        let shared = Arc::new(Shared {
-            config,
-            backend: Backend::Legacy(RwLock::new(db)),
-            registry,
-            active: AtomicUsize::new(0),
-            completed: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
-            draining: AtomicBool::new(false),
-            cluster,
-            replicas: Mutex::new(HashMap::new()),
-        });
-        let reaper = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || reaper_loop(&shared))
-        };
-        let acceptor = spawn_serving_loop(listener, Arc::clone(&shared));
-        Ok(DaemonHandle {
-            addr,
-            shared,
-            acceptor: Some(acceptor),
-            flusher: None,
-            reaper: Some(reaper),
-        })
-    }
-}
-
-/// Validate and build the cluster state a config asks for.
-fn build_cluster(config: &DaemonConfig) -> Result<Option<Arc<ClusterState>>, NetError> {
-    match &config.cluster {
-        Some(c) => ClusterState::new(c.clone())
-            .map(|state| Some(Arc::new(state)))
-            .map_err(NetError::Protocol),
-        None => Ok(None),
-    }
 }
 
 /// The keepalive reaper: folds parked sessions whose TTL expired into
@@ -1061,10 +853,10 @@ fn reaper_loop(shared: &Arc<Shared>) {
             crate::obs::session_ttl_expirations_total().inc();
             crate::obs::sessions_abandoned_total().inc();
             event(Level::Warn, "net.session_ttl_expired")
-                .str("label", &sess.label)
-                .u64("iterations", sess.kernel.iterations() as u64)
+                .str("label", &sess.record.label)
+                .u64("iterations", sess.iterations() as u64)
                 .emit();
-            if sess.kernel.iterations() > 0 {
+            if sess.iterations() > 0 {
                 record_session(sess, shared);
             }
         }
@@ -1093,7 +885,7 @@ impl DaemonHandle {
 
     /// Runs currently in the shared experience database.
     pub fn db_runs(&self) -> usize {
-        self.shared.db_len()
+        self.shared.db.load().db.len()
     }
 
     /// Enter drain mode without stopping: new connections and
@@ -1116,9 +908,9 @@ impl DaemonHandle {
     }
 
     /// Stop accepting, wait for connection threads, persist the
-    /// database (in snapshot mode: drain the flusher and compact), and
-    /// write parked resumable sessions to the sessions file next to the
-    /// database so a successor daemon can honor their tokens.
+    /// database (drain the flusher and compact), and write parked
+    /// resumable sessions to the sessions file next to the database so a
+    /// successor daemon can honor their tokens.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
@@ -1140,17 +932,16 @@ impl DaemonHandle {
         // before the flusher compacts, so a run recorded here still
         // reaches the snapshot file.
         persist_parked(&self.shared);
-        match &self.shared.backend {
-            Backend::Snapshot { tx, .. } => {
-                // Closing the channel ends the flusher loop; it drains
-                // queued runs and compacts once more on the way out, so
-                // the snapshot file alone holds the full database.
-                tx.lock().expect("flusher sender poisoned").take();
-                if let Some(flusher) = self.flusher.take() {
-                    let _ = flusher.join();
-                }
-            }
-            Backend::Legacy(_) => self.shared.persist_legacy(),
+        // Closing the channel ends the flusher loop; it drains queued
+        // runs and compacts once more on the way out, so the snapshot
+        // file alone holds the full database.
+        self.shared
+            .flusher_tx
+            .lock()
+            .expect("flusher sender poisoned")
+            .take();
+        if let Some(flusher) = self.flusher.take() {
+            let _ = flusher.join();
         }
         event(Level::Info, "net.daemon_shutdown")
             .str("addr", self.addr.to_string())
@@ -1172,32 +963,7 @@ fn persist_parked(shared: &Arc<Shared>) {
         return;
     }
     if let Some(db_path) = &shared.config.db_path {
-        let persisted: Vec<PersistedSession> = parked
-            .into_iter()
-            .map(|(token, sess)| {
-                let (session, engine) = match sess.kernel {
-                    SessionKernel::Simplex(session) => (Some(session), None),
-                    SessionKernel::Engine(e) => (
-                        None,
-                        Some(EngineSessionState {
-                            name: e.name,
-                            space: e.engine.space().clone(),
-                            budget: e.budget,
-                            trace: e.trace,
-                        }),
-                    ),
-                };
-                PersistedSession {
-                    token,
-                    session,
-                    engine,
-                    label: sess.label,
-                    characteristics: sess.characteristics,
-                    prior: sess.prior,
-                    next_seq: sess.next_seq,
-                }
-            })
-            .collect();
+        let persisted: Vec<&SessionRecord> = parked.iter().map(|(_, sess)| &sess.record).collect();
         let path = sessions_path(db_path);
         let write = serde_json::to_string(&persisted)
             .map_err(|e| e.to_string())
@@ -1218,7 +984,7 @@ fn persist_parked(shared: &Arc<Shared>) {
     } else {
         for (_, sess) in parked {
             crate::obs::sessions_abandoned_total().inc();
-            if sess.kernel.iterations() > 0 {
+            if sess.iterations() > 0 {
                 record_session(sess, shared);
             }
         }
@@ -1264,10 +1030,7 @@ fn flusher_loop(rx: mpsc::Receiver<RunHistory>, mut sink: Box<dyn DbSink>, share
 }
 
 fn compact_now(shared: &Shared, sink: &mut dyn DbSink) {
-    let Backend::Snapshot { cell, .. } = &shared.backend else {
-        return;
-    };
-    let snap = cell.load();
+    let snap = shared.db.load();
     if let Err(e) = sink.compact(&snap.db) {
         persist_failure("net.db_compact_failed", &e);
     }
@@ -1354,151 +1117,44 @@ fn linger_close(mut stream: TcpStream, timeout: Duration) {
     while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
 }
 
-/// The search driving one session: the paper's simplex tuner (the
-/// default and the only kernel pre-engine clients can reach) or any
-/// engine from the `harmony-engines` registry, named by
-/// `SessionStart::engine`. Both faces answer the same ask–tell surface,
-/// so every request handler is kernel-agnostic.
-#[allow(clippy::large_enum_variant)] // simplex is the hot default; boxing it buys nothing
-pub(crate) enum SessionKernel {
-    /// The default simplex [`TuningSession`] (serializable whole).
-    Simplex(TuningSession),
-    /// A registry engine plus the bookkeeping that makes it resumable.
-    Engine(EngineSession),
-}
-
-/// A registry engine driven over the wire. Engines do not serialize;
-/// the recorded `trace` doubles as the replay script that rebuilds one
-/// after a restart or failover (see [`EngineSessionState::rebuild`]).
-pub(crate) struct EngineSession {
-    name: String,
+/// One live session: its [`SessionRecord`] (kept current, so persisting
+/// or shipping the session is serializing that field) and the search
+/// driving it — the paper's simplex tuner by default, or any engine from
+/// the `harmony-engines` registry named by `SessionStart::engine`. Both
+/// sit behind [`SearchEngine`], so every request handler is
+/// kernel-agnostic.
+pub(crate) struct ActiveSession {
+    record: SessionRecord,
     engine: Box<dyn SearchEngine + Send>,
-    budget: usize,
-    /// Every observation in order — the live trace and, persisted, the
-    /// rebuild-by-replay script.
-    trace: Vec<TraceEntry>,
     /// The outstanding proposal, so `observe` records the configuration
     /// that was actually measured.
     pending: Option<Configuration>,
 }
 
-impl SessionKernel {
-    fn next_config(&mut self) -> Option<Configuration> {
-        match self {
-            SessionKernel::Simplex(s) => s.next_config(),
-            SessionKernel::Engine(e) => {
-                let cfg = e.engine.next_config();
-                e.pending.clone_from(&cfg);
-                cfg
-            }
-        }
+impl ActiveSession {
+    fn next_config(&mut self) -> Option<&Configuration> {
+        self.pending = self.engine.next_config();
+        self.pending.as_ref()
     }
 
     fn observe(&mut self, performance: f64) -> Result<(), String> {
-        match self {
-            SessionKernel::Simplex(s) => s.observe(performance).map_err(|e| e.to_string()),
-            SessionKernel::Engine(e) => {
-                // A rebuilt engine has no outstanding proposal when the
-                // client's retried `Report` arrives; the ask is
-                // idempotent, so proposing here recovers exactly the
-                // configuration the client measured.
-                let config = match e.pending.take().or_else(|| e.engine.next_config()) {
-                    Some(config) => config,
-                    None => return Err("no pending configuration to observe".into()),
-                };
-                e.engine
-                    .observe(performance)
-                    .map_err(|err| err.to_string())?;
-                e.trace.push(TraceEntry {
-                    iteration: e.trace.len(),
-                    config,
-                    performance,
-                });
-                Ok(())
-            }
-        }
+        let Some(config) = self.pending.take() else {
+            return Err(EngineError::NoPendingConfiguration.to_string());
+        };
+        self.engine
+            .observe(performance)
+            .map_err(|e| e.to_string())?;
+        self.record.trace.push(TraceEntry {
+            iteration: self.record.trace.len(),
+            config,
+            performance,
+        });
+        Ok(())
     }
 
     fn iterations(&self) -> usize {
-        match self {
-            SessionKernel::Simplex(s) => s.iterations(),
-            SessionKernel::Engine(e) => e.trace.len(),
-        }
+        self.record.trace.len()
     }
-
-    fn is_done(&self) -> bool {
-        match self {
-            SessionKernel::Simplex(s) => s.is_done(),
-            SessionKernel::Engine(e) => e.engine.is_done(),
-        }
-    }
-
-    fn space(&self) -> &ParameterSpace {
-        match self {
-            SessionKernel::Simplex(s) => s.space(),
-            SessionKernel::Engine(e) => e.engine.space(),
-        }
-    }
-
-    fn trace(&self) -> &[TraceEntry] {
-        match self {
-            SessionKernel::Simplex(s) => s.trace(),
-            SessionKernel::Engine(e) => &e.trace,
-        }
-    }
-
-    /// Virtual training iterations (engines train inside `warm_start`;
-    /// only the simplex kernel reports a count).
-    fn training_iterations(&self) -> usize {
-        match self {
-            SessionKernel::Simplex(s) => s.training_iterations(),
-            SessionKernel::Engine(_) => 0,
-        }
-    }
-
-    /// Finish the search and produce the unified outcome shape.
-    fn finish(self) -> harmony_engines::EngineOutcome {
-        match self {
-            SessionKernel::Simplex(s) => {
-                let outcome = s.finish();
-                harmony_engines::EngineOutcome {
-                    engine: "simplex".into(),
-                    trace: outcome.trace,
-                    best_configuration: outcome.best_configuration,
-                    best_performance: outcome.best_performance,
-                    converged: outcome.converged,
-                }
-            }
-            SessionKernel::Engine(e) => {
-                let (best_configuration, best_performance) = e.engine.best().unwrap_or_else(|| {
-                    (e.engine.space().default_configuration(), f64::NEG_INFINITY)
-                });
-                harmony_engines::EngineOutcome {
-                    engine: e.name,
-                    trace: e.trace,
-                    best_configuration,
-                    best_performance,
-                    converged: e.engine.converged(),
-                }
-            }
-        }
-    }
-}
-
-/// Per-connection session state.
-pub(crate) struct ActiveSession {
-    pub(crate) kernel: SessionKernel,
-    pub(crate) label: String,
-    characteristics: Vec<f64>,
-    /// The prior run selected at `SessionStart`, kept for `Sensitivity`
-    /// and for rebuilding an engine's warm start after a failover.
-    prior: Option<RunHistory>,
-    /// Resume token, issued on protocol ≥ 2 connections. A tokened
-    /// session parks on disconnect instead of being abandoned.
-    pub(crate) token: Option<String>,
-    /// The next `Report` sequence number accepted; everything below it
-    /// was already observed and a replay answers `Reported` unchanged.
-    next_seq: u64,
 }
 
 /// Per-connection protocol state: the live session plus what `Hello`
@@ -1592,13 +1248,13 @@ fn serve_connection(stream: &mut TcpStream, shared: &Shared) -> Result<(), NetEr
 /// skip this — an errored connection drops its session.
 pub(crate) fn finish_connection(conn: &mut ConnState, shared: &Shared) {
     if let Some(sess) = conn.active.take() {
-        match sess.token.clone() {
+        match sess.record.token.clone() {
             // A tokened session parks, waiting for `Resume` on a new
             // connection (or the TTL reaper).
             Some(token) => {
                 event(Level::Info, "net.session_parked")
-                    .str("label", &sess.label)
-                    .u64("iterations", sess.kernel.iterations() as u64)
+                    .str("label", &sess.record.label)
+                    .u64("iterations", sess.iterations() as u64)
                     .emit();
                 shared.registry.park(token, sess);
             }
@@ -1607,10 +1263,10 @@ pub(crate) fn finish_connection(conn: &mut ConnState, shared: &Shared) {
             None => {
                 crate::obs::sessions_abandoned_total().inc();
                 event(Level::Warn, "net.session_abandoned")
-                    .str("label", &sess.label)
-                    .u64("iterations", sess.kernel.iterations() as u64)
+                    .str("label", &sess.record.label)
+                    .u64("iterations", sess.iterations() as u64)
                     .emit();
-                if sess.kernel.iterations() > 0 {
+                if sess.iterations() > 0 {
                     record_session(sess, shared);
                 }
             }
@@ -1806,17 +1462,21 @@ fn handle_request(request: Request, conn: &mut ConnState, shared: &Shared) -> Re
                 Ok(s) => s,
                 Err(message) => return Response::Error { message },
             };
-            let engine_spec = match &engine {
-                Some(name) => match engines::lookup(name) {
-                    Ok(spec) => Some(spec),
-                    Err(e) => {
-                        return Response::Error {
-                            message: e.to_string(),
-                        }
-                    }
-                },
-                None => None,
-            };
+            // Refused at the request boundary, like a non-finite
+            // `Report`: such a number has no JSON spelling, so once
+            // recorded it would make the WAL and the snapshot unloadable.
+            if characteristics.iter().any(|c| !c.is_finite()) {
+                return Response::Error {
+                    message: "characteristics must be finite numbers".into(),
+                };
+            }
+            if let Some(name) = &engine {
+                if let Err(e) = engines::lookup(name) {
+                    return Response::Error {
+                        message: e.to_string(),
+                    };
+                }
+            }
             // Classify the observed characteristics against everyone's
             // prior experience (§4.2). A match whose space shape differs
             // from this session's cannot seed the search — skip it.
@@ -1831,62 +1491,39 @@ fn handle_request(request: Request, conn: &mut ConnState, shared: &Shared) -> Re
             } else {
                 crate::obs::warm_start_misses_total().inc();
             }
-            let kernel = match engine_spec {
-                Some(spec) => {
-                    let budget = max_iterations.unwrap_or(shared.config.tuning.max_iterations);
-                    let mut engine = spec.build(space, budget, engines::DEFAULT_SEED);
-                    if let Some(history) = &prior {
-                        let _span = trace::child(stage::WARM_START, &history.label);
-                        engine.warm_start(history);
-                    }
-                    SessionKernel::Engine(EngineSession {
-                        name: spec.name().to_string(),
-                        engine,
-                        budget,
-                        trace: Vec::new(),
-                        pending: None,
-                    })
-                }
-                None => {
-                    let mut options = shared.config.tuning.clone();
-                    if let Some(n) = max_iterations {
-                        options = options.with_max_iterations(n);
-                    }
-                    let tuner = Tuner::new(space, options);
-                    SessionKernel::Simplex(match &prior {
-                        Some(history) => {
-                            let _span = trace::child(stage::WARM_START, &history.label);
-                            tuner.session_trained(history, shared.config.training)
-                        }
-                        None => tuner.session(),
-                    })
-                }
-            };
-            let token = (conn.version >= 2).then(|| issue_self_owned_token(shared));
-            crate::obs::sessions_started_total().inc();
-            event(Level::Info, "net.session_start")
-                .str("label", &label)
-                .str("engine", engine.as_deref().unwrap_or("simplex"))
-                .bool("warm_start", prior.is_some())
-                .u64("training_iterations", kernel.training_iterations() as u64)
-                .emit();
-            let response = Response::SessionStarted {
-                space: kernel.space().clone(),
-                trained_from: prior.as_ref().map(|r| r.label.clone()),
-                training_iterations: kernel.training_iterations(),
-                session_token: token.clone(),
-            };
-            *active = Some(ActiveSession {
-                kernel,
+            let record = SessionRecord {
+                token: (conn.version >= 2).then(|| issue_self_owned_token(shared)),
+                engine,
+                space,
+                budget: max_iterations.unwrap_or(shared.config.tuning.max_iterations),
+                trace: Vec::new(),
                 label,
                 characteristics,
                 prior,
-                token,
                 next_seq: 0,
-            });
-            if let Some(sess) = active.as_ref() {
-                ship_snapshot(shared, sess);
-            }
+            };
+            let sess = match build_session(record, &shared.config) {
+                Ok(sess) => sess,
+                Err(message) => return Response::Error { message },
+            };
+            crate::obs::sessions_started_total().inc();
+            event(Level::Info, "net.session_start")
+                .str("label", &sess.record.label)
+                .str("engine", sess.engine.name())
+                .bool("warm_start", sess.record.prior.is_some())
+                .u64(
+                    "training_iterations",
+                    sess.engine.training_iterations() as u64,
+                )
+                .emit();
+            ship_snapshot(shared, &sess);
+            let response = Response::SessionStarted {
+                space: sess.record.space.clone(),
+                trained_from: sess.record.prior.as_ref().map(|r| r.label.clone()),
+                training_iterations: sess.engine.training_iterations(),
+                session_token: sess.record.token.clone(),
+            };
+            *active = Some(sess);
             response
         }
         Request::Resume { token } => {
@@ -1907,18 +1544,7 @@ fn handle_request(request: Request, conn: &mut ConnState, shared: &Shared) -> Re
             let grace = Instant::now() + Duration::from_millis(500);
             loop {
                 if let Some(sess) = shared.registry.unpark(&token) {
-                    crate::obs::resumes_total().inc();
-                    event(Level::Info, "net.session_resumed")
-                        .str("label", &sess.label)
-                        .u64("iterations", sess.kernel.iterations() as u64)
-                        .emit();
-                    let response = Response::Resumed {
-                        iteration: sess.kernel.iterations(),
-                        next_seq: sess.next_seq,
-                        done: sess.kernel.is_done(),
-                    };
-                    *active = Some(sess);
-                    return response;
+                    return resume(active, sess, "net.session_resumed");
                 }
                 // A finished session's token answers from the summary
                 // cache: the client lost its own SessionEnd response.
@@ -1939,24 +1565,16 @@ fn handle_request(request: Request, conn: &mut ConnState, shared: &Shared) -> Re
                 // anything this daemon holds in any form answers here,
                 // and only a complete miss can redirect, so a session
                 // can never be served from two places.
-                if let Some(persisted) = shared.adopt_replica(&token) {
-                    return match revive_persisted(persisted) {
+                if let Some(record) = shared.adopt_replica(&token) {
+                    return match build_session(record, &shared.config) {
                         Ok(sess) => {
-                            crate::obs::resumes_total().inc();
                             crate::obs::shard_adoptions_total().inc();
-                            event(Level::Info, "net.session_adopted")
-                                .str("label", &sess.label)
-                                .u64("iterations", sess.kernel.iterations() as u64)
-                                .emit();
-                            let response = Response::Resumed {
-                                iteration: sess.kernel.iterations(),
-                                next_seq: sess.next_seq,
-                                done: sess.kernel.is_done(),
-                            };
-                            *active = Some(sess);
-                            response
+                            resume(active, sess, "net.session_adopted")
                         }
-                        Err(message) => Response::Error { message },
+                        Err(message) => {
+                            revive_failed(&token, message.clone());
+                            Response::Error { message }
+                        }
                     };
                 }
                 if !shared.registry.recognizes(&token)
@@ -1985,18 +1603,13 @@ fn handle_request(request: Request, conn: &mut ConnState, shared: &Shared) -> Re
         }
         Request::Fetch => match active {
             None => no_session(),
-            Some(sess) => match sess.kernel.next_config() {
-                Some(cfg) => {
-                    let response = Response::Config {
-                        values: cfg.values().to_vec(),
-                        iteration: sess.kernel.iterations(),
-                    };
-                    // The proposal is part of the resumable state (the
-                    // simplex kernel must re-propose the same point
-                    // after a failover), so it replicates too.
-                    ship_snapshot(shared, sess);
-                    response
-                }
+            // Nothing to replicate: the proposal is recomputed from the
+            // record by the idempotent ask.
+            Some(sess) => match sess.next_config() {
+                Some(cfg) => Response::Config {
+                    values: cfg.values().to_vec(),
+                    iteration: sess.iterations(),
+                },
                 None => Response::Done,
             },
         },
@@ -2006,21 +1619,28 @@ fn handle_request(request: Request, conn: &mut ConnState, shared: &Shared) -> Re
                 match seq {
                     // A replayed report: already observed, answer the
                     // acknowledgment it lost.
-                    Some(s) if s < sess.next_seq => return Response::Reported,
-                    Some(s) if s > sess.next_seq => {
+                    Some(s) if s < sess.record.next_seq => return Response::Reported,
+                    Some(s) if s > sess.record.next_seq => {
                         return Response::Error {
                             message: format!(
                                 "report sequence gap: got {s}, expected {}",
-                                sess.next_seq
+                                sess.record.next_seq
                             ),
                         }
                     }
                     _ => {}
                 }
-                match sess.kernel.observe(performance) {
+                // Refused before the kernel sees it (see `SessionStart`);
+                // the proposal stays outstanding for a usable report.
+                if !performance.is_finite() {
+                    return Response::Error {
+                        message: format!("performance must be a finite number, got {performance}"),
+                    };
+                }
+                match sess.observe(performance) {
                     Ok(()) => {
                         if seq.is_some() {
-                            sess.next_seq += 1;
+                            sess.record.next_seq += 1;
                         }
                         // Replicate before acknowledging: the ack must
                         // imply a failover cannot lose this observation.
@@ -2043,7 +1663,7 @@ fn handle_request(request: Request, conn: &mut ConnState, shared: &Shared) -> Re
             },
             Some(sess) => {
                 crate::obs::sessions_completed_total().inc();
-                let token = sess.token.clone();
+                let token = sess.record.token.clone();
                 let summary = record_session(sess, shared);
                 if let Some(token) = token {
                     shared
@@ -2063,13 +1683,14 @@ fn handle_request(request: Request, conn: &mut ConnState, shared: &Shared) -> Re
                 // Free estimate from experience already paid for: the
                 // matched prior run plus this session's live trace.
                 let mut records: Vec<TuningRecord> = sess
+                    .record
                     .prior
                     .as_ref()
                     .map(|run| run.records.clone())
                     .unwrap_or_default();
                 records.extend(
-                    sess.kernel
-                        .trace()
+                    sess.record
+                        .trace
                         .iter()
                         .map(|t| TuningRecord::new(&t.config, t.performance)),
                 );
@@ -2078,7 +1699,7 @@ fn handle_request(request: Request, conn: &mut ConnState, shared: &Shared) -> Re
                         message: "no experience yet: no prior match and nothing measured".into(),
                     };
                 }
-                let report = SensitivityReport::from_history(sess.kernel.space(), &records);
+                let report = SensitivityReport::from_history(&sess.record.space, &records);
                 Response::Sensitivity {
                     entries: report
                         .entries()
@@ -2143,14 +1764,20 @@ fn handle_request(request: Request, conn: &mut ConnState, shared: &Shared) -> Re
         },
         Request::PeerShipSession { origin: _, session } => match peer_cluster(conn, shared) {
             Err(message) => Response::Error { message },
-            Ok(_) => match serde_json::from_str::<PersistedSession>(&session) {
-                Ok(snapshot) => {
-                    shared.store_replica(snapshot);
+            Ok(_) => match serde_json::from_str::<SessionRecord>(&session)
+                .map_err(|e| e.to_string())
+                .and_then(SessionRecord::tokened)
+            {
+                Ok((token, snapshot)) => {
+                    shared.store_replica(token, snapshot);
                     Response::PeerOk
                 }
-                Err(e) => Response::Error {
-                    message: format!("bad shipped session: {e}"),
-                },
+                Err(e) => {
+                    revive_failed("", e.clone());
+                    Response::Error {
+                        message: format!("bad shipped session: {e}"),
+                    }
+                }
             },
         },
         Request::PeerDropSession { origin: _, token } => match peer_cluster(conn, shared) {
@@ -2161,6 +1788,30 @@ fn handle_request(request: Request, conn: &mut ConnState, shared: &Shared) -> Re
             }
         },
     }
+}
+
+/// Attach a parked, revived or adopted session to this connection.
+fn resume(
+    active: &mut Option<ActiveSession>,
+    mut sess: ActiveSession,
+    what: &'static str,
+) -> Response {
+    crate::obs::resumes_total().inc();
+    event(Level::Info, what)
+        .str("label", &sess.record.label)
+        .u64("iterations", sess.iterations() as u64)
+        .emit();
+    // The client may have been between `Fetch` and `Report` when it lost
+    // its connection, and a rebuilt session carries no proposal: re-arm
+    // it (the ask is idempotent) so the retried `Report` is accepted.
+    sess.next_config();
+    let response = Response::Resumed {
+        iteration: sess.iterations(),
+        next_seq: sess.record.next_seq,
+        done: sess.engine.is_done(),
+    };
+    *active = Some(sess);
+    response
 }
 
 /// The cluster handle for an authorized peer connection, or the reason
@@ -2214,33 +1865,32 @@ fn resolve_space(spec: SpaceSpec) -> Result<ParameterSpace, String> {
 /// Fold a finished (or abandoned) session into the shared database and
 /// answer with its summary.
 pub(crate) fn record_session(sess: ActiveSession, shared: &Shared) -> Response {
-    let outcome = sess.kernel.finish();
+    let ActiveSession { record, engine, .. } = sess;
+    let (best, performance) = engine
+        .best()
+        .unwrap_or_else(|| (record.space.default_configuration(), f64::NEG_INFINITY));
+    let converged = engine.converged();
     let summary = Response::SessionSummary {
-        values: outcome.best_configuration.values().to_vec(),
-        performance: outcome.best_performance,
-        iterations: outcome.trace.len(),
-        converged: outcome.converged,
+        values: best.values().to_vec(),
+        performance,
+        iterations: record.trace.len(),
+        converged,
     };
     event(Level::Info, "net.session_record")
-        .str("label", &sess.label)
-        .u64("iterations", outcome.trace.len() as u64)
-        .f64("best", outcome.best_performance)
-        .bool("converged", outcome.converged)
+        .str("label", &record.label)
+        .u64("iterations", record.trace.len() as u64)
+        .f64("best", performance)
+        .bool("converged", converged)
         .emit();
-    if !outcome.trace.is_empty() {
-        let _span = trace::child(stage::WAL_APPEND, &sess.label);
-        let run = outcome.to_history(sess.label, sess.characteristics);
+    if !record.trace.is_empty() {
+        let _span = trace::child(stage::WAL_APPEND, &record.label);
+        let mut run = RunHistory::new(record.label, record.characteristics);
+        for t in &record.trace {
+            run.push(&t.config, t.performance);
+        }
         shared.record_run_and_replicate(run);
     }
-    let completed = shared.completed.fetch_add(1, Ordering::SeqCst) + 1;
-    // Snapshot mode persists through the flusher; legacy mode keeps the
-    // old synchronous whole-file save on the request thread.
-    if matches!(shared.backend, Backend::Legacy(_))
-        && shared.config.save_every > 0
-        && completed % shared.config.save_every == 0
-    {
-        shared.persist_legacy();
-    }
+    shared.completed.fetch_add(1, Ordering::SeqCst);
     summary
 }
 
@@ -2328,6 +1978,7 @@ mod tests {
     use super::*;
     use crate::client::Client;
     use harmony_space::Configuration;
+    use proptest::prelude::*;
     use std::time::Instant;
 
     fn paraboloid(cfg: &Configuration) -> f64 {
@@ -2360,31 +2011,6 @@ mod tests {
         assert!(summary.iterations > 0 && summary.iterations <= 80);
         drop(client);
         assert_eq!(handle.completed_sessions(), 1);
-        assert_eq!(handle.db_runs(), 1);
-        handle.shutdown();
-    }
-
-    #[test]
-    fn legacy_lock_mode_still_serves_sessions() {
-        let handle = TuningDaemon::start(DaemonConfig {
-            legacy_lock: true,
-            ..DaemonConfig::default()
-        })
-        .unwrap();
-        let mut client = Client::connect(handle.addr()).unwrap();
-        client
-            .start_session(
-                SpaceSpec::Rsl(RSL.into()),
-                "legacy",
-                vec![0.3, 0.7],
-                Some(40),
-            )
-            .unwrap();
-        while let Some(p) = client.fetch().unwrap() {
-            client.report(paraboloid(&p.values)).unwrap();
-        }
-        client.end_session().unwrap();
-        drop(client);
         assert_eq!(handle.db_runs(), 1);
         handle.shutdown();
     }
@@ -3086,6 +2712,164 @@ mod tests {
         drop(stream);
         assert_eq!(handle.db_runs(), 1, "engine sessions record experience");
         handle.shutdown();
+    }
+
+    /// Drive a session built from `record` to its end through the request
+    /// handlers, returning its trajectory, training count and summary.
+    /// With a cut `(k, fetched)` the owner dies after `k` observations —
+    /// and one more `Fetch`, if `fetched` — leaving only the record's
+    /// JSON, from which a rebuilt session takes over.
+    fn run_session(
+        record: SessionRecord,
+        shared: &Shared,
+        perf: &dyn Fn(&[i64]) -> f64,
+        mut cut: Option<(usize, bool)>,
+    ) -> (Vec<(Vec<i64>, u64)>, usize, String) {
+        let attach = |sess: Option<ActiveSession>| {
+            let mut conn = ConnState::new();
+            conn.version = 2;
+            conn.active = sess;
+            conn
+        };
+        let fetch = |conn: &mut ConnState| match handle_request(Request::Fetch, conn, shared) {
+            Response::Config { values, .. } => Some(values),
+            Response::Done => None,
+            other => panic!("expected Config or Done, got {other:?}"),
+        };
+        let snapshot = |conn: &ConnState| {
+            serde_json::to_string(&conn.active.as_ref().unwrap().record).unwrap()
+        };
+        let mut conn = attach(Some(build_session(record, &shared.config).unwrap()));
+        let training = conn.active.as_ref().unwrap().engine.training_iterations();
+        let mut trajectory = Vec::new();
+        // The proposal a client cut between `Fetch` and `Report` still
+        // holds: it reports on it without fetching again.
+        let mut owed = None;
+        loop {
+            if let Some((k, fetched)) = cut.filter(|(k, _)| *k == trajectory.len()) {
+                cut = None;
+                let text = snapshot(&conn);
+                if fetched {
+                    owed = fetch(&mut conn);
+                    assert_eq!(snapshot(&conn), text, "a Fetch changes nothing persisted");
+                }
+                let done = conn.active.take().unwrap().engine.is_done();
+                let (_, revived) = serde_json::from_str::<SessionRecord>(&text)
+                    .map_err(|e| e.to_string())
+                    .and_then(SessionRecord::tokened)
+                    .unwrap();
+                let sess = build_session(revived, &shared.config).unwrap();
+                assert_eq!(sess.engine.training_iterations(), training);
+                conn = attach(None);
+                assert_eq!(
+                    resume(&mut conn.active, sess, "net.session_adopted"),
+                    Response::Resumed {
+                        iteration: k,
+                        next_seq: k as u64,
+                        done,
+                    }
+                );
+            }
+            let Some(values) = owed.take().or_else(|| fetch(&mut conn)) else {
+                break;
+            };
+            let performance = perf(&values);
+            let report = Request::Report {
+                performance,
+                seq: Some(trajectory.len() as u64),
+            };
+            assert_eq!(
+                handle_request(report, &mut conn, shared),
+                Response::Reported
+            );
+            trajectory.push((values, performance.to_bits()));
+        }
+        let recorded = &conn.active.as_ref().unwrap().record.trace;
+        assert!(recorded
+            .iter()
+            .map(|t| t.config.values())
+            .eq(trajectory.iter().map(|(v, _)| &v[..])));
+        // Debug prints the shortest text that round-trips, so equal
+        // strings mean equal bits.
+        let summary = format!(
+            "{:?}",
+            handle_request(Request::SessionEnd, &mut conn, shared)
+        );
+        (trajectory, training, summary)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        /// The one persisted shape loses nothing: cut a session after any
+        /// number of observations — before the next `Fetch`, or between
+        /// `Fetch` and `Report` — and the rebuilt session's trajectory,
+        /// sequence numbers, training count and summary are those of the
+        /// session that was never interrupted. Every kernel, cold and
+        /// warm-started.
+        #[test]
+        fn replay_equals_live_at_every_cut(
+            ox in 0i64..=100,
+            oy in 0i64..=100,
+            budget in 5usize..=14,
+        ) {
+            let handle = daemon();
+            let perf = |v: &[i64]| 1000.0 - ((v[0] - ox) as f64).powi(2) - ((v[1] - oy) as f64).powi(2);
+            let mut prior = RunHistory::new("prior", vec![0.5]);
+            for (x, y) in [(10, 10), (30, 80), (50, 50), (70, 20), (90, 90), (40, 60), (45, 55)] {
+                prior.push(&Configuration::new(vec![x, y]), perf(&[x + 7, y - 5]));
+            }
+            let kernels = std::iter::once(None).chain(engines::ENGINE_NAMES.map(Some));
+            for (engine, prior) in kernels.flat_map(|k| [(k, None), (k, Some(prior.clone()))]) {
+                let run = |cut| run_session(
+                    SessionRecord {
+                        token: Some("hs-cut-0".into()),
+                        engine: engine.map(str::to_string),
+                        space: parse_rsl(RSL).unwrap(),
+                        budget,
+                        trace: Vec::new(),
+                        label: "cut".into(),
+                        characteristics: vec![0.5],
+                        prior: prior.clone(),
+                        next_seq: 0,
+                    },
+                    &handle.shared,
+                    &perf,
+                    cut,
+                );
+                let live = run(None);
+                if engine.is_none() {
+                    // The default kernel is the local tuner, step for step.
+                    let config = &handle.shared.config;
+                    let options = config.tuning.clone().with_max_iterations(budget);
+                    let tuner = harmony::tuner::Tuner::new(parse_rsl(RSL).unwrap(), options);
+                    let mut local = match &prior {
+                        Some(run) => tuner.session_trained(run, config.training),
+                        None => tuner.session(),
+                    };
+                    let mut expected = Vec::new();
+                    while let Some(cfg) = local.next_config() {
+                        let p = perf(cfg.values());
+                        local.observe(p).unwrap();
+                        expected.push((cfg.values().to_vec(), p.to_bits()));
+                    }
+                    prop_assert_eq!(&live.0, &expected, "warm={}", prior.is_some());
+                    prop_assert_eq!(live.1, local.training_iterations());
+                }
+                let trains = prior.is_some() && matches!(engine, None | Some("simplex"));
+                prop_assert_eq!(live.1 > 0, trains, "{:?}", engine);
+                prop_assert!(!live.0.is_empty() && live.0.len() <= budget, "{:?}", engine);
+                for k in 0..=live.0.len() {
+                    for fetched in [false, true] {
+                        prop_assert_eq!(
+                            &run(Some((k, fetched))), &live,
+                            "{:?} warm={} cut at {} fetched={}", engine, prior.is_some(), k, fetched
+                        );
+                    }
+                }
+            }
+            handle.shutdown();
+        }
     }
 
     /// The builder refuses the combinations the CLI used to police by

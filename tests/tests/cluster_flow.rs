@@ -134,74 +134,86 @@ fn replicated_runs_survive_a_daemon_death() {
 }
 
 /// A session whose owner dies mid-tune fails over to the replica and
-/// finishes on exactly the trajectory of an undisturbed run.
+/// finishes on exactly the trajectory of an undisturbed run — cold, and
+/// warm-started from a prior run (the adopter repeats the training
+/// stage from the prior the snapshot carries).
 #[test]
 fn killed_owner_fails_over_bit_identically() {
-    // The reference: one clean single-daemon run.
-    let clean = TuningDaemon::start(DaemonConfig::default()).unwrap();
-    let mut direct = Client::connect(clean.addr()).unwrap();
-    let (clean_trace, clean_summary) = drive(&mut direct, "clean", vec![0.5, 0.5]);
-    clean.shutdown();
-    assert!(clean_trace.len() > 10, "budget must be worth interrupting");
+    for warm in [false, true] {
+        // The reference: one clean single-daemon run.
+        let clean = TuningDaemon::start(DaemonConfig::default()).unwrap();
+        let mut direct = Client::connect(clean.addr()).unwrap();
+        if warm {
+            drive(&mut direct, "seed", vec![0.5, 0.5]);
+        }
+        let (clean_trace, clean_summary) = drive(&mut direct, "clean", vec![0.5, 0.5]);
+        clean.shutdown();
+        assert!(clean_trace.len() > 10, "budget must be worth interrupting");
 
-    // The cluster run: the session starts on member 0 (its token is
-    // self-owned), and member 0 is killed mid-session.
-    let addrs = reserve_addrs(3);
-    let mut daemons: Vec<DaemonHandle> = (0..3).map(|i| cluster_daemon(&addrs, i, 2)).collect();
-    let mut client = ring_client(&addrs, 7);
-    client
-        .start_session(
-            SpaceSpec::Rsl(RSL.into()),
-            "failover",
-            vec![0.5, 0.5],
-            Some(40),
-        )
-        .unwrap();
-    let token = client.session_token().expect("v2+ token").to_string();
-    let ring = HashRing::new(&addrs);
-    assert_eq!(
-        ring.owner(&token),
-        addrs[0],
-        "a session's creator must be its ring owner"
-    );
+        // The cluster run: the session starts on member 0 (its token is
+        // self-owned), and member 0 is killed mid-session.
+        let addrs = reserve_addrs(3);
+        let mut daemons: Vec<DaemonHandle> = (0..3).map(|i| cluster_daemon(&addrs, i, 2)).collect();
+        let mut client = ring_client(&addrs, 7);
+        if warm {
+            drive(&mut client, "seed", vec![0.5, 0.5]);
+        }
+        let started = client
+            .start_session(
+                SpaceSpec::Rsl(RSL.into()),
+                "failover",
+                vec![0.5, 0.5],
+                Some(40),
+            )
+            .unwrap();
+        assert_eq!(started.trained_from.as_deref(), warm.then_some("seed"));
+        assert_eq!(started.training_iterations > 0, warm);
+        let token = client.session_token().expect("v2+ token").to_string();
+        let ring = HashRing::new(&addrs);
+        assert_eq!(
+            ring.owner(&token),
+            addrs[0],
+            "a session's creator must be its ring owner"
+        );
 
-    let mut trace = Vec::new();
-    for _ in 0..7 {
-        let p = client.fetch().unwrap().expect("early proposal");
-        let y = perf(p.values.values());
-        trace.push((p.values.values().to_vec(), y.to_bits()));
-        client.report(y).unwrap();
-    }
-    daemons.remove(0).shutdown();
+        let mut trace = Vec::new();
+        for _ in 0..7 {
+            let p = client.fetch().unwrap().expect("early proposal");
+            let y = perf(p.values.values());
+            trace.push((p.values.values().to_vec(), y.to_bits()));
+            client.report(y).unwrap();
+        }
+        daemons.remove(0).shutdown();
 
-    // The next request reconnects, follows the redirect chain, and the
-    // replica holder adopts the session where it stopped.
-    while let Some(p) = client.fetch().expect("post-failover fetch") {
-        let y = perf(p.values.values());
-        trace.push((p.values.values().to_vec(), y.to_bits()));
-        client.report(y).expect("post-failover report");
-    }
-    let summary = client.end_session().expect("post-failover end");
+        // The next request reconnects, follows the redirect chain, and
+        // the replica holder adopts the session where it stopped.
+        while let Some(p) = client.fetch().expect("post-failover fetch") {
+            let y = perf(p.values.values());
+            trace.push((p.values.values().to_vec(), y.to_bits()));
+            client.report(y).expect("post-failover report");
+        }
+        let summary = client.end_session().expect("post-failover end");
 
-    assert_eq!(clean_trace, trace, "failover changed the trajectory");
-    assert_eq!(clean_summary.iterations, summary.iterations);
-    assert_eq!(clean_summary.best.values(), summary.best.values());
-    assert_eq!(
-        clean_summary.performance.to_bits(),
-        summary.performance.to_bits(),
-        "best performance must match to the bit"
-    );
-    assert_eq!(clean_summary.converged, summary.converged);
+        assert_eq!(clean_trace, trace, "failover changed the trajectory");
+        assert_eq!(clean_summary.iterations, summary.iterations);
+        assert_eq!(clean_summary.best.values(), summary.best.values());
+        assert_eq!(
+            clean_summary.performance.to_bits(),
+            summary.performance.to_bits(),
+            "best performance must match to the bit"
+        );
+        assert_eq!(clean_summary.converged, summary.converged);
 
-    // The finished run was recorded by the adopting survivor.
-    let mut recorded = false;
-    for addr in &addrs[1..] {
-        let mut c = Client::connect(addr.as_str()).unwrap();
-        recorded |= c.db_runs().unwrap().iter().any(|r| r.label == "failover");
-    }
-    assert!(recorded, "the failed-over run never reached a database");
-    for d in daemons {
-        d.shutdown();
+        // The finished run was recorded by the adopting survivor.
+        let mut recorded = false;
+        for addr in &addrs[1..] {
+            let mut c = Client::connect(addr.as_str()).unwrap();
+            recorded |= c.db_runs().unwrap().iter().any(|r| r.label == "failover");
+        }
+        assert!(recorded, "the failed-over run never reached a database");
+        for d in daemons {
+            d.shutdown();
+        }
     }
 }
 

@@ -8,6 +8,7 @@
 use harmony::history::{DataAnalyzer, ExperienceDb};
 use harmony::objective::FnObjective;
 use harmony::prelude::*;
+use harmony::tuner::TrainingMode;
 use harmony_engines::{drive, drive_parallel, registry, render_leaderboard, run_tournament};
 use harmony_engines::{SimplexEngine, TournamentOptions, ENGINE_NAMES};
 use harmony_exec::{Executor, MemoCache};
@@ -32,7 +33,7 @@ fn simplex_engine_reproduces_the_tuner_exactly() {
         let tuner = Tuner::new(sys.space().clone(), options.clone());
         let reference = tuner.run(&mut FnObjective::new(eval));
 
-        let mut engine = SimplexEngine::new(sys.space().clone(), options);
+        let mut engine = SimplexEngine::new(sys.space().clone(), options, TrainingMode::Replay(10));
         let ported = drive(&mut engine, eval);
 
         assert_eq!(ported.trace, reference.trace, "{name}: trajectory differs");

@@ -332,6 +332,66 @@ fn experience_survives_a_daemon_restart() {
     std::fs::remove_file(&db).ok();
 }
 
+/// A non-finite number has no JSON spelling: recorded, it would be
+/// written as `null` and the next start could not load its own files.
+/// Both entry points refuse it in-protocol, the session stays usable,
+/// and the daemon restarts over what it wrote.
+#[test]
+fn non_finite_numbers_are_refused_and_never_reach_the_files() {
+    let db = temp_db("non-finite.json");
+    let handle = TuningDaemon::start(daemon_config(Some(db.clone()))).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    assert_eq!(
+        client.wire_format(),
+        harmony_net::WireFormat::Binary,
+        "only raw f64 bits can carry a NaN to the daemon"
+    );
+    let refused = |err: NetError| {
+        assert!(
+            matches!(&err, NetError::Remote(m) if m.contains("finite")),
+            "{err}"
+        )
+    };
+    refused(
+        client
+            .start_session(
+                SpaceSpec::Explicit(space()),
+                "nan",
+                vec![0.5, f64::NAN],
+                None,
+            )
+            .unwrap_err(),
+    );
+    client
+        .start_session(
+            SpaceSpec::Explicit(space()),
+            "nan",
+            vec![0.5, 0.5],
+            Some(12),
+        )
+        .unwrap();
+    let first = client.fetch().unwrap().unwrap();
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        refused(client.report(bad).unwrap_err());
+    }
+    // The refused reports consumed nothing: same proposal, same
+    // sequence number, and the session runs to its end.
+    assert_eq!(client.fetch().unwrap().unwrap().values, first.values);
+    client.report(perf(&first.values)).unwrap();
+    while let Some(p) = client.fetch().unwrap() {
+        client.report(perf(&p.values)).unwrap();
+    }
+    assert_eq!(client.end_session().unwrap().iterations, 12);
+    drop(client);
+    handle.shutdown();
+
+    let restarted = TuningDaemon::start(daemon_config(Some(db.clone())))
+        .expect("the daemon restarts over its own files");
+    assert_eq!(restarted.db_runs(), 1);
+    restarted.shutdown();
+    std::fs::remove_file(&db).ok();
+}
+
 #[test]
 fn daemon_recovers_runs_from_a_journal_with_a_torn_tail() {
     use harmony::history::{wal::WalWriter, ExperienceDb, RunHistory};

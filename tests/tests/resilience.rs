@@ -137,7 +137,9 @@ fn faulted_session_walks_the_unfaulted_trajectory_bit_for_bit() {
 }
 
 /// Drain parks the unfinished session to disk; a successor daemon honors
-/// its token and the database ends up with every run — zero loss.
+/// its token and the database ends up with every run — zero loss. The
+/// parked session is warm-started from the completed one, so the rebuild
+/// has to repeat the training stage to continue the exact trajectory.
 #[test]
 fn drain_parks_sessions_and_a_restarted_daemon_resumes_them() {
     let dir = std::env::temp_dir().join(format!("harmony-resilience-{}", std::process::id()));
@@ -148,30 +150,46 @@ fn drain_parks_sessions_and_a_restarted_daemon_resumes_them() {
         let _ = std::fs::remove_file(leftover);
     }
 
+    // The reference: the same two sessions on a daemon nobody drains.
+    let undisturbed = daemon(None);
+    let mut reference = Client::connect(undisturbed.addr()).unwrap();
+    drive(&mut reference, "completed");
+    let (clean_trajectory, clean_summary) = drive(&mut reference, "interrupted");
+    drop(reference);
+    undisturbed.shutdown();
+
     let first = daemon(Some(db.clone()));
     // One completed run...
     let mut done = Client::connect(first.addr()).unwrap();
     drive(&mut done, "completed");
     drop(done);
-    // ...and one left mid-tune when the drain begins.
+    // ...and one, trained from it, left mid-tune when the drain begins.
     let mut mid = Client::builder(first.addr())
         .retry(RetryPolicy::none())
         .connect()
         .unwrap();
-    mid.start_session(
-        SpaceSpec::Rsl(RSL.into()),
-        "interrupted",
-        vec![0.9, 0.1],
-        Some(40),
-    )
-    .unwrap();
+    let started = mid
+        .start_session(
+            SpaceSpec::Rsl(RSL.into()),
+            "interrupted",
+            vec![0.5, 0.5],
+            Some(40),
+        )
+        .unwrap();
+    assert_eq!(started.trained_from.as_deref(), Some("completed"));
+    assert!(
+        started.training_iterations > 0,
+        "the session is warm-started"
+    );
     let token = mid.session_token().expect("v2 token").to_string();
-    let mut measured = 0u64;
+    let mut trajectory = Vec::new();
     for _ in 0..5 {
         let p = mid.fetch().unwrap().unwrap();
-        mid.report(perf(p.values.values())).unwrap();
-        measured += 1;
+        let y = perf(p.values.values());
+        trajectory.push((p.values.values().to_vec(), y.to_bits()));
+        mid.report(y).unwrap();
     }
+    let measured = trajectory.len() as u64;
     first.drain();
     let err = mid.fetch().unwrap_err();
     assert!(matches!(err, NetError::Draining), "{err}");
@@ -186,6 +204,12 @@ fn drain_parks_sessions_and_a_restarted_daemon_resumes_them() {
     );
     let on_disk = harmony::history::ExperienceDb::load(&db).unwrap();
     assert_eq!(on_disk.len(), 1, "drain lost a run or invented one");
+    // A record from before sessions were persisted by replay (the kernel
+    // serialized whole under `session`) sits in the same file: it must
+    // be refused on its own, not take the readable session down with it.
+    let written = std::fs::read_to_string(&sessions).unwrap();
+    let old_shape = r#"{"token":"hs-old-0","session":{"space":[]},"label":"lost","characteristics":[],"prior":null,"next_seq":0}"#;
+    std::fs::write(&sessions, format!("[{old_shape},{}", &written[1..])).unwrap();
 
     // The successor daemon consumes the sessions file and honors the
     // token exactly where the session stopped.
@@ -195,6 +219,13 @@ fn drain_parks_sessions_and_a_restarted_daemon_resumes_them() {
         "the sessions file is consumed at startup"
     );
     let mut stream = hello_v2(second.addr());
+    let lost = Request::Resume {
+        token: "hs-old-0".into(),
+    };
+    assert!(matches!(
+        round_trip(&mut stream, &lost),
+        Response::Error { .. }
+    ));
     let (iteration, mut seq) = match round_trip(&mut stream, &Request::Resume { token }) {
         Response::Resumed {
             iteration,
@@ -222,14 +253,28 @@ fn drain_parks_sessions_and_a_restarted_daemon_resumes_them() {
                     Response::Reported => seq += 1,
                     other => panic!("expected Reported, got {other:?}"),
                 }
+                trajectory.push((values, y.to_bits()));
             }
             Response::Done => break,
             other => panic!("expected Config or Done, got {other:?}"),
         }
     }
+    assert!(
+        trajectory.len() as u64 > measured,
+        "the session kept tuning"
+    );
+    assert_eq!(
+        trajectory, clean_trajectory,
+        "the restart leaked into the warm-started trajectory"
+    );
     match round_trip(&mut stream, &Request::SessionEnd) {
-        Response::SessionSummary { iterations, .. } => {
-            assert!(iterations as u64 > measured, "the session kept tuning")
+        Response::SessionSummary {
+            performance,
+            iterations,
+            ..
+        } => {
+            assert_eq!(iterations, clean_summary.iterations);
+            assert_eq!(performance.to_bits(), clean_summary.performance.to_bits());
         }
         other => panic!("expected SessionSummary, got {other:?}"),
     }

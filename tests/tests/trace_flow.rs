@@ -284,11 +284,15 @@ fn tracing_on_and_off_walk_identical_trajectories() {
 /// Tracing composes with the resilience machinery: a traced session
 /// interrupted by the fault proxy still walks the clean untraced
 /// trajectory, and its trace keeps a classify span despite reconnects.
+/// The clean run carries its own label: when another test has enabled
+/// the process-global recorder, the clean daemon's bare `SessionStart`
+/// leaves a single-request trace with a `classify` span of its own,
+/// which must not be mistaken for the faulted session's.
 #[test]
 fn traced_session_survives_faults_without_perturbing_the_trajectory() {
     let clean = daemon(false);
     let mut direct = Client::connect(clean.addr()).unwrap();
-    let (clean_trajectory, clean_summary) = drive(&mut direct, "trace-flow-faults");
+    let (clean_trajectory, clean_summary) = drive(&mut direct, "trace-flow-faults-clean");
     clean.shutdown();
     assert!(
         clean_trajectory.len() > 5,
@@ -324,7 +328,15 @@ fn traced_session_survives_faults_without_perturbing_the_trajectory() {
 
     let dump = through.trace_dump().unwrap();
     let t = session_trace(&dump, "trace-flow-faults").expect("trace survives reconnects");
-    assert!(t.complete);
+    assert!(t.complete, "SessionEnd seals the trace");
+    // The spans a cut exchange was carrying were re-shipped, not lost:
+    // the session-spanning trace still holds the client's evaluations.
+    let evals = t.spans.iter().filter(|s| s.stage == stage::EVAL).count();
+    assert_eq!(
+        evals,
+        faulted_trajectory.len(),
+        "one eval span per measurement"
+    );
     assert!(!proxy.injected().is_empty(), "the plan must actually fire");
     faulted.shutdown();
 }

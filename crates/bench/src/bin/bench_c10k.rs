@@ -1,26 +1,28 @@
-//! c10k benchmark: connection scalability of the daemon's two serving
-//! models.
+//! c10k benchmark: connection scalability of the daemon's reactor.
 //!
-//! Drives many concurrent tuning sessions against a daemon running
-//! either the event-driven epoll reactor (the default) or the legacy
-//! thread-per-connection model (`DaemonConfig::threaded`), and measures
-//! what each model can sustain:
+//! Drives many concurrent tuning sessions against a daemon and measures
+//! what its event-driven reactor can sustain:
 //!
-//! * **sustain** — the reactor alone, at ten thousand concurrent
-//!   sessions: every connection opens a session and holds it until all
-//!   sessions are live simultaneously, then runs its script to
-//!   completion. Proves the reactor really carries 10k concurrent
-//!   sessions on one listener.
-//! * **compare** — reactor vs threaded at high (but thread-survivable)
-//!   concurrency, identical workload, so the throughput ratio isolates
-//!   the serving model.
+//! * **sustain** — ten thousand concurrent sessions: every connection
+//!   opens a session and holds it until all sessions are live
+//!   simultaneously, then runs its script to completion. Proves the
+//!   reactor really carries 10k concurrent sessions on one listener.
+//! * **compare** — JSON vs binary framing at high concurrency, identical
+//!   workload, so the throughput ratio isolates the wire format.
+//!
+//! Until the thread-per-connection daemon was deleted, the compare phase
+//! also raced it against the reactor. The committed `BENCH_c10k.json` is
+//! that comparison's historical record (reactor 2.34x the requests/s on
+//! ~half the RSS at 6,000 connections) and is not regenerated: its
+//! `"mode"` column and `compare_speedup` field describe a daemon that no
+//! longer exists.
 //!
 //! The daemon runs in a child process (spawned from this same binary
-//! with `--daemon <mode>`) so its peak RSS (`VmHWM`) is attributable
-//! per model and the client's ten thousand sockets don't share a file
-//! table with the server's. The client side is a single-threaded,
-//! poll-driven state machine over nonblocking sockets — a
-//! thread-per-connection *client* at 10k would itself be the bottleneck.
+//! with `--daemon`) so its peak RSS (`VmHWM`) is attributable per phase
+//! and the client's ten thousand sockets don't share a file table with
+//! the server's. The client side is a single-threaded, poll-driven state
+//! machine over nonblocking sockets — a thread-per-connection *client*
+//! at 10k would itself be the bottleneck.
 //!
 //! Sessions open with a `Hello` capping the protocol at v2 (JSON
 //! framing) or v3 (binary framing, the daemon's preference), then run
@@ -29,20 +31,19 @@
 //! Nothing is reported, so no run is recorded and the experience
 //! database stays empty — the copy-on-write append path is the subject
 //! of `bench_stack`'s `experience_churn` workload; here it would only
-//! blur the connection-model comparison.
+//! blur the connection-scaling measurement.
 //!
 //! Reports connections sustained, requests/s (whole phase and the
 //! steady-state loop after the all-sessions-live barrier), p95/p99
-//! request RTT, and the daemon's peak RSS per model and wire format,
-//! and writes `BENCH_c10k.json`. The full run asserts the reactor
-//! sustains all 10k sessions, beats the threaded model by ≥ 2x on
-//! requests/s, and — when both formats run — that binary framing beats
-//! JSON by ≥ 1.25x on the reactor's steady-state loop throughput at the
-//! compare concurrency (the connect ramp is identical TCP work in both
-//! formats, so the format gate excludes it). `--format json|binary`
-//! restricts the phases to one wire format (the default runs both);
-//! `--smoke` shrinks everything for CI and only sanity-checks that
-//! every session completes.
+//! request RTT, and the daemon's peak RSS per wire format, and writes
+//! `BENCH_c10k.json`. The full run asserts the reactor sustains all 10k
+//! sessions and — when both formats run — that binary framing beats
+//! JSON by ≥ 1.25x on the steady-state loop throughput at the compare
+//! concurrency (the connect ramp is identical TCP work in both formats,
+//! so the format gate excludes it). `--format json|binary` restricts the
+//! phases to one wire format (the default runs both); `--smoke` shrinks
+//! everything for CI and only sanity-checks that every session
+//! completes.
 
 use harmony_net::codec::{encode_frame_as, WireFormat};
 use harmony_net::poll::Poller;
@@ -129,12 +130,11 @@ fn raise_nofile_limit() {
 // ---------------------------------------------------------------------
 // Daemon child process.
 
-/// `--daemon <mode>`: run the daemon until stdin closes, reporting the
-/// bound address up front and peak RSS on the way out.
-fn run_daemon(mode: &str, max_conns: usize) -> ! {
+/// `--daemon`: run the daemon until stdin closes, reporting the bound
+/// address up front and peak RSS on the way out.
+fn run_daemon(max_conns: usize) -> ! {
     let handle = TuningDaemon::start(DaemonConfig {
         listen: "127.0.0.1:0".into(),
-        threaded: mode == "threaded",
         max_connections: max_conns,
         ..DaemonConfig::default()
     })
@@ -167,15 +167,10 @@ struct Daemon {
 }
 
 /// Spawn this binary as a daemon child and read back its address.
-fn spawn_daemon(mode: &str, max_conns: usize) -> Daemon {
+fn spawn_daemon(max_conns: usize) -> Daemon {
     let exe = std::env::current_exe().expect("own path");
     let mut child = Command::new(exe)
-        .args([
-            "--daemon",
-            mode,
-            "--max-conns-internal",
-            &max_conns.to_string(),
-        ])
+        .args(["--daemon", "--max-conns-internal", &max_conns.to_string()])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .spawn()
@@ -329,7 +324,6 @@ impl Conn {
 
 struct PhaseResult {
     phase: &'static str,
-    mode: &'static str,
     format: &'static str,
     connections: usize,
     sustained: usize,
@@ -475,16 +469,15 @@ impl Client {
     }
 }
 
-/// Drive `conns` concurrent sessions against a fresh daemon in `mode`,
-/// framing everything after the handshake in `format`.
-fn run_phase(
-    phase: &'static str,
-    mode: &'static str,
-    format: WireFormat,
-    conns: usize,
-) -> PhaseResult {
-    let daemon = spawn_daemon(mode, conns + 8);
+/// Drive `conns` concurrent sessions against a fresh daemon, framing
+/// everything after the handshake in `format`.
+fn run_phase(phase: &'static str, format: WireFormat, conns: usize) -> PhaseResult {
+    let daemon = spawn_daemon(conns + 8);
     let addr = daemon.addr;
+    let format_name = match format {
+        WireFormat::Json => "json",
+        WireFormat::Binary => "binary",
+    };
 
     // Cap the handshake at v2 for JSON so the daemon never switches the
     // connection to binary framing; v3 for binary.
@@ -520,7 +513,8 @@ fn run_phase(
         while (token as usize).saturating_sub(client.holding + client.closed) >= RAMP_WINDOW {
             if started.elapsed() > PHASE_DEADLINE {
                 panic!(
-                    "bench_c10k: {phase}/{mode}: deadline during connect ramp at {token}/{conns}"
+                    "bench_c10k: {phase}/{format_name}: deadline during connect ramp at \
+                     {token}/{conns}"
                 );
             }
             client.pump(10);
@@ -555,7 +549,7 @@ fn run_phase(
     while !client.by_token.is_empty() {
         if started.elapsed() > PHASE_DEADLINE {
             eprintln!(
-                "bench_c10k: {phase}/{mode}: deadline hit with {} connections unfinished",
+                "bench_c10k: {phase}/{format_name}: deadline hit with {} connections unfinished",
                 client.by_token.len()
             );
             break;
@@ -587,11 +581,7 @@ fn run_phase(
     rtts_ms.sort_by(f64::total_cmp);
     PhaseResult {
         phase,
-        mode,
-        format: match format {
-            WireFormat::Json => "json",
-            WireFormat::Binary => "binary",
-        },
+        format: format_name,
         connections: conns,
         sustained,
         wall_ms: wall * 1e3,
@@ -606,14 +596,13 @@ fn run_phase(
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("--daemon") {
-        let mode = args.get(1).expect("--daemon needs a mode").clone();
         let max_conns = args
             .iter()
             .position(|a| a == "--max-conns-internal")
             .and_then(|i| args.get(i + 1))
             .and_then(|n| n.parse().ok())
             .unwrap_or(64);
-        run_daemon(&mode, max_conns);
+        run_daemon(max_conns);
     }
     let smoke = args.iter().any(|a| a == "--smoke");
     let mut only_format = None;
@@ -641,49 +630,24 @@ fn main() {
     raise_nofile_limit();
 
     // The sustain phase runs the daemon's preferred format; the compare
-    // phases measure the serving models on JSON and the wire formats on
-    // the reactor. With `--format` everything runs in that one format
-    // (and the cross-format speedup is not computed).
-    let mut results = Vec::new();
-    match only_format {
-        None => {
-            results.push(run_phase(
-                "sustain",
-                "reactor",
-                WireFormat::Binary,
-                p.sustain_conns,
-            ));
-            results.push(run_phase(
-                "compare",
-                "reactor",
-                WireFormat::Json,
-                p.compare_conns,
-            ));
-            results.push(run_phase(
-                "compare",
-                "reactor",
-                WireFormat::Binary,
-                p.compare_conns,
-            ));
-            results.push(run_phase(
-                "compare",
-                "threaded",
-                WireFormat::Json,
-                p.compare_conns,
-            ));
-        }
-        Some(f) => {
-            results.push(run_phase("sustain", "reactor", f, p.sustain_conns));
-            results.push(run_phase("compare", "reactor", f, p.compare_conns));
-            results.push(run_phase("compare", "threaded", f, p.compare_conns));
-        }
-    }
+    // phases race the two wire formats. With `--format` everything runs
+    // in that one format (and the cross-format speedup is not computed).
+    let results: Vec<PhaseResult> = match only_format {
+        None => vec![
+            run_phase("sustain", WireFormat::Binary, p.sustain_conns),
+            run_phase("compare", WireFormat::Json, p.compare_conns),
+            run_phase("compare", WireFormat::Binary, p.compare_conns),
+        ],
+        Some(f) => vec![
+            run_phase("sustain", f, p.sustain_conns),
+            run_phase("compare", f, p.compare_conns),
+        ],
+    };
     for r in &results {
         println!(
-            "{:<8} {:<9} {:<7} conns {:>6}  sustained {:>6}  wall {:>9.1} ms  requests {:>8.1}/s  \
+            "{:<8} {:<7} conns {:>6}  sustained {:>6}  wall {:>9.1} ms  requests {:>8.1}/s  \
              loop {:>8.1}/s  rtt p95 {:>7.2} ms  p99 {:>7.2} ms  daemon peak rss {:>7} kB",
             r.phase,
-            r.mode,
             r.format,
             r.connections,
             r.sustained,
@@ -696,28 +660,19 @@ fn main() {
         );
     }
 
-    let compare = |mode: &str, format: &str| {
+    let compare = |format: &str| {
         results
             .iter()
-            .find(|r| r.phase == "compare" && r.mode == mode && r.format == format)
+            .find(|r| r.phase == "compare" && r.format == format)
     };
-    let reactor_json = compare("reactor", "json");
-    let reactor = reactor_json
-        .or_else(|| compare("reactor", "binary"))
-        .expect("a reactor compare phase ran");
-    let threaded = compare("threaded", "json")
-        .or_else(|| compare("threaded", "binary"))
-        .expect("a threaded compare phase ran");
-    let speedup = reactor.requests_per_sec / threaded.requests_per_sec;
-    println!("compare speedup (reactor / threaded): {speedup:.2}x");
     // The format comparison gates on steady-state loop throughput: the
     // connect ramp ahead of the barrier is TCP and accept-queue cost,
     // byte-for-byte identical work in either format, and including it
     // would dilute the thing under test (per-request framing).
-    let format_speedup = match (reactor_json, compare("reactor", "binary")) {
+    let format_speedup = match (compare("json"), compare("binary")) {
         (Some(json), Some(binary)) => {
             let s = binary.loop_requests_per_sec / json.loop_requests_per_sec;
-            println!("format speedup (binary / json, reactor steady-state loop): {s:.2}x");
+            println!("format speedup (binary / json, steady-state loop): {s:.2}x");
             Some(s)
         }
         _ => None,
@@ -727,14 +682,13 @@ fn main() {
     for r in &results {
         let _ = write!(
             rows,
-            "{}    {{\"phase\": \"{}\", \"mode\": \"{}\", \"format\": \"{}\", \
+            "{}    {{\"phase\": \"{}\", \"format\": \"{}\", \
              \"connections\": {}, \
              \"sustained\": {}, \"wall_ms\": {:.2}, \"requests_per_sec\": {:.2}, \
              \"loop_requests_per_sec\": {:.2}, \
              \"rtt_p95_ms\": {:.4}, \"rtt_p99_ms\": {:.4}, \"daemon_peak_rss_kb\": {}}}",
             if rows.is_empty() { "" } else { ",\n" },
             r.phase,
-            r.mode,
             r.format,
             r.connections,
             r.sustained,
@@ -752,8 +706,7 @@ fn main() {
     };
     let json = format!(
         "{{\n  \"bench\": \"c10k\",\n  \"smoke\": {smoke},\n  \
-         \"requests_per_session\": {},\n  \"results\": [\n{rows}\n  ],\n  \
-         \"compare_speedup\": {speedup:.4}{format_row}\n}}\n",
+         \"requests_per_session\": {},\n  \"results\": [\n{rows}\n  ]{format_row}\n}}\n",
         FETCHES + 3,
     );
     std::fs::write("BENCH_c10k.json", &json).expect("write BENCH_c10k.json");
@@ -764,26 +717,18 @@ fn main() {
     for r in &results {
         assert_eq!(
             r.sustained, r.connections,
-            "{}/{}/{}: only {} of {} sessions completed",
-            r.phase, r.mode, r.format, r.sustained, r.connections
+            "{}/{}: only {} of {} sessions completed",
+            r.phase, r.format, r.sustained, r.connections
         );
     }
-    if !smoke {
-        // The full comparisons exist to prove the reactor wins at high
-        // concurrency and binary framing wins on the wire; smoke runs
-        // are too small to measure anything.
+    // The full comparison exists to prove binary framing wins on the
+    // wire; smoke runs are too small to measure anything.
+    if let (false, Some(s)) = (smoke, format_speedup) {
         assert!(
-            speedup >= 2.0,
-            "reactor only {speedup:.2}x the threaded model at {} connections (need >= 2x)",
+            s >= 1.25,
+            "binary framing only {s:.2}x JSON on the steady-state loop at {} connections \
+             (need >= 1.25x)",
             p.compare_conns
         );
-        if let Some(s) = format_speedup {
-            assert!(
-                s >= 1.25,
-                "binary framing only {s:.2}x JSON on the reactor's steady-state loop at {} \
-                 connections (need >= 1.25x)",
-                p.compare_conns
-            );
-        }
     }
 }

@@ -39,8 +39,8 @@ pub enum Command {
         /// Use the original extreme-corner initial simplex instead of the
         /// improved evenly-spread one.
         original: bool,
-        /// Search engine from the `harmony-engines` registry (defaults to
-        /// the classic simplex tuner flow when unset).
+        /// Search engine from the `harmony-engines` registry (`simplex`
+        /// when unset; naming it only adds the report's `engine:` line).
         engine: Option<String>,
         /// Experience-database path (loaded if present, updated after).
         db: Option<String>,
@@ -90,9 +90,6 @@ pub enum Command {
         iterations: Option<usize>,
         /// Concurrent-connection cap.
         max_connections: Option<usize>,
-        /// Serve with the legacy thread-per-connection model instead of
-        /// the epoll reactor (honest-comparison escape hatch).
-        threaded: bool,
         /// Append structured JSONL events to this file.
         log_json: Option<String>,
         /// Rotate the --log-json file when it reaches this many bytes.
@@ -184,7 +181,7 @@ USAGE:
   harmony-cli serve <params.rsl> [--listen <host:port>] [--db <experience.json>]
               [--wal <journal.wal>] [--compact-every N]
               [--peer <host:port>[,<host:port>…]] [--replicate N]
-              [--iterations N] [--max-connections N] [--threaded]
+              [--iterations N] [--max-connections N]
               [--log-json <events.jsonl>]
               [--log-rotate-bytes N] [--log-keep N] [--no-trace]
   harmony-cli stats <host:port>
@@ -202,7 +199,7 @@ identical to a sequential run for a deterministic measure command; under
 measurement noise the cache pins each configuration to its first sample.
 
 --engine <name> picks the search strategy from the harmony-engines
-registry: 'simplex' (the classic kernel behind the engine trait),
+registry: 'simplex' (the paper's kernel, and the default without --engine),
 'divide-diverge' (BestConfig-style sampling with recursive bound-and-search)
 or 'tuneful' (online significance-aware tuning that shrinks the active
 parameter set). Locally all engines honour --db warm starting and --jobs
@@ -471,7 +468,6 @@ pub fn parse_args(args: &[String]) -> Result<Cli, CliError> {
             let mut replicate = None;
             let mut iterations = None;
             let mut max_connections = None;
-            let mut threaded = false;
             let mut log_json = None;
             let mut log_rotate_bytes = None;
             let mut log_keep = None;
@@ -505,7 +501,6 @@ pub fn parse_args(args: &[String]) -> Result<Cli, CliError> {
                     "--max-connections" | "--max-conns" => {
                         max_connections = Some(parse_value(&mut it, "--max-connections")?)
                     }
-                    "--threaded" => threaded = true,
                     "--log-json" => log_json = Some(next_str(&mut it, "--log-json")?),
                     "--log-rotate-bytes" => {
                         let bytes: u64 = parse_value(&mut it, "--log-rotate-bytes")?;
@@ -552,7 +547,6 @@ pub fn parse_args(args: &[String]) -> Result<Cli, CliError> {
                     replicate,
                     iterations,
                     max_connections,
-                    threaded,
                     log_json,
                     log_rotate_bytes,
                     log_keep,
@@ -942,7 +936,6 @@ mod tests {
                 replicate: None,
                 iterations: None,
                 max_connections: None,
-                threaded: false,
                 log_json: None,
                 log_rotate_bytes: None,
                 log_keep: None,
@@ -987,7 +980,6 @@ mod tests {
                 replicate: Some(2),
                 iterations: Some(80),
                 max_connections: Some(4),
-                threaded: false,
                 log_json: Some("events.jsonl".into()),
                 log_rotate_bytes: None,
                 log_keep: None,
@@ -995,19 +987,17 @@ mod tests {
             }
         );
 
-        // --max-conns is an alias, --threaded flips the serving model.
-        let cli = parse_args(&v(&["serve", "p.rsl", "--max-conns", "9", "--threaded"])).unwrap();
+        // --max-conns is an alias.
+        let cli = parse_args(&v(&["serve", "p.rsl", "--max-conns", "9"])).unwrap();
         match cli.command {
             Command::Serve {
-                max_connections,
-                threaded,
-                ..
-            } => {
-                assert_eq!(max_connections, Some(9));
-                assert!(threaded);
-            }
+                max_connections, ..
+            } => assert_eq!(max_connections, Some(9)),
             other => panic!("wrong command {other:?}"),
         }
+        // There is one serving model; the flag that chose the other is gone.
+        let e = parse_args(&v(&["serve", "p.rsl", "--threaded"])).unwrap_err();
+        assert_eq!(e.0, "serve: unexpected argument \"--threaded\"");
 
         assert!(parse_args(&v(&["serve"])).is_err());
         assert!(parse_args(&v(&["serve", "p.rsl", "--port", "1"])).is_err());

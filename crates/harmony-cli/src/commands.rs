@@ -3,8 +3,9 @@
 
 use crate::args::{Command, WireChoice};
 use crate::external::{ExternalObjective, MeasureError};
-use harmony::history::{DataAnalyzer, ExperienceDb, RunHistory, TuningRecord};
+use harmony::history::{DataAnalyzer, ExperienceDb, RunHistory};
 use harmony::prelude::*;
+use harmony::report::{analyze_trace, ReportOptions, TraceEntry};
 use harmony::sensitivity::Prioritizer;
 use harmony::tuner::TrainingMode;
 use harmony_engines::{
@@ -207,22 +208,10 @@ pub fn run(command: Command) -> Result<String, RunError> {
                     wire,
                     measure,
                 )?;
-            } else if let Some(name) = engine {
+            } else {
                 tune_with_engine(
                     &mut out,
-                    &name,
-                    &rsl,
-                    iterations,
-                    original,
-                    db,
-                    label,
-                    characteristics,
-                    jobs,
-                    measure,
-                )?;
-            } else {
-                tune_local(
-                    &mut out,
+                    engine.as_deref(),
                     &rsl,
                     iterations,
                     original,
@@ -286,7 +275,6 @@ pub fn run(command: Command) -> Result<String, RunError> {
             replicate,
             iterations,
             max_connections,
-            threaded,
             log_json,
             log_rotate_bytes,
             log_keep,
@@ -302,7 +290,6 @@ pub fn run(command: Command) -> Result<String, RunError> {
                 replicate,
                 iterations,
                 max_connections,
-                threaded,
                 LogOptions {
                     json: log_json,
                     rotate_bytes: log_rotate_bytes,
@@ -348,110 +335,6 @@ pub fn run(command: Command) -> Result<String, RunError> {
     Ok(out)
 }
 
-/// Tune with the in-process kernel, measuring via the external command.
-///
-/// Each exploration runs through [`ExternalObjective::measure_once`], so a
-/// crashed command, a non-zero exit, or unparseable output stops the run
-/// with the underlying error — it is never silently folded into the
-/// search as a performance value.
-///
-/// With `jobs > 1`, batchable phases of the search (the initial simplex,
-/// vertex refreshes) measure on that many worker threads, and every
-/// measurement is memoized per exact configuration so revisited points
-/// cost nothing; for a deterministic measure command the outcome is
-/// identical to the sequential run.
-#[allow(clippy::too_many_arguments)]
-fn tune_local(
-    out: &mut String,
-    rsl: &str,
-    iterations: usize,
-    original: bool,
-    db: Option<String>,
-    label: String,
-    characteristics: Vec<f64>,
-    jobs: usize,
-    measure: Vec<String>,
-) -> Result<(), RunError> {
-    let space = load_space(rsl)?;
-    let mut database = match &db {
-        Some(path) if fs::metadata(path).is_ok() => {
-            ExperienceDb::load(path).map_err(|e| fail(e.to_string()))?
-        }
-        _ => ExperienceDb::new(),
-    };
-    let options = if original {
-        TuningOptions::original()
-    } else {
-        TuningOptions::improved()
-    }
-    .with_max_iterations(iterations);
-    let tuner = Tuner::new(space.clone(), options);
-    let obj = ExternalObjective::new(space.clone(), measure);
-
-    // Classify against prior experience when characteristics are
-    // provided.
-    let prior = if characteristics.is_empty() {
-        None
-    } else {
-        DataAnalyzer::new().select(&database, &characteristics)
-    };
-    let mut session = match &prior {
-        Some(history) => {
-            let _ = writeln!(out, "training from prior run {:?}", history.label);
-            tuner.session_trained(history, TrainingMode::Replay(10))
-        }
-        None => tuner.session(),
-    };
-    if jobs > 1 {
-        let executor = Executor::new(jobs);
-        let cache = MemoCache::new(JOBS_CACHE_CAPACITY);
-        let stash = StashingEval::new(&obj);
-        let eval = |cfg: &Configuration| stash.eval(cfg);
-        loop {
-            let batch = session.next_batch();
-            if batch.is_empty() {
-                break;
-            }
-            let performances = executor.evaluate_batch_cached(&batch, &cache, &eval);
-            // Bail before a failure's -inf placeholder reaches the search.
-            stash.check()?;
-            session
-                .observe_batch(&performances)
-                .map_err(|e| fail(e.to_string()))?;
-        }
-    } else {
-        while let Some(cfg) = session.next_config() {
-            let performance = measure_exploration(&obj, &cfg, session.iterations())?;
-            session
-                .observe(performance)
-                .map_err(|e| fail(e.to_string()))?;
-        }
-    }
-    let outcome = session.finish();
-
-    let _ = writeln!(out, "explored {} configurations", outcome.trace.len());
-    let _ = writeln!(out, "best performance: {:.4}", outcome.best_performance);
-    for (p, &v) in space
-        .params()
-        .iter()
-        .zip(outcome.best_configuration.values())
-    {
-        let _ = writeln!(out, "  {:<24} = {v}", p.name());
-    }
-    let _ = writeln!(
-        out,
-        "convergence at iteration {}; worst dip {:.4}; converged: {}",
-        outcome.report.convergence_time, outcome.report.worst_performance, outcome.converged
-    );
-
-    if let Some(path) = db {
-        database.add_run(outcome.to_history(label, characteristics));
-        database.save(&path).map_err(|e| fail(e.to_string()))?;
-        let _ = writeln!(out, "experience saved to {path} ({} runs)", database.len());
-    }
-    Ok(())
-}
-
 fn mix_by_name(name: &str) -> Result<WorkloadMix, RunError> {
     match name {
         "browsing" => Ok(WorkloadMix::browsing()),
@@ -463,18 +346,30 @@ fn mix_by_name(name: &str) -> Result<WorkloadMix, RunError> {
     }
 }
 
-/// Tune with a pluggable [`harmony_engines`] search engine instead of
-/// the built-in simplex session. Shares `tune`'s measurement, memoizing
-/// `--jobs` batching, and experience-database handling: with
-/// `--characteristics` and a `--db`, the classified prior run warm-starts
-/// the engine through [`SearchEngine::warm_start`], and the finished
-/// run's records are saved back.
+/// Tune in-process with a [`harmony_engines`] search engine — the paper's
+/// simplex kernel unless `--engine` names another — measuring via the
+/// external command.
+///
+/// Each exploration runs through [`ExternalObjective::measure_once`], so a
+/// crashed command, a non-zero exit, or unparseable output stops the run
+/// with the underlying error — it is never silently folded into the
+/// search as a performance value.
+///
+/// With `jobs > 1`, batchable phases of the search (an initial simplex,
+/// vertex refreshes) measure on that many worker threads, and every
+/// measurement is memoized per exact configuration so revisited points
+/// cost nothing; for a deterministic measure command the outcome is
+/// identical to the sequential run.
+///
+/// With `--characteristics` and a `--db`, the classified prior run
+/// warm-starts the engine through [`SearchEngine::warm_start`], and the
+/// finished run's records are saved back.
 ///
 /// [`SearchEngine::warm_start`]: harmony_engines::SearchEngine::warm_start
 #[allow(clippy::too_many_arguments)]
 fn tune_with_engine(
     out: &mut String,
-    name: &str,
+    engine_flag: Option<&str>,
     rsl: &str,
     iterations: usize,
     original: bool,
@@ -492,6 +387,7 @@ fn tune_with_engine(
         _ => ExperienceDb::new(),
     };
     let obj = ExternalObjective::new(space.clone(), measure);
+    let name = engine_flag.unwrap_or("simplex");
     let spec = registry::lookup(name).map_err(|e| fail(e.to_string()))?;
     let mut engine: Box<dyn SearchEngine> = if name == "simplex" && original {
         // `--original` is only meaningful for the simplex engine (the
@@ -519,7 +415,14 @@ fn tune_with_engine(
         let _ = writeln!(out, "training from prior run {:?}", history.label);
         engine.warm_start(history);
     }
-    let mut records = Vec::new();
+    let mut trace: Vec<TraceEntry> = Vec::new();
+    let mut record = |config: &Configuration, performance: f64| {
+        trace.push(TraceEntry {
+            iteration: trace.len(),
+            config: config.clone(),
+            performance,
+        })
+    };
     if jobs > 1 {
         let executor = Executor::new(jobs);
         let cache = MemoCache::new(JOBS_CACHE_CAPACITY);
@@ -537,7 +440,7 @@ fn tune_with_engine(
                 .observe_batch(&performances)
                 .map_err(|e| fail(e.to_string()))?;
             for (cfg, &perf) in batch.iter().zip(&performances).take(used) {
-                records.push(TuningRecord::new(cfg, perf));
+                record(cfg, perf);
             }
         }
     } else {
@@ -546,27 +449,36 @@ fn tune_with_engine(
             engine
                 .observe(performance)
                 .map_err(|e| fail(e.to_string()))?;
-            records.push(TuningRecord::new(&cfg, performance));
+            record(&cfg, performance);
         }
     }
     let (best_cfg, best_perf) = engine
         .best()
-        .ok_or_else(|| fail("engine made no observations"))?;
+        .unwrap_or_else(|| (space.default_configuration(), f64::NEG_INFINITY));
+    let report = analyze_trace(&trace, &ReportOptions::default());
 
-    let _ = writeln!(out, "engine: {name}");
-    let _ = writeln!(out, "explored {} configurations", records.len());
+    if let Some(name) = engine_flag {
+        let _ = writeln!(out, "engine: {name}");
+    }
+    let _ = writeln!(out, "explored {} configurations", trace.len());
     let _ = writeln!(out, "best performance: {best_perf:.4}");
     for (p, &v) in space.params().iter().zip(best_cfg.values()) {
         let _ = writeln!(out, "  {:<24} = {v}", p.name());
     }
-    let _ = writeln!(out, "converged: {}", engine.converged());
+    let _ = writeln!(
+        out,
+        "convergence at iteration {}; worst dip {:.4}; converged: {}",
+        report.convergence_time,
+        report.worst_performance,
+        engine.converged()
+    );
 
     if let Some(path) = db {
-        database.add_run(RunHistory {
-            label,
-            characteristics,
-            records,
-        });
+        let mut run = RunHistory::new(label, characteristics);
+        for t in &trace {
+            run.push(&t.config, t.performance);
+        }
+        database.add_run(run);
         database.save(&path).map_err(|e| fail(e.to_string()))?;
         let _ = writeln!(out, "experience saved to {path} ({} runs)", database.len());
     }
@@ -899,7 +811,6 @@ pub fn serve(
     replicate: Option<usize>,
     iterations: Option<usize>,
     max_connections: Option<usize>,
-    threaded: bool,
     log: LogOptions,
     no_trace: bool,
     wait: impl FnOnce(&DaemonHandle),
@@ -916,10 +827,7 @@ pub fn serve(
         .map_err(|e| fail(format!("cannot open event log {path}: {e}")))?;
     }
     let space = load_space(rsl)?;
-    let mut builder = DaemonConfig::builder()
-        .listen(listen)
-        .threaded(threaded)
-        .tracing(!no_trace);
+    let mut builder = DaemonConfig::builder().listen(listen).tracing(!no_trace);
     if let Some(path) = db {
         builder = builder.db_path(path);
     }
@@ -1147,6 +1055,60 @@ mod tests {
     }
 
     #[test]
+    fn tune_without_engine_flag_is_the_simplex_engine() {
+        let rsl = write_rsl("default-engine.rsl");
+        let cmd = "echo $((100 - (HARMONY_B-3)*(HARMONY_B-3) - (HARMONY_C-4)*(HARMONY_C-4)))";
+        // One database per spelling, so both see the same history: a
+        // cold run first, then one warm-started from the run just saved.
+        let db_for = |name: &str| {
+            let db = std::env::temp_dir().join("harmony-cli-tests").join(name);
+            fs::remove_file(&db).ok();
+            db
+        };
+        let (plain_db, named_db) = (db_for("default-plain.json"), db_for("default-named.json"));
+        let tune = |engine: &[&str], db: &std::path::Path, label: &str, chars: &str| {
+            let mut args = vec!["tune", rsl.to_str().unwrap()];
+            args.extend_from_slice(engine);
+            args.extend_from_slice(&[
+                "--iterations",
+                "40",
+                "--db",
+                db.to_str().unwrap(),
+                "--label",
+                label,
+                "--characteristics",
+                chars,
+                "--",
+                "sh",
+                "-c",
+                cmd,
+            ]);
+            run(parse_args(&sv(&args)).unwrap().command)
+                .unwrap()
+                .replace(db.to_str().unwrap(), "<db>")
+        };
+        for (label, chars) in [("cold", "0.2,0.8"), ("warm", "0.21,0.79")] {
+            let plain = tune(&[], &plain_db, label, chars);
+            let named = tune(&["--engine", "simplex"], &named_db, label, chars);
+            assert_eq!(
+                plain.contains("training from prior run \"cold\""),
+                label == "warm",
+                "{plain}"
+            );
+            assert!(!plain.contains("engine:"), "{plain}");
+            // The only difference is the line naming the engine.
+            assert_eq!(named.replacen("engine: simplex\n", "", 1), plain);
+            assert!(named.contains("engine: simplex\n"), "{named}");
+        }
+        assert_eq!(
+            fs::read_to_string(&plain_db).unwrap(),
+            fs::read_to_string(&named_db).unwrap()
+        );
+        fs::remove_file(&plain_db).ok();
+        fs::remove_file(&named_db).ok();
+    }
+
+    #[test]
     fn tune_with_engine_and_jobs_matches_sequential() {
         let rsl = write_rsl("engine-jobs.rsl");
         let cmd = "echo $((100 - (HARMONY_B-3)*(HARMONY_B-3) - (HARMONY_C-4)*(HARMONY_C-4)))";
@@ -1326,7 +1288,6 @@ mod tests {
             None,
             Some(50),
             None,
-            false,
             LogOptions::default(),
             false,
             |handle| {
@@ -1389,7 +1350,6 @@ mod tests {
             None,
             None,
             None,
-            false,
             LogOptions::default(),
             false,
             |_| unreachable!("daemon must not start"),
@@ -1409,7 +1369,6 @@ mod tests {
             None,
             None,
             None,
-            false,
             LogOptions::default(),
             false,
             |_| unreachable!("daemon must not start"),
@@ -1457,7 +1416,6 @@ mod tests {
             None,
             None,
             None,
-            false,
             LogOptions::default(),
             false,
             |handle| {
@@ -1505,7 +1463,6 @@ mod tests {
             None,
             Some(20),
             None,
-            false,
             LogOptions::default(),
             false,
             |handle| {
@@ -1559,7 +1516,6 @@ mod tests {
             None,
             Some(20),
             None,
-            false,
             LogOptions {
                 json: Some(log.to_str().unwrap().to_string()),
                 ..LogOptions::default()
@@ -1669,7 +1625,6 @@ mod tests {
             None,
             Some(15),
             None,
-            false,
             LogOptions::default(),
             false,
             |handle| {
@@ -1725,7 +1680,6 @@ mod tests {
             None,
             Some(20),
             None,
-            false,
             LogOptions::default(),
             false,
             |handle| {

@@ -15,11 +15,10 @@
 //!   length prefix followed by that many payload bytes — JSON for
 //!   protocols 1–2, the compact [`wire`] binary encoding once `Hello`
 //!   negotiates protocol 3.
-//! * [`server`] — [`server::TuningDaemon`]: on Linux an event-driven
-//!   `epoll` reactor (pipelined requests, a worker pool for request
-//!   execution, a few hundred bytes per idle connection), with the
-//!   original thread-per-connection model kept behind
-//!   `DaemonConfig::threaded` and as the non-Linux fallback.
+//! * [`server`] — [`server::TuningDaemon`]: one event-driven reactor
+//!   (pipelined requests, a worker pool for request execution, a few
+//!   hundred bytes per idle connection) over the [`poll`] readiness
+//!   layer — `epoll` on Linux, `poll(2)` on every other Unix.
 //!   All sessions share one experience database: each
 //!   `SessionStart` is classified against it (the §4.2 warm start) and
 //!   each completed session is recorded back into it, so later clients
@@ -71,9 +70,10 @@ pub mod codec;
 mod error;
 pub mod fault;
 mod obs;
+#[cfg(unix)]
 pub mod poll;
 pub mod protocol;
-#[cfg(target_os = "linux")]
+#[cfg(unix)]
 pub(crate) mod reactor;
 pub mod server;
 pub mod wire;

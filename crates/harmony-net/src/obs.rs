@@ -29,7 +29,7 @@
 //! | `harmony_net_sessions_parked` | gauge | disconnected sessions currently parked awaiting `Resume` |
 //! | `harmony_net_session_ttl_expirations_total` | counter | parked sessions reaped at the keepalive TTL |
 //! | `harmony_net_traces_finalized_total` | counter | trace span trees sealed into the flight recorder |
-//! | `harmony_net_reactor_wakeups_total` | counter | reactor event-loop wakeups (`epoll_wait` returns) |
+//! | `harmony_net_reactor_wakeups_total` | counter | reactor event-loop wakeups (poller waits returning) |
 //! | `harmony_net_reactor_ready_events_depth` | histogram | descriptors ready per event-loop wakeup |
 //! | `harmony_net_reactor_pipelined_requests_total` | counter | requests decoded while an earlier one on the same connection was still queued or executing |
 //! | `harmony_net_reactor_fds_active` | gauge | connections currently registered with the reactor |
@@ -233,7 +233,7 @@ handle!(
     Counter,
     global().counter(
         "harmony_net_reactor_wakeups_total",
-        "Reactor event-loop wakeups (epoll_wait returns).",
+        "Reactor event-loop wakeups (poller waits returning).",
     )
 );
 

@@ -1,15 +1,21 @@
-//! Minimal readiness polling over raw `epoll(7)`, without a libc crate.
+//! Minimal readiness polling over raw syscalls, without a libc crate.
 //!
 //! `std` already links the platform C library, so — exactly like the
-//! CLI's `signal(2)` handling — declaring the four `epoll` entry points
-//! ourselves costs a dozen lines instead of a bindings dependency. The
-//! wrapper is deliberately small: level-triggered only, one `u64` token
-//! per registration, and a [`Poller::wait`] that translates raw event
-//! masks into a plain [`Readiness`] struct.
+//! CLI's `signal(2)` handling — declaring the few entry points ourselves
+//! costs a dozen lines instead of a bindings dependency. The wrapper is
+//! deliberately small: level-triggered only, one `u64` token per
+//! registration, and a [`Poller::wait`] that translates raw event masks
+//! into a plain [`Readiness`] struct.
 //!
-//! Only Linux has `epoll`; on other platforms [`Poller::new`] reports
-//! `Unsupported` and the daemon falls back to its thread-per-connection
-//! model (see `DaemonConfig::threaded`).
+//! [`Poller`] has two backends with the same API, and the platform —
+//! never a user — picks one at build time: `epoll(7)` on Linux, `poll(2)`
+//! on every other Unix. `poll(2)` hands the kernel the whole registration
+//! table on each wait, which is the recorded reason `epoll` exists here
+//! (the 10,000-connection row of `BENCH_c10k.json`); it is also the one
+//! readiness call whose `struct pollfd` and event bits are identical on
+//! Linux, macOS and the BSDs, so the daemon's reactor runs unchanged on
+//! all of them. The `poll(2)` backend also builds under `cfg(test)` on
+//! Linux, where the unit tests below hold both backends to one contract.
 
 use std::io;
 
@@ -68,16 +74,13 @@ mod sys {
 /// to `net.core.somaxconn`. Best-effort: a failure leaves the original
 /// backlog in place.
 pub fn widen_listen_backlog(listener: &std::net::TcpListener, backlog: i32) {
-    #[cfg(unix)]
-    {
-        use std::os::fd::AsRawFd;
-        unsafe extern "C" {
-            fn listen(fd: i32, backlog: i32) -> i32;
-        }
-        let _ = unsafe { listen(listener.as_raw_fd(), backlog) };
+    use std::os::fd::AsRawFd;
+    unsafe extern "C" {
+        fn listen(fd: i32, backlog: i32) -> i32;
     }
-    #[cfg(not(unix))]
-    let _ = (listener, backlog);
+    // SAFETY: `listen(2)` on a descriptor the borrowed listener keeps
+    // open; it reads no memory of ours.
+    let _ = unsafe { listen(listener.as_raw_fd(), backlog) };
 }
 
 /// An `epoll` instance owning its descriptor.
@@ -87,9 +90,9 @@ pub fn widen_listen_backlog(listener: &std::net::TcpListener, backlog: i32) {
 /// and drain. Closing a registered descriptor deregisters it in the
 /// kernel automatically, but [`Poller::remove`] exists for the explicit
 /// path.
+#[cfg(target_os = "linux")]
 #[derive(Debug)]
 pub struct Poller {
-    #[cfg(target_os = "linux")]
     epfd: i32,
 }
 
@@ -181,132 +184,273 @@ impl Drop for Poller {
 }
 
 #[cfg(not(target_os = "linux"))]
-impl Poller {
-    /// `epoll` does not exist here; callers fall back to the threaded
-    /// connection model.
-    pub fn new() -> io::Result<Poller> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "epoll is Linux-only",
-        ))
+pub use portable::Poller;
+
+/// The `poll(2)` backend: the registration table lives in user space and
+/// the kernel scans all of it on every wait.
+#[cfg(any(not(target_os = "linux"), test))]
+mod portable {
+    use super::{io, Readiness};
+    use std::sync::Mutex;
+
+    /// `struct pollfd`, laid out identically on every Unix.
+    #[repr(C)]
+    #[derive(Debug, Clone, Copy)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
     }
 
-    /// Unreachable off Linux (`new` never constructs a `Poller`).
-    pub fn add(&self, _fd: i32, _token: u64, _readable: bool, _writable: bool) -> io::Result<()> {
-        unreachable!("Poller cannot be constructed off Linux")
+    /// `nfds_t`, the one part of the `poll(2)` ABI that differs.
+    #[cfg(target_os = "linux")]
+    type Nfds = std::ffi::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    type Nfds = std::ffi::c_uint;
+
+    unsafe extern "C" {
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout: i32) -> i32;
     }
 
-    /// Unreachable off Linux (`new` never constructs a `Poller`).
-    pub fn modify(
-        &self,
-        _fd: i32,
-        _token: u64,
-        _readable: bool,
-        _writable: bool,
-    ) -> io::Result<()> {
-        unreachable!("Poller cannot be constructed off Linux")
+    const POLLIN: i16 = 0x001;
+    const POLLOUT: i16 = 0x004;
+    const POLLERR: i16 = 0x008;
+    const POLLHUP: i16 = 0x010;
+    const POLLNVAL: i16 = 0x020;
+
+    /// A `poll(2)` registration table.
+    ///
+    /// Same contract as the `epoll` backend — level-triggered, hangups
+    /// and errors always watched — with two differences the kernel cannot
+    /// paper over. It does not see a registered descriptor being closed,
+    /// so a close without [`Poller::remove`] reports `hangup` on every
+    /// wait until the registration is removed. And the table is locked
+    /// for the length of a [`Poller::wait`], so a registration made from
+    /// another thread queues behind the wait instead of joining it.
+    #[derive(Debug, Default)]
+    pub struct Poller {
+        table: Mutex<Table>,
     }
 
-    /// Unreachable off Linux (`new` never constructs a `Poller`).
-    pub fn remove(&self, _fd: i32) -> io::Result<()> {
-        unreachable!("Poller cannot be constructed off Linux")
+    /// `fds[i]` is registered under `tokens[i]`; `poll(2)` needs the
+    /// `pollfd`s contiguous, so the tokens sit in a parallel vector.
+    #[derive(Debug, Default)]
+    struct Table {
+        fds: Vec<PollFd>,
+        tokens: Vec<u64>,
     }
 
-    /// Unreachable off Linux (`new` never constructs a `Poller`).
-    pub fn wait(&self, _out: &mut Vec<Readiness>, _timeout_ms: i32) -> io::Result<usize> {
-        unreachable!("Poller cannot be constructed off Linux")
+    fn interest(readable: bool, writable: bool) -> i16 {
+        (if readable { POLLIN } else { 0 }) | (if writable { POLLOUT } else { 0 })
+    }
+
+    impl Poller {
+        /// Create an empty registration table.
+        pub fn new() -> io::Result<Poller> {
+            Ok(Poller::default())
+        }
+
+        /// Register `fd` under `token` with the given interest set.
+        pub fn add(&self, fd: i32, token: u64, readable: bool, writable: bool) -> io::Result<()> {
+            let mut table = self.table.lock().expect("poller table poisoned");
+            if table.fds.iter().any(|p| p.fd == fd) {
+                return Err(io::ErrorKind::AlreadyExists.into());
+            }
+            table.fds.push(PollFd {
+                fd,
+                events: interest(readable, writable),
+                revents: 0,
+            });
+            table.tokens.push(token);
+            Ok(())
+        }
+
+        /// Change an existing registration's interest set.
+        pub fn modify(
+            &self,
+            fd: i32,
+            token: u64,
+            readable: bool,
+            writable: bool,
+        ) -> io::Result<()> {
+            let mut table = self.table.lock().expect("poller table poisoned");
+            let at = position(&table.fds, fd)?;
+            table.fds[at].events = interest(readable, writable);
+            table.tokens[at] = token;
+            Ok(())
+        }
+
+        /// Drop a registration.
+        pub fn remove(&self, fd: i32) -> io::Result<()> {
+            let mut table = self.table.lock().expect("poller table poisoned");
+            let at = position(&table.fds, fd)?;
+            table.fds.swap_remove(at);
+            table.tokens.swap_remove(at);
+            Ok(())
+        }
+
+        /// Wait up to `timeout_ms` (`-1` blocks indefinitely) and append
+        /// ready descriptors to `out`. Returns how many were appended; an
+        /// interrupting signal reports zero rather than an error.
+        pub fn wait(&self, out: &mut Vec<Readiness>, timeout_ms: i32) -> io::Result<usize> {
+            let mut table = self.table.lock().expect("poller table poisoned");
+            let Table { fds, tokens } = &mut *table;
+            // SAFETY: `fds` is a live, exclusively borrowed array of
+            // `fds.len()` `pollfd`s; the kernel writes only `revents`.
+            let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as Nfds, timeout_ms) };
+            if n < 0 {
+                let err = io::Error::last_os_error();
+                if err.kind() == io::ErrorKind::Interrupted {
+                    return Ok(0);
+                }
+                return Err(err);
+            }
+            let before = out.len();
+            for (p, &token) in fds.iter().zip(tokens.iter()) {
+                let bits = p.revents;
+                if bits == 0 {
+                    continue;
+                }
+                let hangup = bits & (POLLHUP | POLLERR | POLLNVAL) != 0;
+                out.push(Readiness {
+                    token,
+                    // As with epoll: the owner's next read observes the
+                    // EOF or the pending error.
+                    readable: bits & POLLIN != 0 || hangup,
+                    writable: bits & POLLOUT != 0,
+                    hangup,
+                });
+            }
+            Ok(out.len() - before)
+        }
+    }
+
+    fn position(fds: &[PollFd], fd: i32) -> io::Result<usize> {
+        fds.iter()
+            .position(|p| p.fd == fd)
+            .ok_or_else(|| io::ErrorKind::NotFound.into())
     }
 }
 
-#[cfg(all(test, target_os = "linux"))]
+#[cfg(test)]
 mod tests {
-    use super::*;
-    use std::io::{Read, Write};
-    use std::net::{TcpListener, TcpStream};
-    use std::os::fd::AsRawFd;
+    /// The contract every backend meets, instantiated once per backend.
+    macro_rules! backend_tests {
+        ($poller:ty) => {
+            use std::io::{Read, Write};
+            use std::net::{TcpListener, TcpStream};
+            use std::os::fd::AsRawFd;
+            type Poller = $poller;
 
-    #[test]
-    fn reports_readability_when_bytes_arrive() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (rx, _) = listener.accept().unwrap();
-        rx.set_nonblocking(true).unwrap();
+            #[test]
+            fn reports_readability_when_bytes_arrive() {
+                let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+                let mut tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+                let (rx, _) = listener.accept().unwrap();
+                rx.set_nonblocking(true).unwrap();
 
-        let poller = Poller::new().unwrap();
-        poller.add(rx.as_raw_fd(), 7, true, false).unwrap();
+                let poller = Poller::new().unwrap();
+                poller.add(rx.as_raw_fd(), 7, true, false).unwrap();
 
-        let mut ready = Vec::new();
-        poller.wait(&mut ready, 0).unwrap();
-        assert!(ready.is_empty(), "nothing written yet");
+                let mut ready = Vec::new();
+                poller.wait(&mut ready, 0).unwrap();
+                assert!(ready.is_empty(), "nothing written yet");
 
-        tx.write_all(b"ping").unwrap();
-        let mut ready = Vec::new();
-        let n = poller.wait(&mut ready, 1000).unwrap();
-        assert_eq!(n, 1);
-        assert_eq!(ready[0].token, 7);
-        assert!(ready[0].readable);
+                tx.write_all(b"ping").unwrap();
+                let mut ready = Vec::new();
+                let n = poller.wait(&mut ready, 1000).unwrap();
+                assert_eq!(n, 1);
+                assert_eq!(ready[0].token, 7);
+                assert!(ready[0].readable);
+            }
+
+            #[test]
+            fn level_triggered_until_drained() {
+                let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+                let mut tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+                let (mut rx, _) = listener.accept().unwrap();
+                rx.set_nonblocking(true).unwrap();
+                tx.write_all(b"data").unwrap();
+
+                let poller = Poller::new().unwrap();
+                poller.add(rx.as_raw_fd(), 1, true, false).unwrap();
+                for _ in 0..2 {
+                    let mut ready = Vec::new();
+                    poller.wait(&mut ready, 1000).unwrap();
+                    assert_eq!(ready.len(), 1, "level-triggered: still readable");
+                }
+                let mut buf = [0u8; 16];
+                let _ = rx.read(&mut buf).unwrap();
+                let mut ready = Vec::new();
+                poller.wait(&mut ready, 0).unwrap();
+                assert!(ready.is_empty(), "drained: no longer readable");
+            }
+
+            #[test]
+            fn listener_wakes_on_pending_connection() {
+                let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+                listener.set_nonblocking(true).unwrap();
+                let poller = Poller::new().unwrap();
+                poller.add(listener.as_raw_fd(), 9, true, false).unwrap();
+                let addr = listener.local_addr().unwrap();
+                let t = std::thread::spawn(move || TcpStream::connect(addr).unwrap());
+                let start = std::time::Instant::now();
+                let mut ready = Vec::new();
+                poller.wait(&mut ready, 3000).unwrap();
+                assert!(
+                    ready.iter().any(|r| r.token == 9 && r.readable),
+                    "a pending connection must wake the poller"
+                );
+                assert!(
+                    start.elapsed() < std::time::Duration::from_millis(500),
+                    "wakeup took {:?}: listener readiness did not fire",
+                    start.elapsed()
+                );
+                t.join().unwrap();
+            }
+
+            #[test]
+            fn writable_interest_toggles() {
+                let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+                let tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+                let poller = Poller::new().unwrap();
+                // An idle socket with write interest is immediately writable.
+                poller.add(tx.as_raw_fd(), 2, true, true).unwrap();
+                let mut ready = Vec::new();
+                poller.wait(&mut ready, 1000).unwrap();
+                assert!(ready.iter().any(|r| r.token == 2 && r.writable));
+                // Dropping write interest silences it.
+                poller.modify(tx.as_raw_fd(), 2, true, false).unwrap();
+                let mut ready = Vec::new();
+                poller.wait(&mut ready, 0).unwrap();
+                assert!(ready.is_empty());
+                poller.remove(tx.as_raw_fd()).unwrap();
+            }
+        };
     }
 
-    #[test]
-    fn level_triggered_until_drained() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (mut rx, _) = listener.accept().unwrap();
-        rx.set_nonblocking(true).unwrap();
-        tx.write_all(b"data").unwrap();
+    backend_tests!(super::Poller);
 
-        let poller = Poller::new().unwrap();
-        poller.add(rx.as_raw_fd(), 1, true, false).unwrap();
-        for _ in 0..2 {
-            let mut ready = Vec::new();
-            poller.wait(&mut ready, 1000).unwrap();
-            assert_eq!(ready.len(), 1, "level-triggered: still readable");
-        }
-        let mut buf = [0u8; 16];
-        let _ = rx.read(&mut buf).unwrap();
-        let mut ready = Vec::new();
-        poller.wait(&mut ready, 0).unwrap();
-        assert!(ready.is_empty(), "drained: no longer readable");
+    /// `poll(2)` on the one target CI's Linux job has; elsewhere the
+    /// instantiation above already is this backend.
+    #[cfg(target_os = "linux")]
+    mod portable {
+        backend_tests!(crate::poll::portable::Poller);
     }
 
+    /// The kernel forgets an epoll registration when its descriptor
+    /// closes; the `poll(2)` table cannot, and must say so rather than
+    /// go quiet. A number far above anything this process allocates
+    /// stands in for the closed descriptor — to the kernel both are just
+    /// "not open" — because a really closed one could be handed to a
+    /// parallel test's socket before the wait.
     #[test]
-    fn listener_wakes_on_pending_connection() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        listener.set_nonblocking(true).unwrap();
-        let poller = Poller::new().unwrap();
-        poller.add(listener.as_raw_fd(), 9, true, false).unwrap();
-        let addr = listener.local_addr().unwrap();
-        let t = std::thread::spawn(move || TcpStream::connect(addr).unwrap());
-        let start = std::time::Instant::now();
+    fn portable_reports_hangup_for_a_descriptor_closed_without_remove() {
+        let poller = super::portable::Poller::new().unwrap();
+        poller.add(1 << 30, 5, true, false).unwrap();
         let mut ready = Vec::new();
-        poller.wait(&mut ready, 3000).unwrap();
-        assert!(
-            ready.iter().any(|r| r.token == 9 && r.readable),
-            "a pending connection must wake the poller"
-        );
-        assert!(
-            start.elapsed() < std::time::Duration::from_millis(500),
-            "wakeup took {:?}: listener readiness did not fire",
-            start.elapsed()
-        );
-        t.join().unwrap();
-    }
-
-    #[test]
-    fn writable_interest_toggles() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let poller = Poller::new().unwrap();
-        // An idle socket with write interest is immediately writable.
-        poller.add(tx.as_raw_fd(), 2, true, true).unwrap();
-        let mut ready = Vec::new();
-        poller.wait(&mut ready, 1000).unwrap();
-        assert!(ready.iter().any(|r| r.token == 2 && r.writable));
-        // Dropping write interest silences it.
-        poller.modify(tx.as_raw_fd(), 2, true, false).unwrap();
-        let mut ready = Vec::new();
-        poller.wait(&mut ready, 0).unwrap();
-        assert!(ready.is_empty());
-        poller.remove(tx.as_raw_fd()).unwrap();
+        assert_eq!(poller.wait(&mut ready, 0).unwrap(), 1);
+        assert_eq!(ready[0].token, 5);
+        assert!(ready[0].hangup && ready[0].readable);
     }
 }

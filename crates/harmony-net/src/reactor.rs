@@ -1,12 +1,12 @@
-//! The event-driven daemon core: one `epoll` loop, per-connection state
-//! machines, and a worker pool executing requests.
+//! The event-driven daemon core: one readiness loop, per-connection
+//! state machines, and a worker pool executing requests.
 //!
 //! # Architecture
 //!
 //! One reactor thread owns every socket. It waits on a [`Poller`]
-//! (level-triggered `epoll` via raw syscalls — see [`crate::poll`]),
-//! accepts non-blocking connections, and runs a small state machine per
-//! connection:
+//! (level-triggered, raw syscalls: `epoll` on Linux, `poll(2)` on other
+//! Unixes — see [`crate::poll`]), accepts non-blocking connections, and
+//! runs a small state machine per connection:
 //!
 //! * **reading** — readable bytes are pulled into the connection's
 //!   receive buffer (`rbuf`, the same clamped-growth discipline as
@@ -24,15 +24,14 @@
 //!   response frame.
 //! * **writing** — response frames append to the connection's write
 //!   buffer (`wbuf`); the reactor flushes opportunistically and only
-//!   registers `EPOLLOUT` interest while bytes are actually pending.
+//!   registers write interest while bytes are actually pending.
 //!
-//! Requests themselves run through [`server::serve_request`] — the very
-//! function the thread-per-connection model uses — so protocol
-//! behavior, tracing, and metrics are identical byte for byte; only the
-//! transport scheduling differs. Error parity is deliberate too: a
-//! connection that framed garbage gets one best-effort `Error` frame
-//! and is dropped *without* parking its session, exactly like the
-//! threaded model's early-return path, while a clean EOF at a frame
+//! Requests themselves run through [`server::serve_request`], which owns
+//! protocol behavior, tracing, and metrics; the reactor only schedules
+//! transport. How a conversation ends decides what happens to its
+//! session: a connection that framed garbage gets one best-effort
+//! `Error` frame and is dropped *without* parking its session, as is one
+//! that errored or hit EOF inside a frame, while a clean EOF at a frame
 //! boundary parks (or records) the session via
 //! [`server::finish_connection`].
 //!
@@ -76,7 +75,7 @@ enum Work {
     Request(Request, Option<(u64, u64)>),
     /// A framing/decoding error to answer — in order, after everything
     /// decoded before it — with one best-effort `Error` frame before
-    /// the connection closes (threaded-model parity).
+    /// the connection closes.
     Fail(String),
 }
 
@@ -162,30 +161,17 @@ impl Conn {
     }
 }
 
-/// Entry point: serve `listener` until shutdown. Runs on the daemon's
-/// acceptor thread in place of the threaded accept loop.
-pub(crate) fn reactor_loop(listener: TcpListener, shared: Arc<Shared>) {
-    match Reactor::new(&listener, Arc::clone(&shared)) {
-        Ok((mut reactor, done_rx)) => {
-            reactor.run(&listener, &done_rx);
-            reactor.teardown(&done_rx);
-        }
-        Err(e) => {
-            // No epoll instance means no serving at all — surface it
-            // loudly; the daemon handle still shuts down cleanly.
-            event(Level::Error, "net.reactor_failed")
-                .str("error", e.to_string())
-                .emit();
-        }
-    }
-}
-
-struct Reactor {
+/// The daemon's serving loop: built by [`Reactor::new`] on the thread
+/// that starts the daemon, then moved to its own thread to
+/// [`serve`](Reactor::serve).
+pub(crate) struct Reactor {
     shared: Arc<Shared>,
+    listener: TcpListener,
     poller: Poller,
     conns: HashMap<u64, Conn>,
     pool: TaskPool,
     done_tx: mpsc::Sender<Done>,
+    done_rx: mpsc::Receiver<Done>,
     wake_rx: UnixStream,
     wake_tx: Arc<UnixStream>,
     /// Tokens with a linger/flush deadline to sweep.
@@ -193,10 +179,10 @@ struct Reactor {
 }
 
 impl Reactor {
-    fn new(
-        listener: &TcpListener,
-        shared: Arc<Shared>,
-    ) -> std::io::Result<(Reactor, mpsc::Receiver<Done>)> {
+    /// Put `listener` under a fresh poller. Every step that can fail
+    /// (descriptor exhaustion, typically) fails here, before anything
+    /// serves.
+    pub(crate) fn new(listener: TcpListener, shared: Arc<Shared>) -> std::io::Result<Reactor> {
         listener.set_nonblocking(true)?;
         let poller = Poller::new()?;
         poller.add(listener.as_raw_fd(), LISTENER, true, false)?;
@@ -212,22 +198,27 @@ impl Reactor {
             .unwrap_or(2)
             .clamp(2, 8);
         let (done_tx, done_rx) = mpsc::channel();
-        Ok((
-            Reactor {
-                shared,
-                poller,
-                conns: HashMap::new(),
-                pool: TaskPool::new(workers),
-                done_tx,
-                wake_rx,
-                wake_tx: Arc::new(wake_tx),
-                timers: Vec::new(),
-            },
+        Ok(Reactor {
+            shared,
+            listener,
+            poller,
+            conns: HashMap::new(),
+            pool: TaskPool::new(workers),
+            done_tx,
             done_rx,
-        ))
+            wake_rx,
+            wake_tx: Arc::new(wake_tx),
+            timers: Vec::new(),
+        })
     }
 
-    fn run(&mut self, listener: &TcpListener, done_rx: &mpsc::Receiver<Done>) {
+    /// Serve until shutdown, then settle every connection.
+    pub(crate) fn serve(mut self) {
+        self.run();
+        self.teardown();
+    }
+
+    fn run(&mut self) {
         let mut ready: Vec<Readiness> = Vec::new();
         loop {
             ready.clear();
@@ -245,12 +236,12 @@ impl Reactor {
             }
             for ev in &ready {
                 match ev.token {
-                    LISTENER => self.accept_ready(listener),
+                    LISTENER => self.accept_ready(),
                     WAKE => drain_wake(&self.wake_rx),
                     token => self.pump(token, ev.readable, ev.writable),
                 }
             }
-            while let Ok(done) = done_rx.try_recv() {
+            while let Ok(done) = self.done_rx.try_recv() {
                 self.on_done(done);
             }
             self.sweep_timers();
@@ -258,9 +249,9 @@ impl Reactor {
     }
 
     /// Accept until the listener would block.
-    fn accept_ready(&mut self, listener: &TcpListener) {
+    fn accept_ready(&mut self) {
         loop {
-            let stream = match listener.accept() {
+            let stream = match self.listener.accept() {
                 Ok((stream, _)) => stream,
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return,
                 Err(_) => return,
@@ -303,8 +294,8 @@ impl Reactor {
     }
 
     /// A refusal conversation: one pre-encoded frame, then linger until
-    /// the peer hangs up or `drain_timeout` passes (the non-blocking
-    /// equivalent of the threaded model's `linger_close`).
+    /// the peer hangs up or `drain_timeout` passes — an immediate close
+    /// could RST the connection before the peer has read the refusal.
     fn install_refusal(&mut self, stream: TcpStream, response: &Response) {
         let mut conn = Conn::new(stream, false);
         if codec::encode_frame(response, &mut conn.wbuf).is_err() {
@@ -407,10 +398,10 @@ impl Reactor {
         match conn.pending.pop_front() {
             None => {}
             Some(Work::Fail(message)) => {
-                // Threaded parity: one best-effort Error frame, then
-                // the connection is done and its session is dropped
-                // without parking. The frame comes from the pooled
-                // buffer, in the connection's negotiated format.
+                // One best-effort Error frame, then the connection is
+                // done and its session is dropped without parking. The
+                // frame comes from the pooled buffer, in the
+                // connection's negotiated format.
                 let mut frame = std::mem::take(&mut conn.spare);
                 if codec::encode_frame_as(conn.format, &Response::Error { message }, &mut frame)
                     .is_ok()
@@ -469,9 +460,8 @@ impl Reactor {
         };
         conn.in_flight = false;
         if done.fatal {
-            // An unencodable response is the reactor's version of the
-            // threaded model's write error: drop the connection and its
-            // session.
+            // An unencodable response is handled like a write error:
+            // drop the connection and its session.
             conn.dead = true;
         } else {
             conn.wbuf.extend_from_slice(&done.frame);
@@ -502,7 +492,7 @@ impl Reactor {
         self.maybe_close(done.token);
     }
 
-    /// Write as much of `wbuf` as the socket accepts; keep `EPOLLOUT`
+    /// Write as much of `wbuf` as the socket accepts; keep write
     /// interest only while bytes remain.
     fn flush(&mut self, token: u64) {
         let Some(conn) = self.conns.get_mut(&token) else {
@@ -552,8 +542,8 @@ impl Reactor {
         let done = if conn.dead {
             true
         } else if conn.poisoned {
-            // The threaded model closes right after its best-effort
-            // error write; wait only for the flush (bounded).
+            // Nothing more is served after the best-effort error
+            // frame; wait only for its flush (bounded).
             conn.flushed() || expired
         } else if !conn.serving {
             // A refusal lingers so the peer reads it before the close.
@@ -577,8 +567,8 @@ impl Reactor {
             self.shared.active.fetch_sub(1, Ordering::SeqCst);
             crate::obs::connections_active().dec();
         }
-        // EOF inside a frame is an error, not a clean goodbye — the
-        // threaded model drops the session in that case too.
+        // EOF inside a frame is an error, not a clean goodbye: the
+        // session is dropped, not parked.
         let mid_frame = conn.rpos < conn.rbuf.len();
         if let Some(mut state) = conn.state.take() {
             if !conn.dead && !mid_frame {
@@ -609,17 +599,16 @@ impl Reactor {
     }
 
     /// Shutdown: let checked-out requests finish (their responses still
-    /// go out best-effort, like the threaded model completing its
-    /// current request), then settle every connection — parking tokened
-    /// sessions for the sessions file, recording v1 ones.
-    fn teardown(&mut self, done_rx: &mpsc::Receiver<Done>) {
+    /// go out best-effort), then settle every connection — parking
+    /// tokened sessions for the sessions file, recording v1 ones.
+    fn teardown(&mut self) {
         for conn in self.conns.values_mut() {
             // Already-decoded-but-unserved requests are dropped, the
-            // same as bytes the threaded model never read.
+            // same as bytes still unread in the socket.
             conn.pending.clear();
         }
         while self.conns.values().any(|c| c.in_flight) {
-            match done_rx.recv_timeout(Duration::from_secs(5)) {
+            match self.done_rx.recv_timeout(Duration::from_secs(5)) {
                 Ok(done) => self.on_done(done),
                 Err(_) => break,
             }
@@ -632,7 +621,7 @@ impl Reactor {
     }
 }
 
-/// Swallow queued wakeup bytes (their only job was ending `epoll_wait`).
+/// Swallow queued wakeup bytes (their only job was ending the wait).
 fn drain_wake(mut wake_rx: &UnixStream) {
     let mut buf = [0u8; 64];
     while matches!(wake_rx.read(&mut buf), Ok(n) if n > 0) {}
@@ -654,8 +643,8 @@ fn parse_frames(conn: &mut Conn) {
             }
             Ok(FrameOutcome::Incomplete) => {
                 // Partial frame: note (once) when its payload started
-                // arriving so the eventual `net.read` span covers the
-                // wait, matching the threaded reader's window.
+                // arriving so the eventual `net.read` span covers
+                // pulling the payload, not the idle wait before it.
                 if conn.rbuf.len() - conn.rpos >= 4
                     && conn.frame_start_us.is_none()
                     && harmony_obs::trace::is_enabled()

@@ -1,20 +1,17 @@
 //! The tuning daemon: a TCP server sharing one experience database
 //! across all client sessions.
 //!
-//! Threading model: on Linux the default is an event-driven reactor
-//! (`reactor` module) — one `epoll` event loop owning every
-//! connection's read/write buffers plus a small worker pool (a
-//! [`harmony_exec::TaskPool`]) that executes requests, so the cost of
-//! an idle connection is a few hundred bytes of state instead of a
-//! thread stack, and requests pipelined on one connection are parsed
-//! while earlier ones execute. The original thread-per-connection model
-//! (one acceptor thread plus one thread per live connection) is kept
-//! behind [`DaemonConfig::threaded`] and remains the fallback on
-//! platforms without `epoll`. Both models refuse connections over
-//! [`DaemonConfig::max_connections`] with an in-protocol `Error` rather
-//! than queuing, so a stalled client cannot starve new ones, and both
-//! funnel every request through the same `serve_request` path, so
-//! protocol behavior is identical byte for byte.
+//! Threading model: an event-driven reactor (`reactor` module) — one
+//! readiness loop (`epoll` on Linux, `poll(2)` on other Unixes; see
+//! [`crate::poll`]) owning every connection's read/write buffers plus a
+//! small worker pool (a [`harmony_exec::TaskPool`]) that executes
+//! requests, so the cost of an idle connection is a few hundred bytes of
+//! state instead of a thread stack, and requests pipelined on one
+//! connection are parsed while earlier ones execute. Connections over
+//! [`DaemonConfig::max_connections`] are refused with an in-protocol
+//! `Error` rather than queued, so a stalled client cannot starve new
+//! ones. Off Unix there is no readiness backend and no daemon:
+//! [`TuningDaemon::start`] reports `Unsupported`.
 //!
 //! The experience database is an **atomic snapshot**: readers
 //! (`SessionStart` classification, `DbQuery`) grab an
@@ -40,7 +37,7 @@
 //! function with an empty trace.
 
 use crate::cluster::{ClusterConfig, ClusterState, TOKEN_DRAWS};
-use crate::codec::{clamp_scratch, write_frame, write_frame_buf_as, WireFormat, READ_CHUNK};
+use crate::codec::WireFormat;
 use crate::protocol::{
     negotiate, Request, Response, RunSummary, SensitivityEntry, SpaceSpec, MIN_SUPPORTED_VERSION,
     PROTOCOL_VERSION,
@@ -59,7 +56,6 @@ use harmony_obs::trace::{self, stage, TraceContext};
 use harmony_space::{parse_rsl, Configuration, ParameterSpace};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -67,8 +63,8 @@ use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How often blocked reads (and the reactor's event wait) wake up to
-/// check for shutdown.
+/// How often the reactor's event wait and the session reaper wake up
+/// to check for shutdown.
 pub(crate) const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
 /// Daemon settings.
@@ -98,12 +94,6 @@ pub struct DaemonConfig {
     /// Fold journal + snapshot into a fresh snapshot after this many
     /// journal appends (0 compacts only at shutdown).
     pub compact_every: usize,
-    /// Serve with the original thread-per-connection model instead of
-    /// the event-driven reactor. Kept so `bench_c10k --threaded` can
-    /// measure the difference honestly; also the forced fallback on
-    /// platforms without `epoll`. Protocol behavior is identical either
-    /// way.
-    pub threaded: bool,
     /// Name reported in the `Hello` exchange.
     pub server_name: String,
     /// How long a disconnected session stays parked awaiting
@@ -185,12 +175,6 @@ impl DaemonConfigBuilder {
         self
     }
 
-    /// Serve thread-per-connection instead of the epoll reactor.
-    pub fn threaded(mut self, on: bool) -> Self {
-        self.config.threaded = on;
-        self
-    }
-
     /// Enable or skip the distributed-tracing flight recorder.
     pub fn tracing(mut self, on: bool) -> Self {
         self.config.tracing = on;
@@ -247,7 +231,6 @@ impl Default for DaemonConfig {
             training: TrainingMode::Replay(12),
             analyzer: DataAnalyzer::new(),
             compact_every: 64,
-            threaded: false,
             server_name: "harmony-net".into(),
             session_ttl: Duration::from_secs(30),
             drain_timeout: Duration::from_millis(200),
@@ -778,6 +761,20 @@ impl TuningDaemon {
         Self::start_inner(config, Some(sink))
     }
 
+    /// Off Unix there is no readiness backend (`crate::poll` is
+    /// Unix-only), so there is no daemon to start.
+    #[cfg(not(unix))]
+    fn start_inner(
+        _config: DaemonConfig,
+        _sink: Option<Box<dyn DbSink>>,
+    ) -> Result<DaemonHandle, NetError> {
+        Err(NetError::Io(std::io::Error::new(
+            std::io::ErrorKind::Unsupported,
+            "the tuning daemon needs a Unix readiness poller (epoll or poll(2))",
+        )))
+    }
+
+    #[cfg(unix)]
     fn start_inner(
         config: DaemonConfig,
         sink: Option<Box<dyn DbSink>>,
@@ -800,13 +797,8 @@ impl TuningDaemon {
         event(Level::Info, "net.daemon_start")
             .str("addr", addr.to_string())
             .u64("db_runs", db.len() as u64)
-            .bool("threaded", config.threaded)
             .emit();
         let (tx, rx) = mpsc::channel();
-        let registry = SessionRegistry::new();
-        if let Some(path) = &config.db_path {
-            load_parked_sessions(&registry, &config, path);
-        }
         let cluster = match &config.cluster {
             Some(c) => Some(Arc::new(
                 ClusterState::new(c.clone()).map_err(NetError::Protocol)?,
@@ -817,7 +809,7 @@ impl TuningDaemon {
             config,
             db: DbCell::new(db),
             flusher_tx: Mutex::new(sink.is_some().then_some(tx)),
-            registry,
+            registry: SessionRegistry::new(),
             active: AtomicUsize::new(0),
             completed: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
@@ -825,6 +817,20 @@ impl TuningDaemon {
             cluster,
             replicas: Mutex::new(HashMap::new()),
         });
+        // `std` binds with a 128-entry accept backlog; a burst of a few
+        // hundred simultaneous connects overflows that, and every dropped
+        // SYN costs its client a ~1s retransmission timeout (the kernel
+        // clamps the wider queue to somaxconn).
+        crate::poll::widen_listen_backlog(&listener, 4096);
+        // Built here rather than on its own thread: a poller that cannot
+        // be created (descriptor exhaustion) must fail the start, not
+        // leave a bound port that nothing serves.
+        let reactor = crate::reactor::Reactor::new(listener, Arc::clone(&shared))?;
+        // Nothing below can fail, so the predecessor's sessions file is
+        // only consumed by a daemon that goes on to serve it.
+        if let Some(path) = &shared.config.db_path {
+            load_parked_sessions(&shared.registry, &shared.config, path);
+        }
         let flusher = sink.map(|sink| {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || flusher_loop(rx, sink, shared))
@@ -833,7 +839,7 @@ impl TuningDaemon {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || reaper_loop(&shared))
         };
-        let acceptor = spawn_serving_loop(listener, Arc::clone(&shared));
+        let acceptor = std::thread::spawn(move || reactor.serve());
         Ok(DaemonHandle {
             addr,
             shared,
@@ -907,10 +913,10 @@ impl DaemonHandle {
         self.shared.draining.load(Ordering::SeqCst)
     }
 
-    /// Stop accepting, wait for connection threads, persist the
-    /// database (drain the flusher and compact), and write parked
-    /// resumable sessions to the sessions file next to the database so a
-    /// successor daemon can honor their tokens.
+    /// Stop accepting, wait for the reactor to settle its connections,
+    /// persist the database (drain the flusher and compact), and write
+    /// parked resumable sessions to the sessions file next to the
+    /// database so a successor daemon can honor their tokens.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
@@ -927,7 +933,7 @@ impl DaemonHandle {
         if let Some(reaper) = self.reaper.take() {
             let _ = reaper.join();
         }
-        // Connection threads have parked their tokened sessions by now;
+        // The reactor's teardown has parked every tokened session by now;
         // persist them (or fold them into the db when nothing persists)
         // before the flusher compacts, so a run recorded here still
         // reaches the snapshot file.
@@ -1041,82 +1047,6 @@ fn persist_failure(what: &'static str, e: &DbError) {
     event(Level::Error, what).str("error", e.to_string()).emit();
 }
 
-/// Start the configured connection-serving model: the epoll reactor by
-/// default, the thread-per-connection loop when
-/// [`DaemonConfig::threaded`] asks for it — or unconditionally on
-/// platforms without `epoll`.
-fn spawn_serving_loop(listener: TcpListener, shared: Arc<Shared>) -> JoinHandle<()> {
-    // `std` binds with a 128-entry accept backlog; a burst of a few
-    // hundred simultaneous connects overflows that, and every dropped
-    // SYN costs its client a ~1s retransmission timeout. Both serving
-    // models get the wider queue (the kernel clamps it to somaxconn).
-    crate::poll::widen_listen_backlog(&listener, 4096);
-    #[cfg(target_os = "linux")]
-    if !shared.config.threaded {
-        return std::thread::spawn(move || crate::reactor::reactor_loop(listener, shared));
-    }
-    std::thread::spawn(move || accept_loop(listener, shared))
-}
-
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    let workers: Mutex<Vec<JoinHandle<()>>> = Mutex::new(Vec::new());
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(mut stream) = stream else { continue };
-        // Request/response frames are small; without TCP_NODELAY every
-        // exchange eats a Nagle delay. Refusal frames benefit too, so
-        // set it before any write.
-        let _ = stream.set_nodelay(true);
-        if shared.draining.load(Ordering::SeqCst) {
-            // A draining daemon accepts no new conversations; the peer
-            // reads the refusal, backs off, and resumes against the
-            // successor daemon.
-            crate::obs::draining_responses_total().inc();
-            let _ = write_frame(&mut stream, &Response::Draining);
-            linger_close(stream, shared.config.drain_timeout);
-            continue;
-        }
-        if shared.active.load(Ordering::SeqCst) >= shared.config.max_connections {
-            crate::obs::connections_refused_total().inc();
-            event(Level::Warn, "net.connection_refused")
-                .u64("max_connections", shared.config.max_connections as u64)
-                .emit();
-            let _ = write_frame(
-                &mut stream,
-                &Response::Error {
-                    message: "server busy: connection limit reached".into(),
-                },
-            );
-            linger_close(stream, shared.config.drain_timeout);
-            continue;
-        }
-        shared.active.fetch_add(1, Ordering::SeqCst);
-        crate::obs::connections_total().inc();
-        crate::obs::connections_active().inc();
-        let shared_conn = Arc::clone(&shared);
-        let handle = std::thread::spawn(move || {
-            let _ = serve_connection(&mut stream, &shared_conn);
-            shared_conn.active.fetch_sub(1, Ordering::SeqCst);
-            crate::obs::connections_active().dec();
-        });
-        workers.lock().expect("worker list poisoned").push(handle);
-    }
-    for handle in workers.into_inner().expect("worker list poisoned") {
-        let _ = handle.join();
-    }
-}
-
-/// Drain a refused connection until the peer hangs up (bounded by the
-/// timeout) so the close is graceful: an immediate close can RST the
-/// connection before the client has read the response.
-fn linger_close(mut stream: TcpStream, timeout: Duration) {
-    let _ = stream.set_read_timeout(Some(timeout));
-    let mut sink = [0u8; 256];
-    while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
-}
-
 /// One live session: its [`SessionRecord`] (kept current, so persisting
 /// or shipping the session is serializing that field) and the search
 /// driving it — the paper's simplex tuner by default, or any engine from
@@ -1166,8 +1096,8 @@ pub(crate) struct ConnState {
     version: u32,
     /// Payload encoding for frames *after* the current request: JSON
     /// until `Hello` lands on version ≥ 3, binary from the next frame
-    /// on. Both connection models capture the format before serving a
-    /// request, so the `Hello` response itself still travels in the
+    /// on. The reactor captures the format before serving a request,
+    /// so the `Hello` response itself still travels in the
     /// pre-negotiation format.
     format: WireFormat,
     /// Set when `Resume` named an already-finished session: the
@@ -1199,53 +1129,10 @@ impl ConnState {
     }
 }
 
-fn serve_connection(stream: &mut TcpStream, shared: &Shared) -> Result<(), NetError> {
-    stream.set_read_timeout(Some(POLL_INTERVAL))?;
-    stream.set_nodelay(true)?;
-    let mut conn = ConnState::new();
-    // Connection-lifetime scratch: request payloads land in `rbuf`,
-    // response frames are assembled in `wbuf`, so the steady state
-    // allocates nothing for framing.
-    let mut rbuf: Vec<u8> = Vec::new();
-    let mut wbuf: Vec<u8> = Vec::new();
-    loop {
-        // The format is fixed before the request is read or served:
-        // a `Hello` that negotiates v3 flips `conn.format`, but its own
-        // request and response both travel in the format that was
-        // current when it arrived.
-        let fmt = conn.wire_format();
-        let (request, read_window) = match read_request(stream, shared, &mut rbuf, fmt) {
-            Ok(Some(req)) => req,
-            Ok(None) => break, // clean disconnect or shutdown
-            Err(e) => {
-                // One best-effort complaint, then give up on the stream.
-                let _ = write_frame_buf_as(
-                    stream,
-                    fmt,
-                    &Response::Error {
-                        message: e.to_string(),
-                    },
-                    &mut wbuf,
-                );
-                return Err(e);
-            }
-        };
-        serve_request(request, read_window, &mut conn, shared, &mut |response| {
-            write_frame_buf_as(stream, fmt, response, &mut wbuf)
-        })?;
-        // Bound the per-connection high-water mark: one giant frame
-        // (a TraceDump, say) must not pin its size until disconnect.
-        clamp_scratch(&mut rbuf);
-        clamp_scratch(&mut wbuf);
-    }
-    finish_connection(&mut conn, shared);
-    Ok(())
-}
-
-/// Clean-disconnect teardown, shared by both connection models: park a
-/// tokened session for `Resume`, fold an abandoned v1 session's
-/// measurements into the experience database. Error paths deliberately
-/// skip this — an errored connection drops its session.
+/// Clean-disconnect teardown: park a tokened session for `Resume`, fold
+/// an abandoned v1 session's measurements into the experience database.
+/// Error paths deliberately skip this — an errored connection drops its
+/// session.
 pub(crate) fn finish_connection(conn: &mut ConnState, shared: &Shared) {
     if let Some(sess) = conn.active.take() {
         match sess.record.token.clone() {
@@ -1278,9 +1165,7 @@ pub(crate) fn finish_connection(conn: &mut ConnState, shared: &Shared) {
 /// time it, open the serve span, dispatch to [`handle_request`], and
 /// emit the response through `write` with the protocol-required
 /// ordering (a `SessionEnd`'s trace is sealed *before* its response
-/// unblocks the client). Both connection models — the threaded loop and
-/// the reactor's worker pool — funnel through here, so their observable
-/// behavior cannot drift.
+/// unblocks the client). Runs on the reactor's worker pool.
 pub(crate) fn serve_request(
     request: Request,
     read_window: Option<(u64, u64)>,
@@ -1720,7 +1605,7 @@ fn handle_request(request: Request, conn: &mut ConnState, shared: &Shared) -> Re
         Request::Stats => Response::Stats {
             text: harmony_obs::metrics::global().encode(),
         },
-        // The envelope is unwrapped in `serve_connection`; a nested one
+        // The envelope is unwrapped in `serve_request`; a nested one
         // (malformed but harmless) just handles its inner request.
         Request::Traced { request, .. } => handle_request(*request, conn, shared),
         Request::TraceDump => Response::TraceDump {
@@ -1894,89 +1779,11 @@ pub(crate) fn record_session(sess: ActiveSession, shared: &Shared) -> Response {
     summary
 }
 
-/// A decoded request plus the monotonic-us window its frame read took
-/// (present only while tracing, for the `net.read` span).
-type ReadRequest = (Request, Option<(u64, u64)>);
-
-/// Read one request into `scratch`, polling so the thread notices
-/// shutdown and clean disconnects. The payload is decoded in place; the
-/// allocation is clamped to [`READ_CHUNK`]-sized growth so a hostile
-/// length prefix cannot balloon memory. `Ok(None)` means "stop serving
-/// this connection".
-fn read_request(
-    stream: &mut TcpStream,
-    shared: &Shared,
-    scratch: &mut Vec<u8>,
-    format: WireFormat,
-) -> Result<Option<ReadRequest>, NetError> {
-    let mut header = [0u8; 4];
-    match fill(stream, &mut header, shared, true)? {
-        Fill::Closed => return Ok(None),
-        Fill::Full => {}
-    }
-    // The idle wait for the header is the client thinking, not the
-    // network: `net.read` only covers pulling the announced payload.
-    let read_start = trace::is_enabled().then(harmony_obs::event::monotonic_us);
-    let len = crate::codec::check_len(u32::from_be_bytes(header))?;
-    scratch.clear();
-    let mut filled = 0;
-    while filled < len {
-        let target = len.min(filled + READ_CHUNK);
-        scratch.resize(target, 0);
-        match fill(stream, &mut scratch[filled..target], shared, false)? {
-            Fill::Closed => return Ok(None), // shutdown mid-frame
-            Fill::Full => {}
-        }
-        filled = target;
-    }
-    let window = read_start.map(|s| (s, harmony_obs::event::monotonic_us()));
-    crate::codec::decode_payload_as(format, &scratch[..len]).map(|req| Some((req, window)))
-}
-
-enum Fill {
-    Full,
-    Closed,
-}
-
-/// `read_exact` that survives the poll timeout without losing partial
-/// reads, and bails out on shutdown.
-fn fill(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    shared: &Shared,
-    at_frame_boundary: bool,
-) -> Result<Fill, NetError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return Ok(Fill::Closed);
-        }
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) if filled == 0 && at_frame_boundary => return Ok(Fill::Closed),
-            Ok(0) => {
-                return Err(NetError::Io(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "peer closed mid-frame",
-                )))
-            }
-            Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
-    Ok(Fill::Full)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::Client;
+    use crate::codec::write_frame;
     use harmony_space::Configuration;
     use proptest::prelude::*;
     use std::time::Instant;

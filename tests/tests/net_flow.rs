@@ -502,9 +502,9 @@ fn periodic_compaction_matches_the_live_database() {
 }
 
 // ---------------------------------------------------------------------
-// Reactor-era flows: request pipelining, slowloris isolation, raw v1
-// clients, and reactor/threaded trajectory parity. The raw-socket
-// helpers speak protocol v1 (no Hello), framing requests by hand.
+// Reactor flows: request pipelining, slowloris isolation and raw v1
+// clients. The raw-socket helpers speak protocol v1 (no Hello), framing
+// requests by hand.
 
 /// Encode one request as a length-prefixed wire frame.
 fn raw_frame(req: &Request) -> Vec<u8> {
@@ -573,18 +573,14 @@ fn pipelined_requests_on_one_connection_answer_in_order() {
         "pipelined responses must come back in request order"
     );
 
-    // On Linux the reactor serves this connection, and decoding requests
-    // behind an unfinished one is exactly what its pipelining counter
-    // counts. (Elsewhere the threaded fallback serves it: same bytes,
-    // no reactor series.)
-    if cfg!(target_os = "linux") {
-        let after = stats_snapshot(handle.addr());
-        assert!(
-            series(&after, "harmony_net_reactor_pipelined_requests_total")
-                > series(&before, "harmony_net_reactor_pipelined_requests_total"),
-            "a single-burst session must register pipelined requests"
-        );
-    }
+    // Decoding requests behind an unfinished one is exactly what the
+    // reactor's pipelining counter counts.
+    let after = stats_snapshot(handle.addr());
+    assert!(
+        series(&after, "harmony_net_reactor_pipelined_requests_total")
+            > series(&before, "harmony_net_reactor_pipelined_requests_total"),
+        "a single-burst session must register pipelined requests"
+    );
     handle.shutdown();
 }
 
@@ -680,50 +676,6 @@ fn raw_v1_client_tunes_end_to_end() {
     assert_eq!(handle.completed_sessions(), 1);
     assert_eq!(handle.db_runs(), 1, "the v1 session's run is recorded");
     handle.shutdown();
-}
-
-#[test]
-fn reactor_and_threaded_models_produce_identical_trajectories() {
-    // Identical sessions against the two serving models must propose the
-    // same configurations in the same order and report the same summary:
-    // the models may differ in throughput, never in behavior.
-    let trajectory = |threaded: bool| {
-        let handle = TuningDaemon::start(DaemonConfig {
-            threaded,
-            ..daemon_config(None)
-        })
-        .unwrap();
-        let mut proposals: Vec<Vec<i64>> = Vec::new();
-        let mut client = Client::connect(handle.addr()).unwrap();
-        let (started, summary) = client
-            .tune_with(
-                SpaceSpec::Explicit(space()),
-                "parity",
-                vec![0.4, 0.6],
-                None,
-                |cfg| {
-                    proposals.push(cfg.values().to_vec());
-                    Ok::<f64, NetError>(perf(cfg))
-                },
-            )
-            .unwrap();
-        handle.shutdown();
-        (
-            proposals,
-            started.training_iterations,
-            summary.best.values().to_vec(),
-            summary.performance,
-            summary.iterations,
-            summary.converged,
-        )
-    };
-    let reactor = trajectory(false);
-    let threaded = trajectory(true);
-    assert_eq!(
-        reactor, threaded,
-        "serving model must not change tuning behavior"
-    );
-    assert!(!reactor.0.is_empty());
 }
 
 // ---------------------------------------------------------------------

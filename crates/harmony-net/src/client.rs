@@ -862,7 +862,7 @@ impl Client {
             .stream
             .as_mut()
             .expect("exchange called without a connection");
-        let what = request_name(request);
+        let what = request.kind();
         write_frame_buf_as(stream, self.format, request, &mut self.buf)
             .map_err(|e| deadline_expiry(e, what))?;
         let response = read_frame_buf_as(stream, self.format, &mut self.buf)
@@ -884,26 +884,6 @@ fn deadline_expiry(e: NetError, what: &str) -> NetError {
             NetError::Timeout(what.to_string())
         }
         other => other,
-    }
-}
-
-fn request_name(request: &Request) -> &'static str {
-    match request {
-        Request::Hello { .. } => "Hello",
-        Request::SessionStart { .. } => "SessionStart",
-        Request::Resume { .. } => "Resume",
-        Request::Fetch => "Fetch",
-        Request::Report { .. } => "Report",
-        Request::SessionEnd => "SessionEnd",
-        Request::Sensitivity => "Sensitivity",
-        Request::DbQuery => "DbQuery",
-        Request::Stats => "Stats",
-        Request::Traced { request, .. } => request_name(request),
-        Request::TraceDump => "TraceDump",
-        Request::PeerHello { .. } => "PeerHello",
-        Request::PeerShipRun { .. } => "PeerShipRun",
-        Request::PeerShipSession { .. } => "PeerShipSession",
-        Request::PeerDropSession { .. } => "PeerDropSession",
     }
 }
 

@@ -34,9 +34,8 @@ use crate::NetError;
 use std::collections::HashMap;
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::Duration;
+use std::sync::{Mutex, MutexGuard};
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 /// Virtual nodes per ring member. Enough that token load stays within
 /// 2x of ideal up to double-digit cluster sizes (the property tests
@@ -101,7 +100,7 @@ pub fn characteristics_hash(characteristics: &[f64]) -> u64 {
 
 /// A consistent-hash ring over member addresses.
 ///
-/// Each member contributes [`VNODES`] points at
+/// Each member contributes `VNODES` points at
 /// `ring_hash("{addr}#{i}")`; a key belongs to the member owning the
 /// point at or clockwise of the key's hash. Point positions depend only
 /// on the member addresses, never on list order, so every daemon in a
@@ -233,6 +232,11 @@ struct PeerLink {
     stream: Option<TcpStream>,
     format: WireFormat,
     buf: Vec<u8>,
+    /// Sequence of the last run shipped on this link. The receiver
+    /// drops any `(origin, seq)` at or below the last it applied, so
+    /// the number is drawn under the link's lock, where the delivery
+    /// order is decided.
+    run_seq: u64,
 }
 
 impl PeerLink {
@@ -271,6 +275,11 @@ impl PeerLink {
             Response::Error { message } => Err(NetError::Remote(message)),
             other => Err(unexpected("PeerOk", other)),
         }
+    }
+
+    fn next_run_seq(&mut self) -> u64 {
+        self.run_seq += 1;
+        self.run_seq
     }
 
     fn exchange(&mut self, request: &Request) -> Result<Response, NetError> {
@@ -321,8 +330,6 @@ pub struct ClusterState {
     /// retried ship re-delivers the same `(origin, seq)` and is
     /// dropped here instead of double-counting the run.
     applied: Mutex<HashMap<String, u64>>,
-    /// This daemon's own monotonic ship sequence.
-    ship_seq: AtomicU64,
 }
 
 impl ClusterState {
@@ -330,13 +337,25 @@ impl ClusterState {
     pub fn new(config: ClusterConfig) -> Result<ClusterState, String> {
         config.validate()?;
         let ring = HashRing::new(&config.members());
-        let links = config.peers.iter().map(|_| Mutex::default()).collect();
+        // Ship sequences start at the wall clock: a restarted daemon
+        // numbers its runs above everything its predecessor shipped, so
+        // a peer that remembers the old high-water mark keeps applying.
+        let epoch = SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .map(|d| d.as_nanos() as u64)
+            .unwrap_or(0);
+        let link = |_| {
+            Mutex::new(PeerLink {
+                run_seq: epoch,
+                ..PeerLink::default()
+            })
+        };
+        let links = config.peers.iter().map(link).collect();
         Ok(ClusterState {
             config,
             ring,
             links,
             applied: Mutex::new(HashMap::new()),
-            ship_seq: AtomicU64::new(0),
         })
     }
 
@@ -388,11 +407,6 @@ impl ClusterState {
             .collect()
     }
 
-    /// Next sequence number for a run this daemon ships.
-    pub fn next_ship_seq(&self) -> u64 {
-        self.ship_seq.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
     /// Record that `(origin, seq)` arrived; `false` means it was
     /// already applied and the payload must be dropped.
     pub fn apply_shipped(&self, origin: &str, seq: u64) -> bool {
@@ -405,15 +419,23 @@ impl ClusterState {
         true
     }
 
+    /// The locked outbound link to peer `addr`.
+    fn link(&self, addr: &str) -> Option<MutexGuard<'_, PeerLink>> {
+        let idx = self.config.peers.iter().position(|p| p == addr)?;
+        Some(self.links[idx].lock().unwrap())
+    }
+
+    /// [`ship_on`](Self::ship_on) the link to peer `addr`.
+    fn ship_to(&self, addr: &str, request: &Request) -> bool {
+        self.link(addr)
+            .is_some_and(|mut link| self.ship_on(&mut link, addr, request))
+    }
+
     /// Ship one request to one peer, counting the outcome. An
     /// in-protocol `Error` from the peer counts as a ship failure too.
     /// Failures are tolerated: the caller keeps serving, the replica
     /// is simply missing until the next mutation re-ships state.
-    fn ship_to(&self, addr: &str, request: &Request) -> bool {
-        let Some(idx) = self.config.peers.iter().position(|p| p == addr) else {
-            return false;
-        };
-        let mut link = self.links[idx].lock().unwrap();
+    fn ship_on(&self, link: &mut PeerLink, addr: &str, request: &Request) -> bool {
         match link.ship(addr, &self.config.self_addr, request) {
             Ok(Response::PeerOk) => true,
             Ok(_) | Err(_) => {
@@ -426,14 +448,16 @@ impl ClusterState {
     /// Replicate one recorded run (`line` is the WAL's serialized
     /// `RunHistory` JSON line) to every member that must hold it.
     pub fn ship_run(&self, characteristics: &[f64], line: &str) {
-        let seq = self.next_ship_seq();
-        let request = Request::PeerShipRun {
-            origin: self.config.self_addr.clone(),
-            seq,
-            line: line.to_string(),
-        };
         for addr in self.run_replica_targets(characteristics) {
-            if self.ship_to(&addr, &request) {
+            let Some(mut link) = self.link(&addr) else {
+                continue;
+            };
+            let request = Request::PeerShipRun {
+                origin: self.config.self_addr.clone(),
+                seq: link.next_run_seq(),
+                line: line.to_string(),
+            };
+            if self.ship_on(&mut link, &addr, &request) {
                 crate::obs::peer_runs_shipped_total().inc();
             }
         }
@@ -621,6 +645,28 @@ mod tests {
         assert!(!state.apply_shipped("b:1", 1));
         assert!(state.apply_shipped("c:1", 1), "origins are independent");
         assert!(state.apply_shipped("b:1", 3));
+    }
+
+    #[test]
+    fn a_successor_state_never_reuses_a_ship_sequence() {
+        // A restarted daemon is a second `ClusterState` for the same
+        // origin; the peer still remembers the first one's sequences.
+        let start = || {
+            ClusterState::new(ClusterConfig {
+                self_addr: "a:1".into(),
+                peers: vec!["b:1".into()],
+                replication: 2,
+            })
+            .unwrap()
+        };
+        let peer = start();
+        let first = start();
+        for _ in 0..3 {
+            let seq = first.link("b:1").unwrap().next_run_seq();
+            assert!(peer.apply_shipped("a:1", seq));
+        }
+        let seq = start().link("b:1").unwrap().next_run_seq();
+        assert!(peer.apply_shipped("a:1", seq), "successor's run dropped");
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //! bytes — JSON for protocols 1–2, the [`crate::wire`] binary encoding
 //! for protocol 3. The `_as` function family takes a [`WireFormat`] and
 //! is what the server, reactor, and client call once a connection has
-//! negotiated; the unsuffixed functions are the original JSON-only
-//! paths, kept byte-for-byte unchanged so v1/v2 peers are served
-//! exactly as before.
+//! negotiated; [`write_frame`] / [`read_frame`] are the same functions
+//! pinned to JSON, for callers that speak raw pre-negotiation frames.
 //!
 //! Length-prefixing keeps the reader trivial (no scanning for
 //! delimiters, no JSON-aware buffering) and makes oversized or garbage
@@ -42,9 +41,10 @@ pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
 /// the peer actually sent rather than what its header promised.
 pub const READ_CHUNK: usize = 64 * 1024;
 
-/// Serialize `msg` into `out` as one length-prefixed frame (header and
-/// payload contiguous). `out` is cleared first; its capacity is reused.
-pub fn encode_frame<T: Serialize>(msg: &T, out: &mut Vec<u8>) -> Result<(), NetError> {
+/// Serialize `msg` into `out` as one length-prefixed JSON frame (header
+/// and payload contiguous). `out` is cleared first; its capacity is
+/// reused.
+fn encode_frame<T: Serialize>(msg: &T, out: &mut Vec<u8>) -> Result<(), NetError> {
     out.clear();
     out.extend_from_slice(&[0u8; 4]);
     let payload = serde_json::to_string(msg).map_err(|e| NetError::Protocol(e.to_string()))?;
@@ -61,23 +61,12 @@ pub fn encode_frame<T: Serialize>(msg: &T, out: &mut Vec<u8>) -> Result<(), NetE
     Ok(())
 }
 
-/// Serialize `msg` and write it as one frame with a single `write_all`.
-pub fn write_frame<W: Write, T: Serialize>(w: &mut W, msg: &T) -> Result<(), NetError> {
-    let mut buf = Vec::new();
-    write_frame_buf(w, msg, &mut buf)
-}
-
-/// [`write_frame`] reusing `scratch` for the frame bytes: a steady-state
-/// connection assembles every outgoing frame in the same allocation.
-pub fn write_frame_buf<W: Write, T: Serialize>(
+/// Serialize `msg` as JSON and write it as one frame.
+pub fn write_frame<W: Write, T: Serialize + WireEncode>(
     w: &mut W,
     msg: &T,
-    scratch: &mut Vec<u8>,
 ) -> Result<(), NetError> {
-    encode_frame(msg, scratch)?;
-    w.write_all(scratch)?;
-    w.flush()?;
-    Ok(())
+    write_frame_buf_as(w, WireFormat::Json, msg, &mut Vec::new())
 }
 
 /// Pooled scratch buffers (connection read/write scratch, the reactor's
@@ -130,7 +119,10 @@ pub fn encode_frame_as<T: Serialize + WireEncode>(
     Ok(())
 }
 
-/// [`write_frame_buf`] in the given wire format.
+/// Serialize `msg` in the given wire format and write it as one frame
+/// with a single `write_all`, reusing `scratch` for the frame bytes: a
+/// steady-state connection assembles every outgoing frame in the same
+/// allocation.
 pub fn write_frame_buf_as<W: Write, T: Serialize + WireEncode>(
     w: &mut W,
     format: WireFormat,
@@ -143,7 +135,13 @@ pub fn write_frame_buf_as<W: Write, T: Serialize + WireEncode>(
     Ok(())
 }
 
-/// [`read_frame_buf`] in the given wire format.
+/// Read one frame and decode it in the given wire format, reusing
+/// `scratch` as the receive buffer: the payload is read into it
+/// (clamped-chunk growth) and decoded in place.
+///
+/// A clean disconnect (EOF before any header byte) surfaces as an
+/// [`NetError::Io`] with `UnexpectedEof` — check
+/// [`NetError::is_disconnect`].
 pub fn read_frame_buf_as<R: Read, T: Deserialize + WireDecode>(
     r: &mut R,
     format: WireFormat,
@@ -169,7 +167,9 @@ pub(crate) fn decode_payload_as<T: Deserialize + WireDecode>(
     payload: &[u8],
 ) -> Result<T, NetError> {
     match format {
-        WireFormat::Json => decode_payload(payload),
+        // UTF-8 validated in place, no copy.
+        WireFormat::Json => serde_json::from_slice(payload)
+            .map_err(|e| NetError::Protocol(format!("bad frame: {e}"))),
         WireFormat::Binary => crate::wire::from_bytes(payload),
     }
 }
@@ -223,39 +223,9 @@ pub(crate) fn check_len(len: u32) -> Result<usize, NetError> {
     Ok(len as usize)
 }
 
-/// Read one frame and deserialize it.
-///
-/// A clean disconnect (EOF before any header byte) surfaces as an
-/// [`NetError::Io`] with `UnexpectedEof` — check
-/// [`NetError::is_disconnect`].
-pub fn read_frame<R: Read, T: Deserialize>(r: &mut R) -> Result<T, NetError> {
-    let mut buf = Vec::new();
-    read_frame_buf(r, &mut buf)
-}
-
-/// [`read_frame`] reusing `scratch` as the receive buffer: the payload
-/// is read into it (clamped-chunk growth) and decoded in place.
-pub fn read_frame_buf<R: Read, T: Deserialize>(
-    r: &mut R,
-    scratch: &mut Vec<u8>,
-) -> Result<T, NetError> {
-    let mut header = [0u8; 4];
-    r.read_exact(&mut header)?;
-    let len = check_len(u32::from_be_bytes(header))?;
-    scratch.clear();
-    let mut filled = 0;
-    while filled < len {
-        let target = len.min(filled + READ_CHUNK);
-        scratch.resize(target, 0);
-        r.read_exact(&mut scratch[filled..target])?;
-        filled = target;
-    }
-    decode_payload(&scratch[..len])
-}
-
-/// Decode one frame payload (UTF-8 validated in place, no copy).
-pub(crate) fn decode_payload<T: Deserialize>(payload: &[u8]) -> Result<T, NetError> {
-    serde_json::from_slice(payload).map_err(|e| NetError::Protocol(format!("bad frame: {e}")))
+/// Read one JSON frame and deserialize it.
+pub fn read_frame<R: Read, T: Deserialize + WireDecode>(r: &mut R) -> Result<T, NetError> {
+    read_frame_buf_as(r, WireFormat::Json, &mut Vec::new())
 }
 
 #[cfg(test)]
@@ -358,9 +328,10 @@ mod tests {
     fn buffered_variants_reuse_scratch_and_round_trip() {
         let mut wire = Vec::new();
         let mut scratch = Vec::new();
-        write_frame_buf(&mut wire, &Request::Fetch, &mut scratch).unwrap();
-        write_frame_buf(
+        write_frame_buf_as(&mut wire, WireFormat::Json, &Request::Fetch, &mut scratch).unwrap();
+        write_frame_buf_as(
             &mut wire,
+            WireFormat::Json,
             &Request::Report {
                 performance: 2.5,
                 seq: None,
@@ -371,11 +342,11 @@ mod tests {
         let mut cursor = Cursor::new(wire);
         let mut rbuf = Vec::new();
         assert_eq!(
-            read_frame_buf::<_, Request>(&mut cursor, &mut rbuf).unwrap(),
+            read_frame_buf_as::<_, Request>(&mut cursor, WireFormat::Json, &mut rbuf).unwrap(),
             Request::Fetch
         );
         assert_eq!(
-            read_frame_buf::<_, Request>(&mut cursor, &mut rbuf).unwrap(),
+            read_frame_buf_as::<_, Request>(&mut cursor, WireFormat::Json, &mut rbuf).unwrap(),
             Request::Report {
                 performance: 2.5,
                 seq: None,
@@ -414,7 +385,9 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(&MAX_FRAME_LEN.to_be_bytes());
         let mut scratch = Vec::new();
-        let err = read_frame_buf::<_, Request>(&mut Cursor::new(buf), &mut scratch).unwrap_err();
+        let err =
+            read_frame_buf_as::<_, Request>(&mut Cursor::new(buf), WireFormat::Json, &mut scratch)
+                .unwrap_err();
         assert!(err.is_disconnect(), "{err}");
         assert!(
             scratch.capacity() <= 2 * READ_CHUNK,
@@ -459,19 +432,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, NetError::Protocol(_)), "{err}");
-    }
-
-    #[test]
-    fn json_format_aware_path_matches_the_legacy_encoder_byte_for_byte() {
-        let msg = Request::Report {
-            performance: 1.5,
-            seq: None,
-        };
-        let mut legacy = Vec::new();
-        encode_frame(&msg, &mut legacy).unwrap();
-        let mut via_format = Vec::new();
-        encode_frame_as(WireFormat::Json, &msg, &mut via_format).unwrap();
-        assert_eq!(legacy, via_format, "v1/v2 clients must see identical bytes");
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //!
 //! Backpressure: refusals over [`max_connections`] and while draining
 //! reuse the accept-time refusal frames and linger (bounded by
-//! `drain_timeout`) so the peer reads the refusal instead of an RST. A
+//! `DRAIN_TIMEOUT`) so the peer reads the refusal instead of an RST. A
 //! single connection cannot balloon the daemon either — once its
 //! pipeline backlog hits [`MAX_PIPELINE`] queued requests the reactor
 //! drops read interest until the backlog drains.
@@ -68,6 +68,11 @@ const WAKE: u64 = u64::MAX - 1;
 /// beyond it the reactor stops reading from the socket until the
 /// backlog drains, bounding both `rbuf` and the response backlog.
 const MAX_PIPELINE: usize = 32;
+
+/// How long a refused, draining or poisoned connection lingers before
+/// the socket closes, so the peer reads the final frame instead of
+/// seeing an RST.
+const DRAIN_TIMEOUT: Duration = Duration::from_millis(200);
 
 /// One request's worth of work queued on a connection.
 enum Work {
@@ -294,14 +299,14 @@ impl Reactor {
     }
 
     /// A refusal conversation: one pre-encoded frame, then linger until
-    /// the peer hangs up or `drain_timeout` passes — an immediate close
+    /// the peer hangs up or [`DRAIN_TIMEOUT`] passes — an immediate close
     /// could RST the connection before the peer has read the refusal.
     fn install_refusal(&mut self, stream: TcpStream, response: &Response) {
         let mut conn = Conn::new(stream, false);
-        if codec::encode_frame(response, &mut conn.wbuf).is_err() {
+        if codec::encode_frame_as(WireFormat::Json, response, &mut conn.wbuf).is_err() {
             return; // both refusal frames always encode
         }
-        conn.deadline = Some(Instant::now() + self.shared.config.drain_timeout);
+        conn.deadline = Some(Instant::now() + DRAIN_TIMEOUT);
         if let Some(token) = self.register(conn) {
             self.timers.push(token);
             self.flush(token);
@@ -413,7 +418,7 @@ impl Reactor {
                 conn.poisoned = true;
                 conn.state = None;
                 conn.pending.clear();
-                conn.deadline = Some(Instant::now() + self.shared.config.drain_timeout);
+                conn.deadline = Some(Instant::now() + DRAIN_TIMEOUT);
                 self.timers.push(token);
             }
             Some(Work::Request(request, window)) => {

@@ -87,8 +87,6 @@ pub struct DaemonConfig {
     /// Default tuning options for sessions (clients may override the
     /// budget per session).
     pub tuning: TuningOptions,
-    /// How matched prior experience trains a session (§4.2).
-    pub training: TrainingMode,
     /// Classification mechanism and match gate.
     pub analyzer: DataAnalyzer,
     /// Fold journal + snapshot into a fresh snapshot after this many
@@ -101,10 +99,6 @@ pub struct DaemonConfig {
     /// into the experience database. Also bounds how long a finished
     /// session's cached summary stays answerable.
     pub session_ttl: Duration,
-    /// Grace period for connection teardown: how long a refused or
-    /// draining connection is drained before the socket closes (so the
-    /// peer reliably reads the refusal instead of seeing an RST).
-    pub drain_timeout: Duration,
     /// Enable the distributed-tracing flight recorder at startup
     /// (answering [`Request::TraceDump`] with recorded span trees).
     /// Tracing is observation-only — trajectories are bit-identical
@@ -228,12 +222,10 @@ impl Default for DaemonConfig {
             wal_path: None,
             max_connections: 32,
             tuning: TuningOptions::improved(),
-            training: TrainingMode::Replay(12),
             analyzer: DataAnalyzer::new(),
             compact_every: 64,
             server_name: "harmony-net".into(),
             session_ttl: Duration::from_secs(30),
-            drain_timeout: Duration::from_millis(200),
             tracing: true,
             cluster: None,
         }
@@ -631,6 +623,9 @@ impl SessionRecord {
     }
 }
 
+/// How matched prior experience trains a default-kernel session (§4.2).
+const TRAINING: TrainingMode = TrainingMode::Replay(12);
+
 /// Bring a session to life from its record: build the kernel, repeat the
 /// warm start, replay the trace. `SessionStart` (empty trace), the
 /// sessions file a predecessor wrote, and adoption of a peer-shipped
@@ -646,7 +641,7 @@ fn build_session(record: SessionRecord, config: &DaemonConfig) -> Result<ActiveS
         None => Box::new(SimplexEngine::new(
             record.space.clone(),
             config.tuning.clone().with_max_iterations(record.budget),
-            config.training,
+            TRAINING,
         )),
     };
     if let Some(history) = &record.prior {
@@ -2651,7 +2646,7 @@ mod tests {
                     let options = config.tuning.clone().with_max_iterations(budget);
                     let tuner = harmony::tuner::Tuner::new(parse_rsl(RSL).unwrap(), options);
                     let mut local = match &prior {
-                        Some(run) => tuner.session_trained(run, config.training),
+                        Some(run) => tuner.session_trained(run, TRAINING),
                         None => tuner.session(),
                     };
                     let mut expected = Vec::new();

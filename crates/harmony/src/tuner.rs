@@ -6,7 +6,6 @@ use crate::history::RunHistory;
 use crate::kernel::{InitStrategy, SimplexKernel, SimplexOptions};
 use crate::objective::Objective;
 use crate::report::{analyze_trace, ReportOptions, TraceEntry, TuningReport};
-use harmony_exec::{Executor, MemoCache};
 use harmony_obs::event::{event, Level};
 use harmony_space::{Configuration, ParameterSpace};
 use serde::{Deserialize, Serialize};
@@ -234,8 +233,8 @@ impl TuningSession {
     /// remaining vertices during a post-training refresh, and otherwise
     /// the single outstanding configuration.
     ///
-    /// Evaluate the batch (in any order, e.g. on an
-    /// [`Executor`]) and report the results *in
+    /// Evaluate the batch (in any order, e.g. on a
+    /// [`harmony_exec::Executor`]) and report the results *in
     /// batch order* through [`observe_batch`](Self::observe_batch).
     /// Empty once the session is over.
     pub fn next_batch(&mut self) -> Vec<Configuration> {
@@ -453,84 +452,6 @@ impl Tuner {
     ) -> TuningOutcome {
         let (kernel, trained) = self.trained_kernel(history, mode);
         self.drive(kernel, objective, trained)
-    }
-
-    /// [`run`](Self::run) for a pure evaluation function, with batchable
-    /// phases (initial simplex, post-training refresh) measured through
-    /// `executor` and, when a `cache` is given, every measurement
-    /// consulted against it first.
-    ///
-    /// Without a cache the outcome is identical to [`run`](Self::run)
-    /// at any job count: batches preserve input order and the
-    /// observation loop replays the sequential one exactly. With a
-    /// cache, revisited configurations answer with their memoized first
-    /// measurement instead of a fresh sample — for a deterministic
-    /// objective that changes nothing; for a noisy one it keeps the
-    /// kernel from chasing noise on configurations it already paid for.
-    pub fn run_parallel<F>(
-        &self,
-        eval: &F,
-        executor: &Executor,
-        cache: Option<&MemoCache>,
-    ) -> TuningOutcome
-    where
-        F: Fn(&Configuration) -> f64 + Sync,
-    {
-        let kernel = SimplexKernel::new(self.space.clone(), self.options.init);
-        self.drive_parallel(kernel, eval, executor, cache, 0)
-    }
-
-    /// [`run_trained`](Self::run_trained) for a pure evaluation function
-    /// (see [`run_parallel`](Self::run_parallel)). The training stage
-    /// itself is virtual and stays sequential; the live refresh of the
-    /// trained simplex is where the batch evaluation pays off.
-    pub fn run_trained_parallel<F>(
-        &self,
-        eval: &F,
-        history: &RunHistory,
-        mode: TrainingMode,
-        executor: &Executor,
-        cache: Option<&MemoCache>,
-    ) -> TuningOutcome
-    where
-        F: Fn(&Configuration) -> f64 + Sync,
-    {
-        let (kernel, trained) = self.trained_kernel(history, mode);
-        self.drive_parallel(kernel, eval, executor, cache, trained)
-    }
-
-    /// Batch counterpart of [`drive`](Self::drive).
-    fn drive_parallel<F>(
-        &self,
-        kernel: SimplexKernel,
-        eval: &F,
-        executor: &Executor,
-        cache: Option<&MemoCache>,
-        training_iterations: usize,
-    ) -> TuningOutcome
-    where
-        F: Fn(&Configuration) -> f64 + Sync,
-    {
-        let mut session = TuningSession::from_kernel(
-            self.space.clone(),
-            self.options.clone(),
-            kernel,
-            training_iterations,
-        );
-        loop {
-            let batch = session.next_batch();
-            if batch.is_empty() {
-                break;
-            }
-            let performances = match cache {
-                Some(c) => executor.evaluate_batch_cached(&batch, c, eval),
-                None => executor.evaluate_batch(&batch, eval),
-            };
-            session
-                .observe_batch(&performances)
-                .expect("batch proposals are outstanding");
-        }
-        session.finish()
     }
 
     /// Step-at-a-time flavour of [`run`](Self::run): the caller measures.
@@ -959,64 +880,6 @@ mod tests {
         let out = session.finish();
         assert_eq!(out.trace.len(), 3);
         assert!(!out.converged);
-    }
-
-    #[test]
-    fn run_parallel_matches_run_exactly() {
-        let tuner = Tuner::new(space2(), TuningOptions::improved());
-        let mut obj = FnObjective::new(paraboloid);
-        let seq = tuner.run(&mut obj);
-        for jobs in [1, 2, 8] {
-            let par = tuner.run_parallel(&paraboloid, &Executor::new(jobs), None);
-            assert_eq!(par, seq, "jobs={jobs}");
-        }
-    }
-
-    #[test]
-    fn run_trained_parallel_matches_run_trained() {
-        let space = space2();
-        let mut history = RunHistory::new("prior", vec![0.5]);
-        for x in [20, 40, 60, 80] {
-            for y in [30, 50, 70, 90] {
-                let cfg = Configuration::new(vec![x, y]);
-                history.push(&cfg, paraboloid(&cfg));
-            }
-        }
-        let tuner = Tuner::new(space, TuningOptions::improved());
-        let mut obj = FnObjective::new(paraboloid);
-        let seq = tuner.run_trained(&mut obj, &history, TrainingMode::Replay(15));
-        let par = tuner.run_trained_parallel(
-            &paraboloid,
-            &history,
-            TrainingMode::Replay(15),
-            &Executor::new(4),
-            None,
-        );
-        assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn cached_run_consults_the_cache_before_measuring() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let tuner = Tuner::new(space2(), TuningOptions::improved());
-        let calls = AtomicU64::new(0);
-        let eval = |cfg: &Configuration| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            paraboloid(cfg)
-        };
-        let cache = MemoCache::new(100_000);
-        let out = tuner.run_parallel(&eval, &Executor::new(2), Some(&cache));
-        // The deterministic objective makes caching behaviour-neutral:
-        // same outcome as the uncached run.
-        let uncached = tuner.run_parallel(&paraboloid, &Executor::new(2), None);
-        assert_eq!(out, uncached);
-        // The discrete simplex revisits grid points; all of those came
-        // from the cache instead of fresh measurements.
-        assert!(cache.hits() > 0, "simplex revisits must hit the cache");
-        assert_eq!(
-            calls.load(Ordering::Relaxed) + cache.hits(),
-            out.trace.len() as u64
-        );
     }
 
     #[test]

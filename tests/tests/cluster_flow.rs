@@ -73,14 +73,29 @@ fn ring_client(addrs: &[String], seed: u64) -> Client {
     builder.connect().expect("ring client connects")
 }
 
-/// Drive one whole session, recording the exact trajectory.
+/// Drive one whole 40-evaluation session, recording the exact trajectory.
 fn drive(
     client: &mut Client,
     label: &str,
     characteristics: Vec<f64>,
 ) -> (Vec<(Vec<i64>, u64)>, SessionSummary) {
+    drive_budget(client, label, characteristics, 40)
+}
+
+/// [`drive`] with a chosen evaluation budget.
+fn drive_budget(
+    client: &mut Client,
+    label: &str,
+    characteristics: Vec<f64>,
+    budget: usize,
+) -> (Vec<(Vec<i64>, u64)>, SessionSummary) {
     client
-        .start_session(SpaceSpec::Rsl(RSL.into()), label, characteristics, Some(40))
+        .start_session(
+            SpaceSpec::Rsl(RSL.into()),
+            label,
+            characteristics,
+            Some(budget),
+        )
         .expect("session starts");
     let mut trace = Vec::new();
     while let Some(p) = client.fetch().expect("fetch") {
@@ -131,6 +146,70 @@ fn replicated_runs_survive_a_daemon_death() {
     for d in daemons {
         d.shutdown();
     }
+}
+
+/// How many runs the member at `addr` holds.
+fn run_count(addr: &str) -> usize {
+    Client::connect(addr).unwrap().db_runs().unwrap().len()
+}
+
+/// The peer remembers the highest run sequence it applied from each
+/// origin and drops anything at or below it as a retried ship. A daemon
+/// restarted on the same address is the same origin: its runs must
+/// number above its predecessor's, or the peer silently discards them.
+#[test]
+fn a_restarted_origin_keeps_replicating() {
+    let addrs = reserve_addrs(2);
+    let origin = cluster_daemon(&addrs, 0, 2);
+    let peer = cluster_daemon(&addrs, 1, 2);
+    let session = |label: &str| {
+        let mut client = Client::connect(addrs[0].as_str()).unwrap();
+        drive(&mut client, label, vec![0.4, 0.6]);
+    };
+    for label in ["one", "two", "three"] {
+        session(label);
+    }
+    assert_eq!(run_count(&addrs[1]), 3);
+
+    origin.shutdown();
+    let origin = cluster_daemon(&addrs, 0, 2);
+    session("after-restart");
+    assert_eq!(
+        run_count(&addrs[1]),
+        4,
+        "the restarted origin's run was dropped as a replay"
+    );
+    origin.shutdown();
+    peer.shutdown();
+}
+
+/// Sessions ending at the same moment on different pool workers ship
+/// over the same peer link; each run's sequence is drawn under that
+/// link's lock, so none can overtake a lower one and be dropped.
+#[test]
+fn concurrent_session_ends_all_replicate() {
+    let addrs = reserve_addrs(2);
+    let origin = cluster_daemon(&addrs, 0, 2);
+    let peer = cluster_daemon(&addrs, 1, 2);
+    let start = std::sync::Barrier::new(4);
+    std::thread::scope(|scope| {
+        for t in 0..4 {
+            let (addr, start) = (addrs[0].as_str(), &start);
+            scope.spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                start.wait();
+                // Short sessions: what races is `SessionEnd`, so spend
+                // the time ending sessions rather than tuning.
+                for s in 0..5 {
+                    drive_budget(&mut client, &format!("t{t}-s{s}"), vec![0.4, 0.6], 3);
+                }
+            });
+        }
+    });
+    assert_eq!(run_count(&addrs[0]), 20);
+    assert_eq!(run_count(&addrs[1]), 20, "a shipped run was dropped");
+    origin.shutdown();
+    peer.shutdown();
 }
 
 /// A session whose owner dies mid-tune fails over to the replica and

@@ -51,24 +51,44 @@ fn simplex_engine_reproduces_the_tuner_exactly() {
 
 #[test]
 fn every_engine_is_bit_identical_at_any_job_count() {
+    let sys = shopping_system();
+    let eval = |cfg: &Configuration| sys.evaluate_clean(cfg);
+    let cold = |name: &str| {
+        registry::lookup(name)
+            .unwrap()
+            .build(sys.space().clone(), 90, 5)
+    };
+    // Warm-started engines open differently (the simplex with the live
+    // refresh batch of its trained vertices rather than the initial
+    // simplex), so every engine runs both cold and from a prior run.
+    let prior = drive(cold("simplex").as_mut(), eval).to_history("prior", vec![]);
     for name in ENGINE_NAMES {
-        let sys = shopping_system();
-        let eval = |cfg: &Configuration| sys.evaluate_clean(cfg);
-        let build = || {
-            registry::lookup(name)
-                .unwrap()
-                .build(sys.space().clone(), 90, 5)
-        };
-        let sequential = drive(build().as_mut(), eval);
-        for jobs in [1usize, 2, 4] {
-            let parallel = drive_parallel(build().as_mut(), &eval, &Executor::new(jobs), None);
-            assert_eq!(parallel, sequential, "{name} diverges at jobs={jobs}");
+        for warm in [false, true] {
+            let build = || {
+                let mut engine = cold(name);
+                if warm {
+                    engine.warm_start(&prior);
+                }
+                engine
+            };
+            let sequential = drive(build().as_mut(), eval);
+            for jobs in [1usize, 2, 4] {
+                let parallel = drive_parallel(build().as_mut(), &eval, &Executor::new(jobs), None);
+                assert_eq!(
+                    parallel, sequential,
+                    "{name} (warm={warm}) diverges at jobs={jobs}"
+                );
+            }
+            // The memo cache answers revisited points without
+            // re-evaluating; for a deterministic objective the outcome
+            // is unchanged.
+            let cache = MemoCache::new(4096);
+            let cached = drive_parallel(build().as_mut(), &eval, &Executor::new(4), Some(&cache));
+            assert_eq!(
+                cached, sequential,
+                "{name} (warm={warm}) diverges with a memo cache"
+            );
         }
-        // The memo cache answers revisited points without re-evaluating;
-        // for a deterministic objective the outcome is unchanged.
-        let cache = MemoCache::new(4096);
-        let cached = drive_parallel(build().as_mut(), &eval, &Executor::new(4), Some(&cache));
-        assert_eq!(cached, sequential, "{name} diverges with a memo cache");
     }
 }
 

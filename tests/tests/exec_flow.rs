@@ -7,6 +7,8 @@ use harmony::objective::FnObjective;
 use harmony::prelude::*;
 use harmony::search::{exhaustive_search, exhaustive_search_with};
 use harmony::sensitivity::Prioritizer;
+use harmony::tuner::TrainingMode;
+use harmony_engines::{drive_parallel, SimplexEngine};
 use harmony_exec::{Executor, MemoCache};
 use harmony_space::{ParamDef, ParameterSpace};
 use harmony_synth::scenario::section5_system;
@@ -36,14 +38,14 @@ fn sensitivity_is_bit_identical_at_any_job_count() {
 fn tuning_is_bit_identical_at_any_job_count() {
     let sys = section5_system([0.4, 0.3, 0.3], 0.0, 1);
     let eval = |cfg: &Configuration| sys.evaluate_clean(cfg);
-    let tuner = Tuner::new(
-        sys.space().clone(),
-        TuningOptions::improved().with_max_iterations(80),
-    );
+    let options = TuningOptions::improved().with_max_iterations(80);
+    let tuner = Tuner::new(sys.space().clone(), options.clone());
     let mut obj = FnObjective::new(eval);
     let sequential = tuner.run(&mut obj);
     for jobs in [1usize, 2, 4, 8] {
-        let parallel = tuner.run_parallel(&eval, &Executor::new(jobs), None);
+        let mut engine =
+            SimplexEngine::new(sys.space().clone(), options.clone(), TrainingMode::None);
+        let parallel = drive_parallel(&mut engine, &eval, &Executor::new(jobs), None);
         assert_eq!(parallel.trace, sequential.trace, "jobs={jobs}");
         assert_eq!(
             parallel.best_configuration, sequential.best_configuration,
@@ -110,19 +112,20 @@ fn one_cache_carries_measurements_across_session_stages() {
     // Stage 2: a cached tuning run behaves exactly like an uncached one
     // (the eval is deterministic), while any exploration already covered
     // by stage 1 costs nothing.
-    let tuner = Tuner::new(
-        space.clone(),
-        TuningOptions::improved().with_max_iterations(60),
-    );
-    let uncached = tuner.run_parallel(&eval, &executor, None);
-    let first = tuner.run_parallel(&eval, &executor, Some(&cache));
+    let run = |cache: Option<&MemoCache>| {
+        let options = TuningOptions::improved().with_max_iterations(60);
+        let mut engine = SimplexEngine::new(space.clone(), options, TrainingMode::None);
+        drive_parallel(&mut engine, &eval, &executor, cache)
+    };
+    let uncached = run(None);
+    let first = run(Some(&cache));
     assert_eq!(first.trace, uncached.trace);
     let after_first = calls.load(Ordering::Relaxed);
 
     // Stage 3: repeating the run — the paper's "prior runs inform later
     // runs" scenario — is answered entirely from the cache: not a single
     // new measurement.
-    let second = tuner.run_parallel(&eval, &executor, Some(&cache));
+    let second = run(Some(&cache));
     assert_eq!(second.trace, first.trace);
     assert_eq!(
         calls.load(Ordering::Relaxed),

@@ -8,9 +8,11 @@
 //! Unixes — see [`crate::poll`]), accepts non-blocking connections, and
 //! runs a small state machine per connection:
 //!
-//! * **reading** — readable bytes are pulled into the connection's
-//!   receive buffer (`rbuf`, the same clamped-growth discipline as
-//!   [`crate::codec`]); every *complete* frame is decoded and queued,
+//! * **reading** — readable bytes are pulled through the reactor's one
+//!   read chunk (allocated with the reactor, not per readiness event)
+//!   into the connection's receive buffer (`rbuf`, the same
+//!   clamped-growth discipline as [`crate::codec`], holding only what
+//!   actually arrived); every *complete* frame is decoded and queued,
 //!   so a client that pipelines requests back-to-back has its whole
 //!   burst parsed while the first request is still executing. Partial
 //!   frames (a slowloris dribbling bytes) simply stay buffered — they
@@ -181,6 +183,10 @@ pub(crate) struct Reactor {
     wake_tx: Arc<UnixStream>,
     /// Tokens with a linger/flush deadline to sweep.
     timers: Vec<u64>,
+    /// Where every socket read lands before its bytes move to the
+    /// connection's `rbuf`: [`READ_CHUNK`] bytes allocated once, since
+    /// only the loop thread reads and it reads one socket at a time.
+    read_chunk: Vec<u8>,
 }
 
 impl Reactor {
@@ -214,6 +220,7 @@ impl Reactor {
             wake_rx,
             wake_tx: Arc::new(wake_tx),
             timers: Vec::new(),
+            read_chunk: vec![0; READ_CHUNK],
         })
     }
 
@@ -354,9 +361,9 @@ impl Reactor {
         if conn.dead || conn.peer_closed || !conn.want_read {
             return;
         }
-        let mut buf = [0u8; READ_CHUNK];
+        let buf = &mut self.read_chunk[..];
         loop {
-            match conn.stream.read(&mut buf) {
+            match conn.stream.read(buf) {
                 Ok(0) => {
                     conn.peer_closed = true;
                     break;

@@ -17,16 +17,20 @@
 //! (`SessionStart` classification, `DbQuery`) grab an
 //! `Arc<DbSnapshot>` — an immutable database plus its prebuilt
 //! [`CharacteristicsIndex`] — with nothing but a pointer load, so they
-//! never wait on a writer. Recording a finished run copies the database,
-//! rebuilds the index, and swaps the pointer under a small writer mutex;
-//! only concurrent *writers* serialize, and the swap itself holds the
-//! read path's lock for a single pointer store.
+//! never wait on a writer. Recording a finished run costs that run, not
+//! the database: the next snapshot shares every stored run with the
+//! current one (runs sit behind `Arc`, so the copy is a list of
+//! pointers) and extends the current index instead of rebuilding it,
+//! then swaps the pointer under a small writer mutex; only concurrent
+//! *writers* serialize, and the swap itself holds the read path's lock
+//! for a single pointer store.
 //!
-//! Durability runs off the request path entirely: recorded runs are
-//! handed to a background *flusher* thread which appends them to a
-//! write-ahead journal (see [`harmony::history::wal`]) and periodically
-//! folds journal plus snapshot into a fresh whole-file snapshot
-//! (*compaction*). A slow disk therefore delays nothing but the flusher.
+//! Durability runs off the request path entirely: the same `Arc` that
+//! went into the snapshot is handed to a background *flusher* thread
+//! which appends it to a write-ahead journal (see
+//! [`harmony::history::wal`]) and periodically folds everything it has
+//! journaled into a fresh whole-file snapshot (*compaction*). A slow
+//! disk therefore delays nothing but the flusher.
 //!
 //! Every session — the default simplex kernel included — is a
 //! [`SearchEngine`] plus the `SessionRecord` that defines it: kernel
@@ -245,7 +249,10 @@ pub trait DbSink: Send {
         Ok(())
     }
     /// Fold the full database into a compacted snapshot, superseding
-    /// everything appended so far.
+    /// everything appended so far. `db` is the database the daemon
+    /// loaded at start plus every run handed to
+    /// [`append`](Self::append) since, in that order — never a run this
+    /// sink has not been given yet.
     fn compact(&mut self, db: &ExperienceDb) -> Result<(), DbError>;
 }
 
@@ -279,23 +286,16 @@ impl DbSink for FileSink {
     }
 }
 
-/// Immutable view of the database at one point in time, with its
-/// classification index prebuilt so readers share the indexing cost.
+/// Immutable view of the database at one point in time, with the
+/// classification index that answers for exactly those runs.
 struct DbSnapshot {
     db: ExperienceDb,
     index: CharacteristicsIndex,
 }
 
-impl DbSnapshot {
-    fn new(db: ExperienceDb) -> Arc<DbSnapshot> {
-        let index = db.build_index();
-        Arc::new(DbSnapshot { db, index })
-    }
-}
-
 /// Atomic-snapshot cell: readers clone an `Arc` under a momentary read
-/// lock; writers serialize on `writer`, copy-on-write outside any lock
-/// the readers see, then swap the pointer.
+/// lock; writers serialize on `writer`, prepare the successor snapshot
+/// outside any lock the readers see, then swap the pointer.
 struct DbCell {
     current: RwLock<Arc<DbSnapshot>>,
     writer: Mutex<()>,
@@ -303,8 +303,9 @@ struct DbCell {
 
 impl DbCell {
     fn new(db: ExperienceDb) -> DbCell {
+        let index = db.build_index();
         DbCell {
-            current: RwLock::new(DbSnapshot::new(db)),
+            current: RwLock::new(Arc::new(DbSnapshot { db, index })),
             writer: Mutex::new(()),
         }
     }
@@ -314,17 +315,21 @@ impl DbCell {
         Arc::clone(&self.current.read().expect("snapshot lock poisoned"))
     }
 
-    /// Copy-on-write append: clone the database, add the run, rebuild
-    /// the index, swap. Returns the new run count.
-    fn add_run(&self, run: RunHistory) -> usize {
+    /// Append by succession: the next snapshot shares every run with
+    /// the current one (the clone copies pointers) and carries its index
+    /// forward, so the cost is the one run, not the database. The run
+    /// gauge moves with the swap, under the writer lock, so concurrent
+    /// appends cannot leave it behind the database.
+    fn add_run(&self, run: Arc<RunHistory>) {
         let _writing = self.writer.lock().expect("writer lock poisoned");
-        let mut db = self.load().db.clone();
+        let cur = self.load();
+        let mut db = cur.db.clone();
         db.add_run(run);
+        let index = cur.index.extended(&db);
         let len = db.len();
-        let next = DbSnapshot::new(db);
-        *self.current.write().expect("snapshot lock poisoned") = next;
+        *self.current.write().expect("snapshot lock poisoned") = Arc::new(DbSnapshot { db, index });
         crate::obs::db_snapshot_swaps_total().inc();
-        len
+        crate::obs::db_runs().set(len as i64);
     }
 }
 
@@ -465,7 +470,7 @@ pub(crate) struct Shared {
     db: DbCell,
     /// Hands recorded runs to the flusher; `None` when nothing persists.
     /// Taking it closes the channel and stops the flusher.
-    flusher_tx: Mutex<Option<mpsc::Sender<RunHistory>>>,
+    flusher_tx: Mutex<Option<mpsc::Sender<Arc<RunHistory>>>>,
     pub(crate) registry: SessionRegistry,
     pub(crate) active: AtomicUsize,
     completed: AtomicUsize,
@@ -490,10 +495,9 @@ impl Shared {
     }
 
     /// Fold a recorded run into the shared database and queue it for
-    /// the flusher.
-    fn record_run(&self, run: RunHistory) {
-        let len = self.db.add_run(run.clone());
-        crate::obs::db_runs().set(len as i64);
+    /// the flusher — one allocation, referenced from both.
+    fn record_run(&self, run: Arc<RunHistory>) {
+        self.db.add_run(Arc::clone(&run));
         if let Some(tx) = self
             .flusher_tx
             .lock()
@@ -510,9 +514,9 @@ impl Shared {
     /// Locally-originated recordings come through here; peer-shipped
     /// ones call `record_run` directly, which is what keeps replication
     /// a single hop (a daemon never re-ships what a peer shipped to it).
-    fn record_run_and_replicate(&self, run: RunHistory) {
+    fn record_run_and_replicate(&self, run: Arc<RunHistory>) {
         if let Some(cluster) = &self.cluster {
-            if let Ok(line) = serde_json::to_string(&run) {
+            if let Ok(line) = serde_json::to_string(&*run) {
                 cluster.ship_run(&run.characteristics, &line);
             }
         }
@@ -800,6 +804,8 @@ impl TuningDaemon {
             )),
             None => None,
         };
+        // The flusher's copy of what is already on disk: pointers only.
+        let journaled = db.clone();
         let shared = Arc::new(Shared {
             config,
             db: DbCell::new(db),
@@ -827,8 +833,8 @@ impl TuningDaemon {
             load_parked_sessions(&shared.registry, &shared.config, path);
         }
         let flusher = sink.map(|sink| {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || flusher_loop(rx, sink, shared))
+            let compact_every = shared.config.compact_every;
+            std::thread::spawn(move || flusher_loop(rx, sink, journaled, compact_every))
         });
         let reaper = {
             let shared = Arc::clone(&shared);
@@ -1001,8 +1007,18 @@ impl Drop for DaemonHandle {
 /// The background flusher: drains recorded runs, appends them to the
 /// sink in coalesced batches, and compacts every
 /// [`DaemonConfig::compact_every`] appends plus once at shutdown.
-fn flusher_loop(rx: mpsc::Receiver<RunHistory>, mut sink: Box<dyn DbSink>, shared: Arc<Shared>) {
-    let compact_every = shared.config.compact_every;
+///
+/// `journaled` is the flusher's own database: what the daemon loaded at
+/// start, plus each run as it is appended, in journal order. Compaction
+/// writes that and never the serving snapshot, which may already hold
+/// runs still queued in `rx` — snapshotting those and then journaling
+/// them after the truncation would store them twice.
+fn flusher_loop(
+    rx: mpsc::Receiver<Arc<RunHistory>>,
+    mut sink: Box<dyn DbSink>,
+    mut journaled: ExperienceDb,
+    compact_every: usize,
+) {
     let mut since_compact = 0usize;
     while let Ok(first) = rx.recv() {
         // Coalesce whatever queued up while the last batch was on disk:
@@ -1011,28 +1027,30 @@ fn flusher_loop(rx: mpsc::Receiver<RunHistory>, mut sink: Box<dyn DbSink>, share
         while let Ok(more) = rx.try_recv() {
             batch.push(more);
         }
-        for run in &batch {
-            if let Err(e) = sink.append(run) {
+        since_compact += batch.len();
+        for run in batch {
+            if let Err(e) = sink.append(&run) {
                 persist_failure("net.db_wal_append_failed", &e);
             }
+            // Kept even when the append failed: the next compaction is
+            // that run's second chance to reach the disk.
+            journaled.add_run(run);
         }
         if let Err(e) = sink.sync() {
             persist_failure("net.db_wal_sync_failed", &e);
         }
-        since_compact += batch.len();
         if compact_every > 0 && since_compact >= compact_every {
-            compact_now(&shared, sink.as_mut());
+            compact_now(&journaled, sink.as_mut());
             since_compact = 0;
         }
     }
     // Channel closed: final fold so a plain snapshot load sees
     // everything (the restart path reads snapshot + journal anyway).
-    compact_now(&shared, sink.as_mut());
+    compact_now(&journaled, sink.as_mut());
 }
 
-fn compact_now(shared: &Shared, sink: &mut dyn DbSink) {
-    let snap = shared.db.load();
-    if let Err(e) = sink.compact(&snap.db) {
+fn compact_now(journaled: &ExperienceDb, sink: &mut dyn DbSink) {
+    if let Err(e) = sink.compact(journaled) {
         persist_failure("net.db_compact_failed", &e);
     }
 }
@@ -1633,7 +1651,7 @@ fn handle_request(request: Request, conn: &mut ConnState, shared: &Shared) -> Re
                     // Local apply only — never re-shipped, so the
                     // replication fan-out is one hop and cycle-free.
                     Ok(run) => {
-                        shared.record_run(run);
+                        shared.record_run(Arc::new(run));
                         Response::PeerOk
                     }
                     Err(e) => Response::Error {
@@ -1768,7 +1786,7 @@ pub(crate) fn record_session(sess: ActiveSession, shared: &Shared) -> Response {
         for t in &record.trace {
             run.push(&t.config, t.performance);
         }
-        shared.record_run_and_replicate(run);
+        shared.record_run_and_replicate(Arc::new(run));
     }
     shared.completed.fetch_add(1, Ordering::SeqCst);
     summary
@@ -2313,6 +2331,300 @@ mod tests {
             crate::obs::db_snapshot_swaps_total().get() > before,
             "recording a run must swap the snapshot"
         );
+    }
+
+    fn run_at(label: &str, x: f64) -> Arc<RunHistory> {
+        let mut run = RunHistory::new(label, vec![x, 0.0]);
+        run.push(&Configuration::new(vec![1, 2]), x);
+        Arc::new(run)
+    }
+
+    /// A reader's snapshot is its own: appends behind its back change
+    /// neither its length nor its answers, and cost no copy of the runs
+    /// it holds.
+    #[test]
+    fn snapshots_are_stable_for_readers_and_share_their_runs() {
+        let cell = DbCell::new(ExperienceDb::new());
+        cell.add_run(run_at("first", 0.0));
+        let held = cell.load();
+        for i in 1..200 {
+            cell.add_run(run_at(&format!("r{i}"), i as f64));
+        }
+        let now = cell.load();
+        assert_eq!((held.db.len(), held.index.len()), (1, 1));
+        assert_eq!((now.db.len(), now.index.len()), (200, 200));
+        let (_, seen) = held.index.classify(&held.db, &[150.0, 0.0]).unwrap();
+        assert_eq!(seen.label, "first", "the held snapshot has one run");
+        let (at, seen) = now.index.classify(&now.db, &[150.2, 0.0]).unwrap();
+        assert_eq!((at, seen.label.as_str()), (150, "r150"));
+        assert!(Arc::ptr_eq(&held.db.runs()[0], &now.db.runs()[0]));
+        let before = cell.load();
+        cell.add_run(run_at("last", 500.0));
+        let after = cell.load();
+        for (a, b) in before.db.runs().iter().zip(after.db.runs()) {
+            assert!(Arc::ptr_eq(a, b), "consecutive snapshots share runs");
+        }
+        // The extended index still answers like a scan of the database.
+        for x in [-1.0, 63.4, 64.5, 199.0, 499.0] {
+            assert_eq!(
+                after.index.classify(&after.db, &[x, 0.0]).map(|(i, _)| i),
+                after.db.classify(&[x, 0.0]).map(|(i, _)| i),
+            );
+        }
+    }
+
+    /// Run eight-evaluation sessions one after another, labelled `s<i>`
+    /// for each `i` in `which`, each ended before the next starts.
+    fn run_sessions(handle: &DaemonHandle, which: std::ops::Range<usize>) {
+        for i in which {
+            let mut client = Client::connect(handle.addr()).unwrap();
+            client
+                .start_session(
+                    SpaceSpec::Rsl(RSL.into()),
+                    format!("s{i}"),
+                    vec![i as f64, 0.0],
+                    Some(8),
+                )
+                .unwrap();
+            while let Some(p) = client.fetch().unwrap() {
+                client.report(paraboloid(&p.values)).unwrap();
+            }
+            client.end_session().unwrap();
+        }
+    }
+
+    /// The run `SessionEnd` builds is allocated once: the serving
+    /// snapshot and the sink see the same `RunHistory`.
+    #[test]
+    fn the_recorded_run_is_shared_between_snapshot_and_sink() {
+        #[derive(Default)]
+        struct Seen {
+            appended: Vec<usize>,
+            compacted: Vec<usize>,
+        }
+        struct AddressSink(Arc<Mutex<Seen>>);
+        impl DbSink for AddressSink {
+            fn append(&mut self, run: &RunHistory) -> Result<(), DbError> {
+                self.0
+                    .lock()
+                    .unwrap()
+                    .appended
+                    .push(run as *const _ as usize);
+                Ok(())
+            }
+            fn compact(&mut self, db: &ExperienceDb) -> Result<(), DbError> {
+                self.0.lock().unwrap().compacted =
+                    db.runs().iter().map(|r| Arc::as_ptr(r) as usize).collect();
+                Ok(())
+            }
+        }
+        let seen = Arc::new(Mutex::new(Seen::default()));
+        let handle = TuningDaemon::start_with_sink(
+            DaemonConfig::default(),
+            Box::new(AddressSink(Arc::clone(&seen))),
+        )
+        .unwrap();
+        run_sessions(&handle, 0..2);
+        let snapshot = handle.shared.db.load();
+        let served: Vec<usize> = snapshot
+            .db
+            .runs()
+            .iter()
+            .map(|r| Arc::as_ptr(r) as usize)
+            .collect();
+        handle.shutdown();
+        let seen = seen.lock().unwrap();
+        assert_eq!(served.len(), 2);
+        assert_eq!(seen.appended, served, "appended the snapshot's own runs");
+        assert_eq!(seen.compacted, served, "and compacted them");
+    }
+
+    /// A disk that stalls on its first append until the test lets go:
+    /// whatever is recorded meanwhile is in memory but not journaled.
+    struct StalledDisk {
+        stalled: mpsc::Sender<()>,
+        gate: Option<mpsc::Receiver<()>>,
+    }
+
+    impl StalledDisk {
+        /// The disk, a receiver that hears when the first append has
+        /// begun, and a sender whose drop lets it finish.
+        fn new() -> (StalledDisk, mpsc::Receiver<()>, mpsc::Sender<()>) {
+            let (stalled, hears_stall) = mpsc::channel();
+            let (release, gate) = mpsc::channel();
+            let gate = Some(gate);
+            (StalledDisk { stalled, gate }, hears_stall, release)
+        }
+
+        fn wait(&mut self) {
+            if let Some(gate) = self.gate.take() {
+                let _ = self.stalled.send(());
+                let _ = gate.recv();
+            }
+        }
+    }
+
+    /// `s0` ends and its append stalls; `s1` and `s2` end behind it.
+    /// When the disk is released, the flusher's first batch is `s0`
+    /// alone while memory already holds all three.
+    fn three_sessions_over_a_stalled_disk(
+        handle: &DaemonHandle,
+        stalled: mpsc::Receiver<()>,
+        release: mpsc::Sender<()>,
+    ) {
+        let before = handle.db_runs();
+        run_sessions(handle, 0..1);
+        stalled.recv().expect("the first append begins");
+        run_sessions(handle, 1..3);
+        assert_eq!(handle.db_runs(), before + 3, "memory is ahead of the disk");
+        drop(release);
+    }
+
+    /// Compaction writes what the journal has been given — not what
+    /// `SessionEnd`s have put in memory since. With a stalled disk the
+    /// first compaction runs while later runs are still queued;
+    /// snapshotting them there and journaling them afterwards would
+    /// store them twice.
+    #[test]
+    fn compaction_snapshots_exactly_the_journaled_runs() {
+        #[derive(Default)]
+        struct Log {
+            appended: Vec<String>,
+            /// (labels in the compacted db, labels appended by then).
+            compactions: Vec<(Vec<String>, Vec<String>)>,
+        }
+        struct SlowSink(Arc<Mutex<Log>>, StalledDisk);
+        impl DbSink for SlowSink {
+            fn append(&mut self, run: &RunHistory) -> Result<(), DbError> {
+                self.1.wait();
+                self.0.lock().unwrap().appended.push(run.label.clone());
+                Ok(())
+            }
+            fn compact(&mut self, db: &ExperienceDb) -> Result<(), DbError> {
+                let mut log = self.0.lock().unwrap();
+                let in_db = db.runs().iter().map(|r| r.label.clone()).collect();
+                let so_far = log.appended.clone();
+                log.compactions.push((in_db, so_far));
+                Ok(())
+            }
+        }
+        let log = Arc::new(Mutex::new(Log::default()));
+        let config = DaemonConfig {
+            compact_every: 1,
+            ..DaemonConfig::default()
+        };
+        let (disk, stalled, release) = StalledDisk::new();
+        let sink = SlowSink(Arc::clone(&log), disk);
+        let handle = TuningDaemon::start_with_sink(config, Box::new(sink)).unwrap();
+        three_sessions_over_a_stalled_disk(&handle, stalled, release);
+        handle.shutdown();
+        let log = log.lock().unwrap();
+        assert_eq!(log.appended, ["s0", "s1", "s2"]);
+        assert!(log.compactions.len() >= 2, "periodic plus final compaction");
+        for (in_db, so_far) in &log.compactions {
+            assert_eq!(in_db, so_far, "compacted runs the journal had not seen");
+        }
+        assert_eq!(log.compactions.last().unwrap().0, ["s0", "s1", "s2"]);
+    }
+
+    /// The same schedule against real files, with a crash simulated
+    /// after every journal sync by copying `<db>` and `<db>.wal` and
+    /// loading the copies: each image holds the pre-existing run and
+    /// every journaled run exactly once.
+    #[test]
+    fn crash_images_of_snapshot_plus_journal_hold_no_run_twice() {
+        struct SlowFileSink {
+            inner: FileSink,
+            disk: StalledDisk,
+            db: PathBuf,
+            images: Arc<Mutex<Vec<Vec<String>>>>,
+        }
+        impl DbSink for SlowFileSink {
+            fn append(&mut self, run: &RunHistory) -> Result<(), DbError> {
+                self.disk.wait();
+                self.inner.append(run)
+            }
+            fn sync(&mut self) -> Result<(), DbError> {
+                self.inner.sync()?;
+                let crashed = self.db.with_extension("crashed");
+                std::fs::copy(&self.db, &crashed)?;
+                let wal = |db: &Path| effective_wal_path(&DaemonConfig::default(), db);
+                std::fs::copy(wal(&self.db), wal(&crashed))?;
+                let image = wal::load_with_wal(&crashed, wal(&crashed))?;
+                let labels = image.runs().iter().map(|r| r.label.clone()).collect();
+                self.images.lock().unwrap().push(labels);
+                Ok(())
+            }
+            fn compact(&mut self, db: &ExperienceDb) -> Result<(), DbError> {
+                self.inner.compact(db)
+            }
+        }
+        let dir = std::env::temp_dir().join(format!("harmony-crash-image-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let db_path = dir.join("exp.json");
+        let mut before = ExperienceDb::new();
+        before.add_run(run_at("old", 9.0));
+        before.save(&db_path).unwrap();
+        let config = DaemonConfig {
+            db_path: Some(db_path.clone()),
+            compact_every: 1,
+            ..DaemonConfig::default()
+        };
+        let images = Arc::new(Mutex::new(Vec::new()));
+        let (disk, stalled, release) = StalledDisk::new();
+        let sink = SlowFileSink {
+            inner: FileSink::open(db_path.clone(), effective_wal_path(&config, &db_path)).unwrap(),
+            disk,
+            db: db_path.clone(),
+            images: Arc::clone(&images),
+        };
+        let handle = TuningDaemon::start_with_sink(config.clone(), Box::new(sink)).unwrap();
+        three_sessions_over_a_stalled_disk(&handle, stalled, release);
+        handle.shutdown();
+        let images = images.lock().unwrap();
+        assert_eq!(images.first().unwrap(), &["old", "s0"]);
+        assert_eq!(images.last().unwrap(), &["old", "s0", "s1", "s2"]);
+        for image in images.iter() {
+            assert_eq!(image[0], "old", "the loaded database comes first");
+            let mut unique = image.clone();
+            unique.sort();
+            unique.dedup();
+            assert_eq!(
+                unique.len(),
+                image.len(),
+                "a run is stored twice: {image:?}"
+            );
+        }
+        let reloaded = wal::load_with_wal(&db_path, effective_wal_path(&config, &db_path)).unwrap();
+        let labels: Vec<&str> = reloaded.runs().iter().map(|r| r.label.as_str()).collect();
+        assert_eq!(labels, ["old", "s0", "s1", "s2"]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Appends from several threads serialize on the writer lock: no
+    /// run is lost and the carried-forward index covers them all.
+    #[test]
+    fn concurrent_appends_leave_every_run_in_the_snapshot() {
+        let cell = Arc::new(DbCell::new(ExperienceDb::new()));
+        let writers: Vec<_> = (0..4)
+            .map(|w| {
+                let cell = Arc::clone(&cell);
+                std::thread::spawn(move || {
+                    for i in 0..50 {
+                        cell.add_run(run_at(&format!("w{w}-{i}"), (w * 50 + i) as f64));
+                    }
+                })
+            })
+            .collect();
+        for w in writers {
+            w.join().unwrap();
+        }
+        let snap = cell.load();
+        assert_eq!((snap.db.len(), snap.index.len()), (200, 200));
+        let mut labels: Vec<&str> = snap.db.runs().iter().map(|r| r.label.as_str()).collect();
+        labels.sort();
+        labels.dedup();
+        assert_eq!(labels.len(), 200);
     }
 
     /// With clustering off, every `Peer*` request gets an in-protocol

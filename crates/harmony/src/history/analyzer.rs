@@ -92,7 +92,7 @@ impl DataAnalyzer {
                     return None;
                 }
                 let idx = tree.predict(observed);
-                let run = db.runs().get(idx)?;
+                let run: &RunHistory = db.runs().get(idx)?;
                 self.within(observed, run).then(|| run.clone())
             }
             Classifier::LeastSquares => {

@@ -8,6 +8,7 @@ use std::fmt;
 use std::fs;
 use std::io;
 use std::path::Path;
+use std::sync::Arc;
 
 /// Errors from persisting the database.
 #[derive(Debug)]
@@ -63,9 +64,16 @@ impl From<serde_json::Error> for DbError {
 /// assert_eq!(idx, 0);
 /// assert_eq!(matched.label, "monday");
 /// ```
+///
+/// Runs are immutable once recorded and held behind [`Arc`], so cloning
+/// the database copies one pointer per run, and a clone that then
+/// appends shares every earlier run with its original — what lets the
+/// daemon publish a new snapshot per finished run without copying the
+/// experience it already has. The serialized form is that of a plain
+/// list of runs.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ExperienceDb {
-    runs: Vec<RunHistory>,
+    runs: Vec<Arc<RunHistory>>,
 }
 
 impl ExperienceDb {
@@ -74,8 +82,8 @@ impl ExperienceDb {
         Self::default()
     }
 
-    /// Stored runs.
-    pub fn runs(&self) -> &[RunHistory] {
+    /// Stored runs, oldest first.
+    pub fn runs(&self) -> &[Arc<RunHistory>] {
         &self.runs
     }
 
@@ -91,8 +99,9 @@ impl ExperienceDb {
 
     /// Record a finished run ("the tuning results may be treated as a new
     /// experience and used to update the data characteristics database").
-    pub fn add_run(&mut self, run: RunHistory) {
-        self.runs.push(run);
+    /// Takes an owned run or an `Arc` someone else also holds.
+    pub fn add_run(&mut self, run: impl Into<Arc<RunHistory>>) {
+        self.runs.push(run.into());
     }
 
     /// Least-squares classification of observed characteristics; returns
@@ -115,7 +124,7 @@ impl ExperienceDb {
                 best = Some((d, i));
             }
         }
-        best.map(|(_, i)| (i, &self.runs[i]))
+        best.map(|(_, i)| (i, &*self.runs[i]))
     }
 
     /// The `k` nearest runs, nearest first (for k-NN style analyzers).
@@ -143,7 +152,7 @@ impl ExperienceDb {
         by_distance.sort_unstable_by(cmp);
         by_distance
             .into_iter()
-            .map(|(_, i)| (i, &self.runs[i]))
+            .map(|(_, i)| (i, &*self.runs[i]))
             .collect()
     }
 
@@ -175,10 +184,12 @@ impl ExperienceDb {
             if m.label == "merged" {
                 m.label = format!("merged:{}", run.label);
             }
-            m.records.extend(run.records);
+            // Moves the records out when this database held the only
+            // reference; copies them only if a clone still shares the run.
+            m.records.extend(Arc::unwrap_or_clone(run).records);
         }
         merged.retain(|r| !r.records.is_empty());
-        self.runs = merged;
+        self.runs = merged.into_iter().map(Arc::new).collect();
     }
 
     /// Train a decision tree mapping characteristics to run indices (for
@@ -246,14 +257,17 @@ impl ExperienceDb {
     /// Build a spatial index over the current contents. The index
     /// answers [`classify`](Self::classify) and
     /// [`nearest_k`](Self::nearest_k) queries bit-identically without a
-    /// full scan; it is a snapshot — rebuild after mutating the db.
+    /// full scan. It covers exactly the runs present now: after
+    /// appending, carry it forward with
+    /// [`CharacteristicsIndex::extended`](crate::history::CharacteristicsIndex::extended);
+    /// after anything else ([`compress`](Self::compress)), build anew.
     pub fn build_index(&self) -> crate::history::CharacteristicsIndex {
         crate::history::CharacteristicsIndex::build(self)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use harmony_space::Configuration;
 
@@ -333,6 +347,131 @@ mod tests {
         let back = ExperienceDb::load(&path).unwrap();
         assert_eq!(back, db);
         fs::remove_file(&path).ok();
+    }
+
+    /// The runs a fixed-format test writes: negative values, an empty
+    /// run, floats with and without a fraction.
+    pub(crate) fn fixed_db() -> ExperienceDb {
+        let mut db = ExperienceDb::new();
+        let mut a = RunHistory::new("shopping", vec![0.25, 0.75]);
+        a.push(&Configuration::new(vec![4, -5]), 77.5);
+        a.push(&Configuration::new(vec![6, 7]), 80.0);
+        db.add_run(a);
+        db.add_run(RunHistory::new("empty", vec![]));
+        db
+    }
+
+    /// Sharing runs behind `Arc` must not show on disk: these are the
+    /// bytes the `Vec<RunHistory>` database wrote for the same contents.
+    #[test]
+    fn snapshot_bytes_are_those_of_a_plain_run_list() {
+        const EXPECTED: &str = r#"{
+  "runs": [
+    {
+      "label": "shopping",
+      "characteristics": [
+        0.25,
+        0.75
+      ],
+      "records": [
+        {
+          "values": [
+            4,
+            -5
+          ],
+          "performance": 77.5
+        },
+        {
+          "values": [
+            6,
+            7
+          ],
+          "performance": 80.0
+        }
+      ]
+    },
+    {
+      "label": "empty",
+      "characteristics": [],
+      "records": []
+    }
+  ]
+}"#;
+        let dir = std::env::temp_dir().join("harmony-db-test");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("fixed-format.json");
+        fixed_db().save(&path).unwrap();
+        assert_eq!(fs::read_to_string(&path).unwrap(), EXPECTED);
+        assert_eq!(ExperienceDb::load(&path).unwrap(), fixed_db());
+        fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn arc_serializes_as_its_contents() {
+        let run = run("shared", vec![0.5], 3.0);
+        let shared = Arc::new(run.clone());
+        assert_eq!(
+            serde_json::to_string(&shared).unwrap(),
+            serde_json::to_string(&run).unwrap()
+        );
+        let back: Arc<RunHistory> =
+            serde_json::from_str(&serde_json::to_string(&shared).unwrap()).unwrap();
+        assert_eq!(back, shared);
+        let nested: Vec<Arc<Vec<i64>>> = serde_json::from_str("[[1,2],[]]").unwrap();
+        assert_eq!(nested, vec![Arc::new(vec![1, 2]), Arc::new(vec![])]);
+        assert_eq!(serde_json::to_string(&nested).unwrap(), "[[1,2],[]]");
+    }
+
+    #[test]
+    fn clones_share_runs_and_appending_to_one_leaves_the_other() {
+        let mut db = ExperienceDb::new();
+        db.add_run(run("a", vec![0.0], 1.0));
+        let shared = Arc::new(run("b", vec![1.0], 2.0));
+        db.add_run(Arc::clone(&shared));
+        assert!(
+            Arc::ptr_eq(&db.runs()[1], &shared),
+            "an Arc is stored as is"
+        );
+        let mut grown = db.clone();
+        grown.add_run(run("c", vec![2.0], 3.0));
+        assert_eq!((db.len(), grown.len()), (2, 3));
+        assert!(Arc::ptr_eq(&db.runs()[0], &grown.runs()[0]));
+        assert_eq!(grown.classify(&[1.9]).unwrap().1.label, "c");
+        assert_eq!(db.classify(&[1.9]).unwrap().1.label, "b");
+    }
+
+    /// Where each record's `values` buffer lives, sorted: merging may
+    /// reorder records but a move keeps every buffer where it was.
+    fn value_buffers(db: &ExperienceDb) -> Vec<*const i64> {
+        let mut at: Vec<*const i64> = db
+            .runs()
+            .iter()
+            .flat_map(|r| r.records.iter().map(|rec| rec.values.as_ptr()))
+            .collect();
+        at.sort();
+        at
+    }
+
+    #[test]
+    fn compress_moves_records_it_owns_and_copies_only_shared_ones() {
+        let mut db = ExperienceDb::new();
+        for i in 0..4 {
+            db.add_run(run(&format!("r{i}"), vec![i as f64], i as f64));
+        }
+        let before = value_buffers(&db);
+
+        // Another clone still holds the runs: they must survive intact.
+        let mut sharing = db.clone();
+        sharing.compress(1);
+        assert_eq!(sharing.runs()[0].records.len(), 4);
+        assert_eq!(db.len(), 4);
+        assert_eq!(value_buffers(&db), before);
+        drop(sharing);
+
+        // Sole owner: every record is moved into its merged run.
+        db.compress(1);
+        assert_eq!(db.runs()[0].records.len(), 4);
+        assert_eq!(value_buffers(&db), before);
     }
 
     #[test]

@@ -14,14 +14,33 @@
 //! tree per dimensionality group and answering a query only from the
 //! group matching `observed.len()`. Groups too small for a tree to pay
 //! for itself fall back to an exact linear scan of the group.
+//!
+//! The database only ever grows by appending, and a daemon appends one
+//! run per finished session, so the index is **extended, not rebuilt**:
+//! [`CharacteristicsIndex::extended`] shares the existing trees and
+//! records that the newest runs are a *tail* outside them, which every
+//! query finishes with a short linear pass. Both the tree walk and the
+//! tail pass keep the same `(distance, run index)` minimum, so the answer
+//! does not depend on which of them saw a run. Once the tail reaches
+//! [`REBUILD_TAIL`] runs the trees are rebuilt over everything.
 
 use crate::history::db::ExperienceDb;
 use crate::history::record::RunHistory;
 use harmony_linalg::stats::euclidean_sq;
+use std::sync::Arc;
 
 /// Below this many points a group stays a flat list: pointer-chasing a
 /// tree loses to scanning a handful of vectors.
 const LINEAR_FALLBACK: usize = 16;
+
+/// [`CharacteristicsIndex::extended`] rebuilds the trees once this many
+/// runs sit outside them. A constant, not a share of the database: it
+/// bounds what the tail adds to a query (at most this many distances,
+/// about what one `LINEAR_FALLBACK` group already costs per dimension)
+/// however large the database grows, while a rebuild every `REBUILD_TAIL`
+/// appends spreads its O(n log n) over enough of them to disappear beside
+/// recording the runs themselves.
+const REBUILD_TAIL: usize = 64;
 
 /// One node of a k-d tree over the points of a dimensionality group.
 #[derive(Debug, Clone)]
@@ -45,16 +64,22 @@ struct DimGroup {
 
 /// An immutable spatial index over one [`ExperienceDb`] state.
 ///
-/// Build once per database version ([`ExperienceDb::build_index`]), then
-/// answer any number of queries. The index holds no copies of the
+/// [Built](ExperienceDb::build_index) from a database, or
+/// [`extended`](Self::extended) from the index of that database's
+/// predecessor when runs were only appended; either way it then answers
+/// any number of queries. The index holds no copies of the
 /// characteristic vectors — only run indices — so it must be queried
-/// against the same database it was built from (checked by length in
-/// debug builds).
+/// against the database it was built or extended for (checked by length
+/// in debug builds).
 #[derive(Debug, Clone, Default)]
 pub struct CharacteristicsIndex {
-    /// Groups keyed by dimensionality, sorted by dims for determinism.
-    groups: Vec<(usize, DimGroup)>,
-    /// Database size at build time.
+    /// Groups keyed by dimensionality, sorted by dims for determinism,
+    /// over runs `..indexed`. Shared with every index extended from
+    /// this one.
+    groups: Arc<[(usize, DimGroup)]>,
+    /// Runs the groups cover; `indexed..runs` is the tail queries scan.
+    indexed: usize,
+    /// Size of the database this index answers for.
     runs: usize,
 }
 
@@ -84,6 +109,25 @@ impl CharacteristicsIndex {
             .collect();
         CharacteristicsIndex {
             groups,
+            indexed: db.len(),
+            runs: db.len(),
+        }
+    }
+
+    /// The index for `db`, a database that grew from the one `self`
+    /// answers for by appending runs (the first [`len`](Self::len) runs
+    /// are unchanged). The trees are shared rather than copied and the
+    /// appended runs join the tail, so this costs nothing per stored run
+    /// — until the tail reaches [`REBUILD_TAIL`] and the trees are built
+    /// anew over all of `db`.
+    pub fn extended(&self, db: &ExperienceDb) -> Self {
+        debug_assert!(self.runs <= db.len(), "db shrank under its index");
+        if db.len() - self.indexed >= REBUILD_TAIL {
+            return Self::build(db);
+        }
+        CharacteristicsIndex {
+            groups: Arc::clone(&self.groups),
+            indexed: self.indexed,
             runs: db.len(),
         }
     }
@@ -108,19 +152,23 @@ impl CharacteristicsIndex {
     ) -> Option<(usize, &'db RunHistory)> {
         debug_assert_eq!(self.runs, db.len(), "index is stale for this db");
         let _timer = crate::obs::db_classify_seconds().start_timer();
-        let group = self.group(observed.len())?;
         let mut best: Option<(f64, usize)> = None;
-        match &group.root {
-            None => {
-                for &i in &group.runs {
-                    consider(db, i, observed, &mut best);
+        if let Some(group) = self.group(observed.len()) {
+            match &group.root {
+                None => {
+                    for &i in &group.runs {
+                        consider(db, i, observed, &mut best);
+                    }
+                }
+                Some(root) => {
+                    search_nearest(db, group, root, observed, &mut best);
                 }
             }
-            Some(root) => {
-                search_nearest(db, group, root, observed, &mut best);
-            }
         }
-        best.map(|(_, i)| (i, &db.runs()[i]))
+        for i in self.tail(db, observed.len()) {
+            consider(db, i, observed, &mut best);
+        }
+        best.map(|(_, i)| (i, &*db.runs()[i]))
     }
 
     /// Indexed equivalent of [`ExperienceDb::nearest_k`]: the `k`
@@ -133,29 +181,38 @@ impl CharacteristicsIndex {
         k: usize,
     ) -> Vec<(usize, &'db RunHistory)> {
         debug_assert_eq!(self.runs, db.len(), "index is stale for this db");
-        let Some(group) = self.group(observed.len()) else {
-            return Vec::new();
-        };
         if k == 0 {
             return Vec::new();
         }
         let mut best = KBest::new(k);
-        match &group.root {
-            None => {
-                for &i in &group.runs {
-                    best.offer(euclidean_sq(&db.runs()[i].characteristics, observed), i);
+        if let Some(group) = self.group(observed.len()) {
+            match &group.root {
+                None => {
+                    for &i in &group.runs {
+                        best.offer(euclidean_sq(&db.runs()[i].characteristics, observed), i);
+                    }
                 }
+                Some(root) => search_k(db, group, root, observed, &mut best),
             }
-            Some(root) => search_k(db, group, root, observed, &mut best),
+        }
+        for i in self.tail(db, observed.len()) {
+            best.offer(euclidean_sq(&db.runs()[i].characteristics, observed), i);
         }
         best.into_sorted()
             .into_iter()
-            .map(|(_, i)| (i, &db.runs()[i]))
+            .map(|(_, i)| (i, &*db.runs()[i]))
             .collect()
     }
 
     fn group(&self, dims: usize) -> Option<&DimGroup> {
         self.groups.iter().find(|(d, _)| *d == dims).map(|(_, g)| g)
+    }
+
+    /// Runs of dimensionality `dims` appended since the groups were
+    /// built. Scanned whether or not a group for `dims` exists: a
+    /// dimensionality may have appeared only in the tail.
+    fn tail<'a>(&self, db: &'a ExperienceDb, dims: usize) -> impl Iterator<Item = usize> + 'a {
+        (self.indexed..self.runs).filter(move |&i| db.runs()[i].characteristics.len() == dims)
     }
 }
 
@@ -357,7 +414,15 @@ mod tests {
     }
 
     fn assert_identical(db: &ExperienceDb, observed: &[f64], k: usize) {
-        let index = CharacteristicsIndex::build(db);
+        assert_index_matches_scan(&CharacteristicsIndex::build(db), db, observed, k);
+    }
+
+    fn assert_index_matches_scan(
+        index: &CharacteristicsIndex,
+        db: &ExperienceDb,
+        observed: &[f64],
+        k: usize,
+    ) {
         let lin = db.classify(observed).map(|(i, _)| i);
         let idx = index.classify(db, observed).map(|(i, _)| i);
         assert_eq!(idx, lin, "classify diverged at {observed:?}");
@@ -387,6 +452,77 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Grow a database one run at a time, carrying the index forward
+    /// with `extended` the way the daemon does, and compare against the
+    /// scan after every append.
+    #[test]
+    fn property_extended_index_matches_linear_at_every_append() {
+        const LATE_DIMS: usize = 6;
+        let mut rng = Rng(0xD1B54A32D192ED03);
+        for case in 0..4 {
+            let dims: &[usize] = if case % 2 == 0 { &[2] } else { &[1, 2, 4] };
+            // One dimensionality first shows up just after a rebuild, so
+            // for a while it exists in the tail only, with no group.
+            let late_from = REBUILD_TAIL + 3 + case;
+            let mut db = ExperienceDb::new();
+            let mut index = db.build_index();
+            let mut rebuilds = 0;
+            let mut tail_only_dims_seen = false;
+            for i in 0..3 * REBUILD_TAIL + LINEAR_FALLBACK + 9 {
+                // A quarter of the runs repeat an earlier vector exactly:
+                // the tail and the trees then hold equal-distance runs
+                // and only the run-index tie-break separates them.
+                let ch: Vec<f64> = if i > 0 && rng.usize(4) == 0 {
+                    db.runs()[rng.usize(i)].characteristics.clone()
+                } else if i >= late_from && rng.usize(5) == 0 {
+                    (0..LATE_DIMS).map(|_| rng.f64()).collect()
+                } else {
+                    let d = dims[rng.usize(dims.len())];
+                    (0..d).map(|_| rng.f64()).collect()
+                };
+                db.add_run(run(&format!("r{i}"), ch.clone(), i as f64));
+                let next = index.extended(&db);
+                assert_eq!(next.len(), db.len());
+                assert!(db.len() - next.indexed < REBUILD_TAIL, "tail is bounded");
+                if next.indexed == index.indexed {
+                    assert!(Arc::ptr_eq(&next.groups, &index.groups), "trees shared");
+                } else {
+                    assert_eq!(next.indexed, db.len(), "a rebuild covers every run");
+                    rebuilds += 1;
+                }
+                index = next;
+                tail_only_dims_seen |= ch.len() == LATE_DIMS && index.group(LATE_DIMS).is_none();
+
+                let mut queries = vec![ch];
+                for &d in dims.iter().chain([&LATE_DIMS]) {
+                    queries.push((0..d).map(|_| rng.f64()).collect());
+                }
+                for observed in &queries {
+                    for k in [1, 3, db.len() + 1] {
+                        assert_index_matches_scan(&index, &db, observed, k);
+                    }
+                }
+            }
+            assert!(rebuilds >= 3, "crossed the rebuild threshold {rebuilds}x");
+            assert!(
+                tail_only_dims_seen,
+                "a dimensionality lived in the tail only"
+            );
+            let biggest = index.groups.iter().map(|(_, g)| g.runs.len()).max();
+            assert!(biggest >= Some(LINEAR_FALLBACK), "a group grew into a tree");
+        }
+    }
+
+    #[test]
+    fn extending_by_nothing_shares_everything() {
+        let mut rng = Rng(7);
+        let db = random_db(&mut rng, 40, &[3]);
+        let index = db.build_index();
+        let same = index.extended(&db);
+        assert!(Arc::ptr_eq(&same.groups, &index.groups));
+        assert_eq!((same.indexed, same.len()), (40, 40));
     }
 
     #[test]

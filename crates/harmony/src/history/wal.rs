@@ -190,6 +190,33 @@ mod tests {
         fs::remove_file(&path).ok();
     }
 
+    /// The journal takes runs out of an `Arc`-sharing database and must
+    /// write the lines it always wrote.
+    #[test]
+    fn journal_bytes_are_one_compact_line_per_run() {
+        let path = temp("fixed-format.wal");
+        let mut w = WalWriter::open(&path).unwrap();
+        let db = crate::history::db::tests::fixed_db();
+        for r in db.runs() {
+            w.append_run(r).unwrap();
+        }
+        assert_eq!(
+            fs::read_to_string(&path).unwrap(),
+            concat!(
+                r#"{"label":"shopping","characteristics":[0.25,0.75],"records":"#,
+                r#"[{"values":[4,-5],"performance":77.5},{"values":[6,7],"performance":80.0}]}"#,
+                "\n",
+                r#"{"label":"empty","characteristics":[],"records":[]}"#,
+                "\n"
+            )
+        );
+        assert_eq!(
+            load_with_wal("/nonexistent/harmony/s.json", &path).unwrap(),
+            db
+        );
+        fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn missing_journal_is_empty() {
         assert!(replay("/nonexistent/harmony/x.wal").unwrap().is_empty());

@@ -9,32 +9,39 @@
 //!   token that hashes onto itself (it draws candidates until one
 //!   does), so a session's creator is always its ring owner and
 //!   clients are never redirected at start. The owner replicates the
-//!   session's state to the token's ring successors after every
-//!   mutation; if the owner dies, a successor adopts the session when
-//!   the client's `Resume` lands on it.
+//!   session to the token's ring successors — the whole record when
+//!   the session starts, then one step per `Report` carrying the
+//!   observation it added; if the owner dies, a successor adopts the
+//!   session when the client's `Resume` lands on it.
 //! * **Recorded runs.** A run's home shard is the ring owner of its
 //!   workload-characteristics vector (the same k-d coordinates the
 //!   `CharacteristicsIndex` partitions). Whoever records a run ships
-//!   the WAL line to the home shard and its successors until
-//!   `replication` members hold it, so killing any single daemon
-//!   loses nothing at `replication >= 2`.
+//!   it to the home shard and its successors until `replication`
+//!   members hold it, so killing any single daemon loses nothing at
+//!   `replication >= 2`.
 //!
 //! Shipping rides the ordinary client protocol: a peer link dials the
 //! target's one listener, negotiates `Hello` like any client (binary
 //! framing on v3), then authorizes itself with `PeerHello`. Only after
-//! that handshake will the receiving daemon honor `PeerShipRun` /
-//! `PeerShipSession` / `PeerDropSession` — on client-facing
-//! connections the whole `Peer*` family is refused. Replicated applies
+//! that handshake will the receiving daemon honor `PeerShipSession` /
+//! `PeerShipStep` / `PeerShipRun` / `PeerDropSession` — on
+//! client-facing connections the whole `Peer*` family is refused. A
+//! replica that cannot apply a step (it holds no record for the token,
+//! or one of a different length: it restarted, or a ship to it was
+//! lost) refuses it in-protocol and is sent the whole record on the
+//! same link, so a replica is never behind by more than the steps
+//! whose transport failed. Replicated applies
 //! are local-only (a daemon never re-ships what a peer shipped to it),
 //! which keeps the fan-out a single hop and free of cycles.
 
 use crate::codec::{clamp_scratch, read_frame_buf_as, write_frame_buf_as, WireFormat};
 use crate::protocol::{Request, Response, MIN_SUPPORTED_VERSION, PROTOCOL_VERSION};
 use crate::NetError;
+use harmony::history::RunHistory;
 use std::collections::HashMap;
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 /// Virtual nodes per ring member. Enough that token load stays within
@@ -152,19 +159,23 @@ impl HashRing {
     /// the key. Returns fewer than `k` only when the ring has fewer
     /// members.
     pub fn successors(&self, hash: u64, k: usize) -> Vec<&str> {
+        self.successor_indices(hash, k)
+            .map(|idx| self.members[idx].as_str())
+            .collect()
+    }
+
+    /// [`successors`](Self::successors) as indices into
+    /// [`members`](Self::members), without allocating. A point's member
+    /// is new if no earlier point of the walk belongs to it; the walk
+    /// to `k` distinct members is a handful of points, so looking back
+    /// over it costs less than remembering it would.
+    fn successor_indices(&self, hash: u64, k: usize) -> impl Iterator<Item = usize> + '_ {
         let start = self.points.partition_point(|&(p, _)| p < hash);
-        let mut out: Vec<&str> = Vec::with_capacity(k.min(self.members.len()));
-        for step in 0..self.points.len() {
-            let (_, idx) = self.points[(start + step) % self.points.len()];
-            let addr = self.members[idx].as_str();
-            if !out.contains(&addr) {
-                out.push(addr);
-                if out.len() == k {
-                    break;
-                }
-            }
-        }
-        out
+        let member_at = move |step: usize| self.points[(start + step) % self.points.len()].1;
+        (0..self.points.len())
+            .filter(move |&step| (0..step).all(|earlier| member_at(earlier) != member_at(step)))
+            .map(member_at)
+            .take(k)
     }
 }
 
@@ -388,23 +399,32 @@ impl ClusterState {
     /// token's ring successors after the owner, `replication - 1` of
     /// them, never this daemon itself.
     pub fn session_replica_targets(&self, token: &str) -> Vec<String> {
-        self.targets(ring_hash(token.as_bytes()))
+        self.addrs(self.session_targets(token))
     }
 
     /// The peers that must hold a run recorded with `characteristics`:
     /// the home shard and its successors until `replication` members
     /// hold the run, minus this daemon (which applies locally).
     pub fn run_replica_targets(&self, characteristics: &[f64]) -> Vec<String> {
-        self.targets(characteristics_hash(characteristics))
+        self.addrs(self.targets(characteristics_hash(characteristics)))
     }
 
-    fn targets(&self, hash: u64) -> Vec<String> {
+    fn session_targets(&self, token: &str) -> impl Iterator<Item = usize> + '_ {
+        self.targets(ring_hash(token.as_bytes()))
+    }
+
+    /// The replica set of a ring coordinate as indices into
+    /// `config.peers` (and so into `links`). The ring is built from
+    /// [`ClusterConfig::members`], which lists this daemon first:
+    /// member 0 is not a target, member `i + 1` is peer `i`.
+    fn targets(&self, hash: u64) -> impl Iterator<Item = usize> + '_ {
         self.ring
-            .successors(hash, self.config.replication)
-            .into_iter()
-            .filter(|a| *a != self.config.self_addr)
-            .map(String::from)
-            .collect()
+            .successor_indices(hash, self.config.replication)
+            .filter_map(|member| member.checked_sub(1))
+    }
+
+    fn addrs(&self, peers: impl Iterator<Item = usize>) -> Vec<String> {
+        peers.map(|idx| self.config.peers[idx].clone()).collect()
     }
 
     /// Record that `(origin, seq)` arrived; `false` means it was
@@ -419,24 +439,28 @@ impl ClusterState {
         true
     }
 
-    /// The locked outbound link to peer `addr`.
-    fn link(&self, addr: &str) -> Option<MutexGuard<'_, PeerLink>> {
-        let idx = self.config.peers.iter().position(|p| p == addr)?;
-        Some(self.links[idx].lock().unwrap())
+    /// The locked outbound link to peer `idx` of `config.peers`.
+    fn link(&self, idx: usize) -> MutexGuard<'_, PeerLink> {
+        self.links[idx].lock().unwrap()
     }
 
-    /// [`ship_on`](Self::ship_on) the link to peer `addr`.
-    fn ship_to(&self, addr: &str, request: &Request) -> bool {
-        self.link(addr)
-            .is_some_and(|mut link| self.ship_on(&mut link, addr, request))
+    /// One request to peer `idx` on its locked link.
+    fn exchange(
+        &self,
+        link: &mut PeerLink,
+        idx: usize,
+        request: &Request,
+    ) -> Result<Response, NetError> {
+        link.ship(&self.config.peers[idx], &self.config.self_addr, request)
     }
 
     /// Ship one request to one peer, counting the outcome. An
     /// in-protocol `Error` from the peer counts as a ship failure too.
-    /// Failures are tolerated: the caller keeps serving, the replica
-    /// is simply missing until the next mutation re-ships state.
-    fn ship_on(&self, link: &mut PeerLink, addr: &str, request: &Request) -> bool {
-        match link.ship(addr, &self.config.self_addr, request) {
+    /// Failures are tolerated: the caller keeps serving, and a session
+    /// replica left behind is resynchronised when it refuses the next
+    /// step (see [`ship_step`](Self::ship_step)).
+    fn ship_on(&self, link: &mut PeerLink, idx: usize, request: &Request) -> bool {
+        match self.exchange(link, idx, request) {
             Ok(Response::PeerOk) => true,
             Ok(_) | Err(_) => {
                 crate::obs::peer_ship_failures_total().inc();
@@ -445,48 +469,83 @@ impl ClusterState {
         }
     }
 
-    /// Replicate one recorded run (`line` is the WAL's serialized
-    /// `RunHistory` JSON line) to every member that must hold it.
-    pub fn ship_run(&self, characteristics: &[f64], line: &str) {
-        for addr in self.run_replica_targets(characteristics) {
-            let Some(mut link) = self.link(&addr) else {
-                continue;
-            };
+    /// Replicate one recorded run to every member that must hold it.
+    pub fn ship_run(&self, run: &Arc<RunHistory>) {
+        for idx in self.targets(characteristics_hash(&run.characteristics)) {
+            let mut link = self.link(idx);
             let request = Request::PeerShipRun {
                 origin: self.config.self_addr.clone(),
                 seq: link.next_run_seq(),
-                line: line.to_string(),
+                run: Arc::clone(run),
             };
-            if self.ship_on(&mut link, &addr, &request) {
+            if self.ship_on(&mut link, idx, &request) {
                 crate::obs::peer_runs_shipped_total().inc();
             }
         }
     }
 
-    /// Replicate one session snapshot (`session` is a serialized
-    /// `SessionRecord`, the same shape `<db>.sessions` holds) to
-    /// the token's replica set.
-    pub fn ship_session(&self, token: &str, session: &str) {
-        let request = Request::PeerShipSession {
+    fn session_request(&self, session: String) -> Request {
+        Request::PeerShipSession {
             origin: self.config.self_addr.clone(),
-            session: session.to_string(),
-        };
-        for addr in self.session_replica_targets(token) {
-            if self.ship_to(&addr, &request) {
+            session,
+        }
+    }
+
+    /// Replicate a whole session record (`session` is a serialized
+    /// `SessionRecord`, the same shape `<db>.sessions` holds) to the
+    /// token's replica set: what a session's start sends.
+    pub fn ship_session(&self, token: &str, session: String) {
+        let request = self.session_request(session);
+        for idx in self.session_targets(token) {
+            if self.ship_on(&mut self.link(idx), idx, &request) {
                 crate::obs::peer_sessions_shipped_total().inc();
             }
         }
     }
 
-    /// Tell the token's replica set the session ended and the replicas
-    /// can be dropped.
+    /// Replicate one observation — `step` is a `PeerShipStep` — to the
+    /// token's replica set. A replica that refuses it (it restarted, or
+    /// an earlier step never reached it) is sent the whole record
+    /// instead, serialized by `session` only then, on the same locked
+    /// link so no later step can overtake the resynchronisation. A
+    /// transport failure is counted and left at that: the peer is
+    /// probably down, a second dial would double what its absence costs
+    /// every `Report`, and the next step it does receive is refused as
+    /// a gap and resynchronises it.
+    pub fn ship_step(&self, token: &str, step: &Request, session: impl Fn() -> Option<String>) {
+        for idx in self.session_targets(token) {
+            let mut link = self.link(idx);
+            let shipped = match self.exchange(&mut link, idx, step) {
+                Ok(Response::PeerOk) => true,
+                Ok(_) => {
+                    let resynced = session().is_some_and(|session| {
+                        self.ship_on(&mut link, idx, &self.session_request(session))
+                    });
+                    if resynced {
+                        crate::obs::peer_session_resyncs_total().inc();
+                    }
+                    resynced
+                }
+                Err(_) => {
+                    crate::obs::peer_ship_failures_total().inc();
+                    false
+                }
+            };
+            if shipped {
+                crate::obs::peer_sessions_shipped_total().inc();
+            }
+        }
+    }
+
+    /// Tell the token's replica set the session is over and the
+    /// replicas can be dropped.
     pub fn drop_session(&self, token: &str) {
         let request = Request::PeerDropSession {
             origin: self.config.self_addr.clone(),
             token: token.to_string(),
         };
-        for addr in self.session_replica_targets(token) {
-            self.ship_to(&addr, &request);
+        for idx in self.session_targets(token) {
+            self.ship_on(&mut self.link(idx), idx, &request);
         }
     }
 }
@@ -662,10 +721,10 @@ mod tests {
         let peer = start();
         let first = start();
         for _ in 0..3 {
-            let seq = first.link("b:1").unwrap().next_run_seq();
+            let seq = first.link(0).next_run_seq();
             assert!(peer.apply_shipped("a:1", seq));
         }
-        let seq = start().link("b:1").unwrap().next_run_seq();
+        let seq = start().link(0).next_run_seq();
         assert!(peer.apply_shipped("a:1", seq), "successor's run dropped");
     }
 
@@ -685,6 +744,15 @@ mod tests {
                 // Owner + one successor, owner filtered out.
                 assert_eq!(targets.len(), 1, "{t}");
             }
+            // The peer indices the ship paths walk name the ring's
+            // successors, in ring order, minus this daemon.
+            let by_address: Vec<&str> = state
+                .ring
+                .successors(ring_hash(t.as_bytes()), 2)
+                .into_iter()
+                .filter(|a| *a != "a:1")
+                .collect();
+            assert_eq!(targets, by_address, "{t}");
         }
         // Characteristics hashing is bit-stable.
         assert_eq!(

@@ -31,8 +31,9 @@
 //! * [`fault`] — a fault-injection proxy the resilience suite uses to
 //!   cut, truncate, or delay frames on a seeded schedule.
 //! * [`cluster`] — multi-daemon mode: a consistent-hash ring routes
-//!   sessions and shards recorded runs across peers, WAL lines and
-//!   session snapshots ship between daemons over the `Peer*` message
+//!   sessions and shards recorded runs across peers, recorded runs
+//!   and session records (whole at the start, one observation per
+//!   `Report` after it) ship between daemons over the `Peer*` message
 //!   family, and a surviving peer adopts a dead peer's sessions when
 //!   the client's `Resume` lands on it.
 //!

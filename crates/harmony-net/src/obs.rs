@@ -37,11 +37,12 @@
 //! | `harmony_net_frame_bytes_total{format=…}` | counter | payload bytes encoded, by wire format (the json − binary gap is the bytes saved) |
 //! | `harmony_net_peer_connections_total` | counter | inbound peer links authorized via `PeerHello` |
 //! | `harmony_net_peer_runs_shipped_total` | counter | recorded runs shipped to replica peers |
-//! | `harmony_net_peer_sessions_shipped_total` | counter | session snapshots shipped to replica peers |
+//! | `harmony_net_peer_sessions_shipped_total` | counter | session mutations replicated to peers (a step per `Report`, a full record at start or resync) |
+//! | `harmony_net_peer_session_resyncs_total` | counter | full session records shipped because a replica refused a step |
 //! | `harmony_net_peer_ship_failures_total` | counter | peer ships that failed (peer down or refusing) |
 //! | `harmony_net_shard_adoptions_total` | counter | replicated sessions adopted after their owner died |
 //! | `harmony_net_shard_redirects_total` | counter | `Resume` requests redirected with `NotMine` |
-//! | `harmony_net_shard_replica_sessions_entries` | gauge | replicated session snapshots currently held for peers |
+//! | `harmony_net_shard_replica_sessions_entries` | gauge | replicated session records currently held for peers |
 //!
 //! The harmony crate's WAL metrics (`harmony_db_wal_appends_total`,
 //! `harmony_db_wal_flush_seconds`, `harmony_db_compactions_total`) share
@@ -317,7 +318,16 @@ handle!(
     Counter,
     global().counter(
         "harmony_net_peer_sessions_shipped_total",
-        "Session snapshots shipped to replica peers.",
+        "Session mutations replicated to peers: one step per Report, one full record per start or resync.",
+    )
+);
+
+handle!(
+    peer_session_resyncs_total,
+    Counter,
+    global().counter(
+        "harmony_net_peer_session_resyncs_total",
+        "Full session records shipped because a replica refused a step (it restarted, or missed one).",
     )
 );
 
@@ -326,7 +336,7 @@ handle!(
     Counter,
     global().counter(
         "harmony_net_peer_ship_failures_total",
-        "Peer ships that failed (peer down or refusing); the replica catches up on the next ship.",
+        "Peer ships that failed (peer down or refusing); a session replica catches up when it refuses the next step.",
     )
 );
 
@@ -353,7 +363,7 @@ handle!(
     Gauge,
     global().gauge(
         "harmony_net_shard_replica_sessions_entries",
-        "Replicated session snapshots currently held on behalf of peers.",
+        "Replicated session records currently held on behalf of peers.",
     )
 );
 
@@ -377,9 +387,10 @@ pub(crate) const REQUEST_KINDS: &[&str] = &[
     "Stats",
     "TraceDump",
     "PeerHello",
-    "PeerShipRun",
     "PeerShipSession",
     "PeerDropSession",
+    "PeerShipStep",
+    "PeerShipRun",
 ];
 
 pub(crate) fn request_metrics(kind: &'static str) -> &'static RequestMetrics {
@@ -454,6 +465,7 @@ pub(crate) fn preregister() {
     peer_connections_total();
     peer_runs_shipped_total();
     peer_sessions_shipped_total();
+    peer_session_resyncs_total();
     peer_ship_failures_total();
     shard_adoptions_total();
     shard_redirects_total();

@@ -21,7 +21,9 @@
 //!                    ◀──────────   SessionSummary { best, … }
 //! ```
 
+use harmony::history::RunHistory;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Newest protocol version spoken by this build; bump on any message
 /// change. Version 2 added `Resume`/`Resumed`, `Draining`, report
@@ -161,35 +163,59 @@ pub enum Request {
         /// The dialing daemon's advertised address (its ring identity).
         node: String,
     },
-    /// Replicate one recorded run: `line` is the WAL's serialized
-    /// `RunHistory` JSON line, applied verbatim to the receiver's
-    /// database (never re-shipped — replication is a single hop).
+    /// Replicate one live session's whole state: `session` is a
+    /// serialized persisted-session record, the same shape
+    /// `<db>.sessions` holds across restarts. Sent when the session
+    /// starts and again whenever a replica refuses a
+    /// [`Request::PeerShipStep`]; the receiver replaces whatever it held
+    /// for the token and adopts the record if the owner dies and the
+    /// client's `Resume` lands here.
+    PeerShipSession {
+        /// The shipping daemon's advertised address.
+        origin: String,
+        /// The serialized session record (token included).
+        session: String,
+    },
+    /// The session ended at its owner (or expired there); replicas drop
+    /// their records.
+    PeerDropSession {
+        /// The shipping daemon's advertised address.
+        origin: String,
+        /// Token of the finished session.
+        token: String,
+    },
+    /// Replicate one observation: the trace entry a `Report` just
+    /// appended to the session `token` names, plus the record's
+    /// `next_seq` after it. A replica holding exactly `iteration`
+    /// entries appends it; one holding `iteration + 1` whose last entry
+    /// equals this one was reached by a retried delivery and changes
+    /// nothing; both answer `PeerOk`. Anything else — no replica, a
+    /// shorter or a longer trace — is refused with an `Error`, and the
+    /// sender follows up with the full [`Request::PeerShipSession`].
+    PeerShipStep {
+        /// Token of the session the entry belongs to.
+        token: String,
+        /// The entry's 0-based position in the session's trace.
+        iteration: usize,
+        /// The next `Report` sequence number the owner accepts.
+        next_seq: u64,
+        /// The measured configuration, in space order.
+        values: Vec<i64>,
+        /// Its measured performance.
+        performance: f64,
+    },
+    /// Replicate one recorded run, applied to the receiver's database
+    /// as it stands (never re-shipped — replication is a single hop).
+    /// Binary tag 16: tag 12 carried the run as a JSON line and is
+    /// retired.
     PeerShipRun {
         /// The shipping daemon's advertised address.
         origin: String,
         /// Origin-monotonic sequence number; the receiver applies each
         /// `(origin, seq)` once, so a retried ship cannot double-count.
         seq: u64,
-        /// One serialized `RunHistory`, exactly as the WAL stores it.
-        line: String,
-    },
-    /// Replicate one live session's state: `session` is a serialized
-    /// persisted-session snapshot, the same shape `<db>.sessions`
-    /// holds across restarts. The receiver keeps the latest snapshot
-    /// per token and adopts it if the owner dies and the client's
-    /// `Resume` lands here.
-    PeerShipSession {
-        /// The shipping daemon's advertised address.
-        origin: String,
-        /// The serialized session snapshot (token included).
-        session: String,
-    },
-    /// The session ended at its owner; replicas drop their snapshots.
-    PeerDropSession {
-        /// The shipping daemon's advertised address.
-        origin: String,
-        /// Token of the finished session.
-        token: String,
+        /// The run, shared with the shipper's own database.
+        run: Arc<RunHistory>,
     },
 }
 
@@ -212,9 +238,10 @@ impl Request {
             Request::Traced { request, .. } => request.kind(),
             Request::TraceDump => "TraceDump",
             Request::PeerHello { .. } => "PeerHello",
-            Request::PeerShipRun { .. } => "PeerShipRun",
             Request::PeerShipSession { .. } => "PeerShipSession",
             Request::PeerDropSession { .. } => "PeerDropSession",
+            Request::PeerShipStep { .. } => "PeerShipStep",
+            Request::PeerShipRun { .. } => "PeerShipRun",
         }
     }
 }
@@ -454,14 +481,11 @@ mod tests {
 
     #[test]
     fn peer_messages_round_trip_and_have_stable_kinds() {
+        let mut run = RunHistory::new("w", vec![0.25, 0.75]);
+        run.push(&harmony_space::Configuration::new(vec![3, -1]), 0.1);
         let messages = [
             Request::PeerHello {
                 node: "127.0.0.1:7701".into(),
-            },
-            Request::PeerShipRun {
-                origin: "127.0.0.1:7701".into(),
-                seq: 3,
-                line: "{\"label\":\"w\"}".into(),
             },
             Request::PeerShipSession {
                 origin: "127.0.0.1:7701".into(),
@@ -471,12 +495,25 @@ mod tests {
                 origin: "127.0.0.1:7701".into(),
                 token: "hs-1-1".into(),
             },
+            Request::PeerShipStep {
+                token: "hs-1-1".into(),
+                iteration: 4,
+                next_seq: 5,
+                values: vec![3, -1],
+                performance: 0.1,
+            },
+            Request::PeerShipRun {
+                origin: "127.0.0.1:7701".into(),
+                seq: 3,
+                run: Arc::new(run),
+            },
         ];
         let kinds = [
             "PeerHello",
-            "PeerShipRun",
             "PeerShipSession",
             "PeerDropSession",
+            "PeerShipStep",
+            "PeerShipRun",
         ];
         for (msg, kind) in messages.iter().zip(kinds) {
             assert_eq!(msg.kind(), kind);

@@ -478,10 +478,10 @@ pub(crate) struct Shared {
     pub(crate) draining: AtomicBool,
     /// The peer ring and outbound links; `None` when clustering is off.
     cluster: Option<Arc<ClusterState>>,
-    /// Session snapshots replicated here on behalf of peer owners,
-    /// keyed by token: if the owner dies, the client's `Resume` lands
-    /// here (the token's next ring successor) and the snapshot becomes
-    /// a live adopted session.
+    /// Session records replicated here on behalf of peer owners, keyed
+    /// by token and kept current by the owner's steps: if the owner
+    /// dies, the client's `Resume` lands here (the token's next ring
+    /// successor) and the record becomes a live adopted session.
     replicas: Mutex<HashMap<String, SessionRecord>>,
 }
 
@@ -510,24 +510,61 @@ impl Shared {
     }
 
     /// [`record_run`](Self::record_run) plus cluster fan-out: ship the
-    /// run's WAL line to its replica set before applying it locally.
+    /// run to its replica set before applying it locally.
     /// Locally-originated recordings come through here; peer-shipped
     /// ones call `record_run` directly, which is what keeps replication
     /// a single hop (a daemon never re-ships what a peer shipped to it).
     fn record_run_and_replicate(&self, run: Arc<RunHistory>) {
         if let Some(cluster) = &self.cluster {
-            if let Ok(line) = serde_json::to_string(&*run) {
-                cluster.ship_run(&run.characteristics, &line);
-            }
+            cluster.ship_run(&run);
         }
         self.record_run(run);
     }
 
-    /// Hold a peer-shipped session snapshot for possible adoption.
-    fn store_replica(&self, token: String, snapshot: SessionRecord) {
+    /// A session is over for good — ended by its client, or expired by
+    /// the reaper: its replicas have nothing left to fail over to.
+    /// (Shutdown does not come through here: the replicas are what the
+    /// parked sessions' clients resume from.)
+    fn retire(&self, token: &str) {
+        if let Some(cluster) = &self.cluster {
+            cluster.drop_session(token);
+        }
+    }
+
+    /// Hold a peer-shipped session record for possible adoption,
+    /// replacing whatever was held for the token.
+    fn store_replica(&self, token: String, record: SessionRecord) {
         let mut replicas = self.replicas.lock().expect("replica store poisoned");
-        replicas.insert(token, snapshot);
+        replicas.insert(token, record);
         crate::obs::shard_replica_sessions_entries().set(replicas.len() as i64);
+    }
+
+    /// Append one peer-shipped observation to the replica it continues.
+    /// `Err` is the refusal that makes the owner ship the whole record:
+    /// there is no replica for the token, or `entry` is not the next
+    /// one of the trace held (nor a second delivery of its last).
+    fn apply_step(&self, token: &str, entry: TraceEntry, next_seq: u64) -> Result<(), String> {
+        let mut replicas = self.replicas.lock().expect("replica store poisoned");
+        let Some(replica) = replicas.get_mut(token) else {
+            return Err(format!("no replica of session {token}"));
+        };
+        let held = replica.trace.len();
+        if held == entry.iteration + 1 && replica.trace[entry.iteration] == entry {
+            // A retried delivery of the step applied last.
+            return Ok(());
+        }
+        let continues = held == entry.iteration
+            && entry.config.len() == replica.space.len()
+            && entry.performance.is_finite();
+        if !continues {
+            return Err(format!(
+                "step {} does not continue the {held} observations held for session {token}",
+                entry.iteration
+            ));
+        }
+        replica.trace.push(entry);
+        replica.next_seq = next_seq;
+        Ok(())
     }
 
     /// Drop a replica (its session ended at the owner).
@@ -667,17 +704,38 @@ fn build_session(record: SessionRecord, config: &DaemonConfig) -> Result<ActiveS
     })
 }
 
-/// Replicate a live session's current state to the token's replica
-/// set, synchronously — the client's acknowledgment must imply the
-/// replicas saw the mutation, or a failover could lose acknowledged
-/// progress. No-op without a cluster or a token.
+/// Replicate a live session's whole record to the token's replica set:
+/// how a replica comes to exist when the session starts. Synchronous,
+/// like [`ship_step`], and a no-op without a cluster or a token.
 fn ship_snapshot(shared: &Shared, sess: &ActiveSession) {
     let (Some(cluster), Some(token)) = (&shared.cluster, &sess.record.token) else {
         return;
     };
     if let Ok(text) = serde_json::to_string(&sess.record) {
-        cluster.ship_session(token, &text);
+        cluster.ship_session(token, text);
     }
+}
+
+/// Replicate the observation a `Report` just appended to the token's
+/// replica set, synchronously — the client's acknowledgment must imply
+/// the replicas hold it, or a failover could lose acknowledged
+/// progress. What travels is that one trace entry; the whole record
+/// follows only to a replica that refuses the step.
+fn ship_step(shared: &Shared, sess: &ActiveSession) {
+    let (Some(cluster), Some(token)) = (&shared.cluster, &sess.record.token) else {
+        return;
+    };
+    let Some(entry) = sess.record.trace.last() else {
+        return;
+    };
+    let step = Request::PeerShipStep {
+        token: token.clone(),
+        iteration: entry.iteration,
+        next_seq: sess.record.next_seq,
+        values: entry.config.values().to_vec(),
+        performance: entry.performance,
+    };
+    cluster.ship_step(token, &step, || serde_json::to_string(&sess.record).ok());
 }
 
 /// A persisted session this version cannot read or rebuild — one written
@@ -863,8 +921,12 @@ fn reaper_loop(shared: &Arc<Shared>) {
                 .str("label", &sess.record.label)
                 .u64("iterations", sess.iterations() as u64)
                 .emit();
+            let token = sess.record.token.clone();
             if sess.iterations() > 0 {
                 record_session(sess, shared);
+            }
+            if let Some(token) = token {
+                shared.retire(&token);
             }
         }
     }
@@ -1458,7 +1520,7 @@ fn handle_request(request: Request, conn: &mut ConnState, shared: &Shared) -> Re
                     };
                 }
                 // A replica shipped here by a peer owner: the owner is
-                // gone (the client failed over to us), so the snapshot
+                // gone (the client failed over to us), so the record
                 // becomes a live adopted session. Served-locally-first:
                 // anything this daemon holds in any form answers here,
                 // and only a complete miss can redirect, so a session
@@ -1542,7 +1604,7 @@ fn handle_request(request: Request, conn: &mut ConnState, shared: &Shared) -> Re
                         }
                         // Replicate before acknowledging: the ack must
                         // imply a failover cannot lose this observation.
-                        ship_snapshot(shared, sess);
+                        ship_step(shared, sess);
                         Response::Reported
                     }
                     Err(message) => Response::Error { message },
@@ -1567,10 +1629,7 @@ fn handle_request(request: Request, conn: &mut ConnState, shared: &Shared) -> Re
                     shared
                         .registry
                         .cache_summary(token.clone(), summary.clone());
-                    // The session is over; its replicas can be dropped.
-                    if let Some(cluster) = &shared.cluster {
-                        cluster.drop_session(&token);
-                    }
+                    shared.retire(&token);
                 }
                 summary
             }
@@ -1640,24 +1699,21 @@ fn handle_request(request: Request, conn: &mut ConnState, shared: &Shared) -> Re
                 Response::PeerOk
             }
         },
-        Request::PeerShipRun { origin, seq, line } => match peer_cluster(conn, shared) {
+        Request::PeerShipRun { origin, seq, run } => match peer_cluster(conn, shared) {
             Err(message) => Response::Error { message },
+            // The binary encoding carries what `SessionStart` and
+            // `Report` refuse at the owner; hold the same line here.
+            Ok(_) if !is_journalable(&run) => Response::Error {
+                message: "shipped run holds a non-finite number".into(),
+            },
             Ok(cluster) => {
-                if !cluster.apply_shipped(&origin, seq) {
-                    // A retried ship re-delivered an applied run.
-                    return Response::PeerOk;
+                // A retried ship re-delivers an applied `(origin, seq)`
+                // and is dropped. Local apply only — never re-shipped,
+                // so the replication fan-out is one hop and cycle-free.
+                if cluster.apply_shipped(&origin, seq) {
+                    shared.record_run(run);
                 }
-                match serde_json::from_str::<RunHistory>(&line) {
-                    // Local apply only — never re-shipped, so the
-                    // replication fan-out is one hop and cycle-free.
-                    Ok(run) => {
-                        shared.record_run(Arc::new(run));
-                        Response::PeerOk
-                    }
-                    Err(e) => Response::Error {
-                        message: format!("bad shipped run: {e}"),
-                    },
-                }
+                Response::PeerOk
             }
         },
         Request::PeerShipSession { origin: _, session } => match peer_cluster(conn, shared) {
@@ -1666,8 +1722,8 @@ fn handle_request(request: Request, conn: &mut ConnState, shared: &Shared) -> Re
                 .map_err(|e| e.to_string())
                 .and_then(SessionRecord::tokened)
             {
-                Ok((token, snapshot)) => {
-                    shared.store_replica(token, snapshot);
+                Ok((token, record)) => {
+                    shared.store_replica(token, record);
                     Response::PeerOk
                 }
                 Err(e) => {
@@ -1685,6 +1741,25 @@ fn handle_request(request: Request, conn: &mut ConnState, shared: &Shared) -> Re
                 Response::PeerOk
             }
         },
+        Request::PeerShipStep {
+            token,
+            iteration,
+            next_seq,
+            values,
+            performance,
+        } => {
+            let entry = TraceEntry {
+                iteration,
+                config: Configuration::new(values),
+                performance,
+            };
+            match peer_cluster(conn, shared)
+                .and_then(|_| shared.apply_step(&token, entry, next_seq))
+            {
+                Ok(()) => Response::PeerOk,
+                Err(message) => Response::Error { message },
+            }
+        }
     }
 }
 
@@ -1739,6 +1814,13 @@ fn issue_self_owned_token(shared: &Shared) -> String {
     // Astronomically unlikely (see [`TOKEN_DRAWS`]); serve the session
     // anyway — a foreign-owned token only costs a redirect on resume.
     shared.registry.issue_token()
+}
+
+/// Whether every number in `run` has a JSON spelling. One that does not
+/// would make the journal and the snapshot it reaches unloadable.
+fn is_journalable(run: &RunHistory) -> bool {
+    let finite = |x: &f64| x.is_finite();
+    run.characteristics.iter().all(finite) && run.records.iter().all(|r| finite(&r.performance))
 }
 
 fn no_session() -> Response {
@@ -1939,6 +2021,7 @@ mod tests {
             "harmony_net_peer_connections_total",
             "harmony_net_peer_runs_shipped_total",
             "harmony_net_peer_sessions_shipped_total",
+            "harmony_net_peer_session_resyncs_total",
             "harmony_net_peer_ship_failures_total",
             "harmony_net_shard_adoptions_total",
             "harmony_net_shard_redirects_total",
@@ -2649,11 +2732,6 @@ mod tests {
             Request::PeerHello {
                 node: "127.0.0.1:1".into(),
             },
-            Request::PeerShipRun {
-                origin: "127.0.0.1:1".into(),
-                seq: 1,
-                line: "{}".into(),
-            },
             Request::PeerShipSession {
                 origin: "127.0.0.1:1".into(),
                 session: "{}".into(),
@@ -2661,6 +2739,18 @@ mod tests {
             Request::PeerDropSession {
                 origin: "127.0.0.1:1".into(),
                 token: "hs-1-1".into(),
+            },
+            Request::PeerShipStep {
+                token: "hs-1-1".into(),
+                iteration: 0,
+                next_seq: 1,
+                values: vec![1, 2],
+                performance: 1.0,
+            },
+            Request::PeerShipRun {
+                origin: "127.0.0.1:1".into(),
+                seq: 1,
+                run: run_at("shipped", 0.5),
             },
         ] {
             write_frame(&mut stream, &request).unwrap();
@@ -2703,7 +2793,7 @@ mod tests {
             &Request::PeerShipRun {
                 origin: "127.0.0.2:9".into(),
                 seq: 1,
-                line: "{}".into(),
+                run: run_at("shipped", 0.5),
             },
         )
         .unwrap();
@@ -2738,6 +2828,295 @@ mod tests {
             Response::PeerOk
         ));
         handle.shutdown();
+    }
+
+    /// Two clustered daemons in this process, each the other's ring
+    /// successor at replication 2: every tokened session one owns is
+    /// replicated to the other. Only characteristics within 0.25 of a
+    /// recorded run's warm-start from it, so a test chooses which of its
+    /// sessions start cold.
+    fn ring_pair(session_ttl: Duration) -> (DaemonHandle, DaemonHandle) {
+        let reserved: Vec<TcpListener> = (0..2)
+            .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
+            .collect();
+        let addrs: Vec<String> = reserved
+            .iter()
+            .map(|l| l.local_addr().unwrap().to_string())
+            .collect();
+        drop(reserved);
+        let member = |i: usize| {
+            let mut config = DaemonConfig::builder()
+                .listen(addrs[i].clone())
+                .cluster(addrs[i].clone(), vec![addrs[1 - i].clone()], 2)
+                .session_ttl(session_ttl)
+                .build()
+                .unwrap();
+            config.analyzer = DataAnalyzer::new().with_max_match_distance(0.25);
+            TuningDaemon::start(config).unwrap()
+        };
+        (member(0), member(1))
+    }
+
+    /// A raw protocol-v3 connection to a clustered daemon, authorized as
+    /// ring member `node`: what a peer link is after its handshake.
+    fn peer_link(handle: &DaemonHandle, node: &str) -> TcpStream {
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        write_frame(
+            &mut stream,
+            &Request::Hello {
+                version: None,
+                min_version: Some(3),
+                max_version: Some(3),
+                client: "test peer".into(),
+            },
+        )
+        .unwrap();
+        crate::codec::read_frame::<_, Response>(&mut stream).unwrap();
+        let hello = Request::PeerHello { node: node.into() };
+        assert_eq!(peer_exchange(&mut stream, &hello), Response::PeerOk);
+        stream
+    }
+
+    fn peer_exchange(stream: &mut TcpStream, request: &Request) -> Response {
+        let mut buf = Vec::new();
+        crate::codec::write_frame_buf_as(stream, WireFormat::Binary, request, &mut buf).unwrap();
+        crate::codec::read_frame_buf_as(stream, WireFormat::Binary, &mut buf).unwrap()
+    }
+
+    fn replica_text(holder: &DaemonHandle, token: &str) -> Option<String> {
+        let replicas = holder.shared.replicas.lock().unwrap();
+        replicas
+            .get(token)
+            .map(|r| serde_json::to_string(r).unwrap())
+    }
+
+    /// The step rule on the receiving side: the next entry is appended,
+    /// a second delivery of the last one changes nothing, and anything
+    /// that does not continue the trace held is refused.
+    #[test]
+    fn a_replica_applies_steps_in_order_and_refuses_the_rest() {
+        let (owner, holder) = ring_pair(Duration::from_secs(30));
+        let origin = owner.addr().to_string();
+        let mut link = peer_link(&holder, &origin);
+        let record = SessionRecord {
+            token: Some("hs-step-0".into()),
+            engine: None,
+            space: parse_rsl(RSL).unwrap(),
+            budget: 10,
+            trace: Vec::new(),
+            label: "stepped".into(),
+            characteristics: vec![0.5],
+            prior: None,
+            next_seq: 0,
+        };
+        let full = Request::PeerShipSession {
+            origin: origin.clone(),
+            session: serde_json::to_string(&record).unwrap(),
+        };
+        let step = |token: &str, iteration: usize| Request::PeerShipStep {
+            token: token.into(),
+            iteration,
+            next_seq: iteration as u64 + 1,
+            values: vec![iteration as i64, 7],
+            performance: 0.5 * iteration as f64,
+        };
+        let held = |holder: &DaemonHandle| {
+            let replicas = holder.shared.replicas.lock().unwrap();
+            replicas
+                .get("hs-step-0")
+                .map(|r| (r.trace.len(), r.next_seq))
+        };
+        let refused = |response: Response| matches!(response, Response::Error { .. });
+
+        assert!(refused(peer_exchange(&mut link, &step("hs-step-0", 0))));
+        assert_eq!(held(&holder), None, "a step never creates a replica");
+        assert_eq!(peer_exchange(&mut link, &full), Response::PeerOk);
+        for i in 0..3 {
+            assert_eq!(
+                peer_exchange(&mut link, &step("hs-step-0", i)),
+                Response::PeerOk
+            );
+            assert_eq!(held(&holder), Some((i + 1, i as u64 + 1)));
+        }
+        // The retried delivery of the last step: acknowledged, not applied.
+        assert_eq!(
+            peer_exchange(&mut link, &step("hs-step-0", 2)),
+            Response::PeerOk
+        );
+        assert_eq!(held(&holder), Some((3, 3)));
+        // Same position, different observation: not a retry.
+        let other = Request::PeerShipStep {
+            token: "hs-step-0".into(),
+            iteration: 2,
+            next_seq: 3,
+            values: vec![2, 8],
+            performance: 1.0,
+        };
+        assert!(refused(peer_exchange(&mut link, &other)));
+        // A gap ahead, a step from the past, an unknown token.
+        assert!(refused(peer_exchange(&mut link, &step("hs-step-0", 4))));
+        assert!(refused(peer_exchange(&mut link, &step("hs-step-0", 1))));
+        assert!(refused(peer_exchange(&mut link, &step("hs-other-0", 0))));
+        assert_eq!(
+            held(&holder),
+            Some((3, 3)),
+            "a refused step applies nothing"
+        );
+        // The session ended: its next step finds nothing to continue.
+        let ended = Request::PeerDropSession {
+            origin,
+            token: "hs-step-0".into(),
+        };
+        assert_eq!(peer_exchange(&mut link, &ended), Response::PeerOk);
+        assert!(refused(peer_exchange(&mut link, &step("hs-step-0", 3))));
+        assert_eq!(held(&holder), None);
+        owner.shutdown();
+        holder.shutdown();
+    }
+
+    /// The sending side of a refusal: whatever put the replica out of
+    /// step — an entry it lost, the whole record gone, the session
+    /// dropped — the `Report` that finds out leaves it equal to the
+    /// owner's record again, and counts a resynchronisation, not a
+    /// failed ship.
+    #[test]
+    fn a_refused_step_resynchronises_the_replica_without_a_ship_failure() {
+        let (owner, holder) = ring_pair(Duration::from_secs(30));
+        let mut conn = ConnState::new();
+        conn.version = 2;
+        let start = Request::SessionStart {
+            space: SpaceSpec::Rsl(RSL.into()),
+            label: "resync".into(),
+            characteristics: vec![0.5],
+            max_iterations: Some(20),
+            engine: None,
+        };
+        let token = match handle_request(start, &mut conn, &owner.shared) {
+            Response::SessionStarted { session_token, .. } => session_token.unwrap(),
+            other => panic!("expected SessionStarted, got {other:?}"),
+        };
+        let mut seq = 0;
+        let mut report = |conn: &mut ConnState| {
+            let fetched = handle_request(Request::Fetch, conn, &owner.shared);
+            assert!(matches!(fetched, Response::Config { .. }), "{fetched:?}");
+            let report = Request::Report {
+                performance: seq as f64,
+                seq: Some(seq),
+            };
+            seq += 1;
+            assert_eq!(
+                handle_request(report, conn, &owner.shared),
+                Response::Reported
+            );
+        };
+        let in_step = |conn: &ConnState| {
+            let owned = serde_json::to_string(&conn.active.as_ref().unwrap().record).unwrap();
+            assert_eq!(replica_text(&holder, &token), Some(owned));
+        };
+        in_step(&conn);
+        report(&mut conn);
+        report(&mut conn);
+        in_step(&conn);
+        let failures = crate::obs::peer_ship_failures_total().get();
+        let resyncs = crate::obs::peer_session_resyncs_total().get();
+        let sabotage: [&dyn Fn(); 3] = [
+            &|| {
+                let mut replicas = holder.shared.replicas.lock().unwrap();
+                replicas.get_mut(&token).unwrap().trace.pop();
+            },
+            &|| holder.shared.drop_replica(&token),
+            &|| owner.shared.retire(&token),
+        ];
+        for (i, put_out_of_step) in sabotage.iter().enumerate() {
+            put_out_of_step();
+            report(&mut conn);
+            in_step(&conn);
+            assert!(crate::obs::peer_session_resyncs_total().get() > resyncs + i as u64);
+        }
+        // And the steps after a resynchronisation apply again.
+        report(&mut conn);
+        in_step(&conn);
+        assert_eq!(crate::obs::peer_ship_failures_total().get(), failures);
+        owner.shutdown();
+        holder.shutdown();
+    }
+
+    /// A run that fails to decode was never looked at: its
+    /// `(origin, seq)` is still free for the well-formed ship.
+    #[test]
+    fn a_malformed_shipped_run_does_not_consume_its_sequence() {
+        let (owner, holder) = ring_pair(Duration::from_secs(30));
+        let origin = owner.addr().to_string();
+        let ship = Request::PeerShipRun {
+            origin: origin.clone(),
+            seq: 5,
+            run: run_at("shipped", 0.5),
+        };
+        let whole = crate::wire::to_bytes(&ship);
+        // Framed as promised, but the run stops short of its last record.
+        let cut = &whole[..whole.len() - 4];
+        let mut link = peer_link(&holder, &origin);
+        std::io::Write::write_all(&mut link, &(cut.len() as u32).to_be_bytes()).unwrap();
+        std::io::Write::write_all(&mut link, cut).unwrap();
+        let mut buf = Vec::new();
+        let answer: Response =
+            crate::codec::read_frame_buf_as(&mut link, WireFormat::Binary, &mut buf).unwrap();
+        assert!(matches!(answer, Response::Error { .. }), "{answer:?}");
+        assert_eq!(holder.db_runs(), 0);
+        // Nor does a run the journal could not hold: it is refused whole.
+        let mut link = peer_link(&holder, &origin);
+        let mut unstorable = RunHistory::new("nan", vec![0.5, 0.0]);
+        unstorable.push(&Configuration::new(vec![1, 2]), f64::NAN);
+        let refused = Request::PeerShipRun {
+            origin: origin.clone(),
+            seq: 5,
+            run: Arc::new(unstorable),
+        };
+        let answer = peer_exchange(&mut link, &refused);
+        assert!(matches!(answer, Response::Error { .. }), "{answer:?}");
+        assert_eq!(holder.db_runs(), 0);
+        assert_eq!(peer_exchange(&mut link, &ship), Response::PeerOk);
+        assert_eq!(holder.db_runs(), 1, "the sequence was still unapplied");
+        // Delivered again, it is the retry the sequence exists to drop.
+        assert_eq!(peer_exchange(&mut link, &ship), Response::PeerOk);
+        assert_eq!(holder.db_runs(), 1);
+        owner.shutdown();
+        holder.shutdown();
+    }
+
+    /// A session the reaper expires is over: its successor must not
+    /// keep a replica a later `Resume` could adopt — whether or not
+    /// anything was measured.
+    #[test]
+    fn an_expired_session_retires_its_replicas() {
+        let (owner, holder) = ring_pair(Duration::from_millis(50));
+        for evaluations in [0, 3] {
+            let mut client = Client::connect(owner.addr()).unwrap();
+            client
+                .start_session(SpaceSpec::Rsl(RSL.into()), "ttl", vec![0.2], Some(20))
+                .unwrap();
+            let token = client.session_token().unwrap().to_string();
+            for _ in 0..evaluations {
+                let p = client.fetch().unwrap().unwrap();
+                client.report(paraboloid(&p.values)).unwrap();
+            }
+            assert!(replica_text(&holder, &token).is_some());
+            drop(client);
+            for _ in 0..200 {
+                if replica_text(&holder, &token).is_none() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            assert_eq!(
+                replica_text(&holder, &token),
+                None,
+                "{evaluations} evaluations"
+            );
+        }
+        assert_eq!(owner.db_runs(), 1, "only the measured session is a run");
+        owner.shutdown();
+        holder.shutdown();
     }
 
     /// `SessionStart` with an engine name runs that registry engine
@@ -2983,6 +3362,70 @@ mod tests {
                 }
             }
             handle.shutdown();
+        }
+
+        /// What the ring keeps of a session is what its owner holds: the
+        /// record shipped whole at `SessionStart` plus one step per
+        /// `Report` is, after every step, byte for byte the owner's
+        /// record, and a session rebuilt from it proposes what the owner
+        /// proposes next. Every kernel, cold and warm-started.
+        #[test]
+        fn a_stepped_replica_equals_its_owner_after_every_report(
+            ox in 0i64..=100,
+            oy in 0i64..=100,
+            budget in 3usize..=12,
+        ) {
+            let (owner, holder) = ring_pair(Duration::from_secs(30));
+            let perf = |v: &[i64]| 1000.0 - ((v[0] - ox) as f64).powi(2) - ((v[1] - oy) as f64).powi(2);
+            let kernels = || std::iter::once(None).chain(engines::ENGINE_NAMES.map(Some));
+            let mut prior = RunHistory::new("prior", vec![0.5]);
+            for (x, y) in [(10, 10), (30, 80), (50, 50), (70, 20), (90, 90)] {
+                prior.push(&Configuration::new(vec![x, y]), perf(&[x + 7, y - 5]));
+            }
+            owner.shared.record_run(Arc::new(prior));
+            let sessions = [false, true].into_iter().flat_map(|w| kernels().map(move |k| (w, k)));
+            for (nth, (warm, engine)) in sessions.enumerate() {
+                // A cold session's characteristics match no run: not the
+                // prior at 0.5, not an earlier session's at its own.
+                let characteristics = if warm { 0.5 } else { 10.0 * (nth + 1) as f64 };
+                let mut conn = ConnState::new();
+                conn.version = 2;
+                let start = Request::SessionStart {
+                    space: SpaceSpec::Rsl(RSL.into()),
+                    label: "stepped".into(),
+                    characteristics: vec![characteristics],
+                    max_iterations: Some(budget),
+                    engine: engine.map(str::to_string),
+                };
+                let token = match handle_request(start, &mut conn, &owner.shared) {
+                    Response::SessionStarted { session_token, trained_from, .. } => {
+                        prop_assert_eq!(trained_from.is_some(), warm);
+                        session_token.unwrap()
+                    }
+                    other => panic!("expected SessionStarted, got {other:?}"),
+                };
+                for seq in 0.. {
+                    let owned = serde_json::to_string(&conn.active.as_ref().unwrap().record).unwrap();
+                    let replica = replica_text(&holder, &token);
+                    prop_assert_eq!(replica.as_ref(), Some(&owned), "{:?} warm={} step {}", engine, warm, seq);
+                    let rebuilt = serde_json::from_str::<SessionRecord>(&replica.unwrap()).unwrap();
+                    let mut rebuilt = build_session(rebuilt, &holder.shared.config).unwrap();
+                    let proposed = rebuilt.next_config().map(|c| c.values().to_vec());
+                    let values = match handle_request(Request::Fetch, &mut conn, &owner.shared) {
+                        Response::Config { values, .. } => Some(values),
+                        Response::Done => None,
+                        other => panic!("expected Config or Done, got {other:?}"),
+                    };
+                    prop_assert_eq!(&proposed, &values, "{:?} warm={} step {}", engine, warm, seq);
+                    let Some(values) = values else { break };
+                    let report = Request::Report { performance: perf(&values), seq: Some(seq) };
+                    prop_assert_eq!(handle_request(report, &mut conn, &owner.shared), Response::Reported);
+                }
+                handle_request(Request::SessionEnd, &mut conn, &owner.shared);
+                prop_assert_eq!(replica_text(&holder, &token), None, "an ended session keeps no replica");
+            }
+            owner.shutdown();
+            holder.shutdown();
         }
     }
 

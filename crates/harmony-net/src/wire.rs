@@ -16,9 +16,10 @@
 //!   every value including `NaN` (which JSON cannot even represent).
 //! * **string / bytes** — varint byte length, then the bytes (UTF-8
 //!   validated on decode).
-//! * **tag** — one byte selecting an enum variant, numbered in
-//!   declaration order. Tags are append-only: new variants take new
-//!   numbers, existing numbers never change meaning.
+//! * **tag** — one byte selecting an enum variant. Tags are
+//!   append-only: new variants take new numbers, existing numbers never
+//!   change meaning, and a retired variant's number (request tag 12,
+//!   the JSON-line `PeerShipRun`) is never reused.
 //!
 //! Compound values compose those: `Option<T>` is a presence byte then
 //! the value, `Vec<T>` a varint count then the items, structs their
@@ -44,7 +45,9 @@ use crate::protocol::{
     Request, Response, RunSummary, SensitivityEntry, SpaceSpec, WireSpan, WireTrace,
 };
 use crate::NetError;
+use harmony::history::{RunHistory, TuningRecord};
 use harmony_space::{Expr, ParamDef, ParamKind, ParameterSpace};
+use std::sync::Arc;
 
 /// Which payload encoding a connection speaks. JSON until `Hello`
 /// negotiates protocol ≥ 3, binary afterwards; the `Hello` response
@@ -361,8 +364,21 @@ impl<T: WireDecode> WireDecode for Box<T> {
     }
 }
 
+impl<T: WireEncode> WireEncode for Arc<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (**self).encode(out);
+    }
+}
+
+impl<T: WireDecode> WireDecode for Arc<T> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, NetError> {
+        Ok(Arc::new(T::decode(r)?))
+    }
+}
+
 // ---------------------------------------------------------------------
-// Protocol messages. Tags are declaration order, append-only.
+// Protocol messages. Tags are append-only and never reused: a retired
+// variant's number stays unassigned.
 
 impl WireEncode for Request {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -430,12 +446,7 @@ impl WireEncode for Request {
                 out.push(11);
                 node.encode(out);
             }
-            Request::PeerShipRun { origin, seq, line } => {
-                out.push(12);
-                origin.encode(out);
-                seq.encode(out);
-                line.encode(out);
-            }
+            // Tag 12 is retired: it carried a run as a JSON line.
             Request::PeerShipSession { origin, session } => {
                 out.push(13);
                 origin.encode(out);
@@ -445,6 +456,26 @@ impl WireEncode for Request {
                 out.push(14);
                 origin.encode(out);
                 token.encode(out);
+            }
+            Request::PeerShipStep {
+                token,
+                iteration,
+                next_seq,
+                values,
+                performance,
+            } => {
+                out.push(15);
+                token.encode(out);
+                iteration.encode(out);
+                next_seq.encode(out);
+                values.encode(out);
+                performance.encode(out);
+            }
+            Request::PeerShipRun { origin, seq, run } => {
+                out.push(16);
+                origin.encode(out);
+                seq.encode(out);
+                run.encode(out);
             }
         }
     }
@@ -505,11 +536,7 @@ impl WireDecode for Request {
             }
             10 => Request::TraceDump,
             11 => Request::PeerHello { node: r.string()? },
-            12 => Request::PeerShipRun {
-                origin: r.string()?,
-                seq: r.varint()?,
-                line: r.string()?,
-            },
+            // 12 is retired and falls through to the unknown-tag error.
             13 => Request::PeerShipSession {
                 origin: r.string()?,
                 session: r.string()?,
@@ -517,6 +544,18 @@ impl WireDecode for Request {
             14 => Request::PeerDropSession {
                 origin: r.string()?,
                 token: r.string()?,
+            },
+            15 => Request::PeerShipStep {
+                token: r.string()?,
+                iteration: r.usize()?,
+                next_seq: r.varint()?,
+                values: Vec::decode(r)?,
+                performance: r.f64()?,
+            },
+            16 => Request::PeerShipRun {
+                origin: r.string()?,
+                seq: r.varint()?,
+                run: Arc::decode(r)?,
             },
             tag => return Err(bad(format!("request tag {tag}"))),
         })
@@ -928,6 +967,40 @@ impl WireDecode for RunSummary {
     }
 }
 
+impl WireEncode for RunHistory {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.label.encode(out);
+        self.characteristics.encode(out);
+        self.records.encode(out);
+    }
+}
+
+impl WireDecode for RunHistory {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, NetError> {
+        Ok(RunHistory {
+            label: r.string()?,
+            characteristics: Vec::decode(r)?,
+            records: Vec::decode(r)?,
+        })
+    }
+}
+
+impl WireEncode for TuningRecord {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.values.encode(out);
+        self.performance.encode(out);
+    }
+}
+
+impl WireDecode for TuningRecord {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, NetError> {
+        Ok(TuningRecord {
+            values: Vec::decode(r)?,
+            performance: r.f64()?,
+        })
+    }
+}
+
 impl WireEncode for SensitivityEntry {
     fn encode(&self, out: &mut Vec<u8>) {
         self.index.encode(out);
@@ -977,6 +1050,27 @@ mod tests {
             ))
             .build()
             .unwrap()
+    }
+
+    fn peer_step() -> Request {
+        Request::PeerShipStep {
+            token: "hs-1-1".into(),
+            iteration: 7,
+            next_seq: 8,
+            values: vec![14, -6, i64::MIN],
+            performance: -0.1,
+        }
+    }
+
+    fn peer_run() -> Request {
+        let mut run = RunHistory::new("w", vec![0.25, -0.75]);
+        run.push(&harmony_space::Configuration::new(vec![14, 6]), 200.0);
+        run.push(&harmony_space::Configuration::new(vec![-3, 0]), 0.1 + 0.2);
+        Request::PeerShipRun {
+            origin: "127.0.0.1:7701".into(),
+            seq: 42,
+            run: Arc::new(run),
+        }
     }
 
     #[test]
@@ -1075,11 +1169,6 @@ mod tests {
             Request::PeerHello {
                 node: "127.0.0.1:7701".into(),
             },
-            Request::PeerShipRun {
-                origin: "127.0.0.1:7701".into(),
-                seq: 42,
-                line: "{\"label\":\"w\"}".into(),
-            },
             Request::PeerShipSession {
                 origin: "127.0.0.1:7701".into(),
                 session: "{\"token\":\"hs-1-1\"}".into(),
@@ -1087,6 +1176,13 @@ mod tests {
             Request::PeerDropSession {
                 origin: "127.0.0.1:7701".into(),
                 token: "hs-1-1".into(),
+            },
+            peer_step(),
+            peer_run(),
+            Request::PeerShipRun {
+                origin: String::new(),
+                seq: u64::MAX,
+                run: Arc::new(RunHistory::new("", vec![])),
             },
         ];
         for msg in &requests {
@@ -1271,6 +1367,50 @@ mod tests {
             let err = from_bytes::<Request>(&bytes).unwrap_err();
             assert!(matches!(err, NetError::Protocol(_)), "{bytes:?} -> {err}");
         }
+    }
+
+    /// The two ring messages: cut anywhere, or with a count no frame
+    /// of that size could hold, they are protocol errors; whole, they
+    /// say the same thing in the JSON format a v2 peer link speaks.
+    #[test]
+    fn peer_step_and_run_frames_are_total_and_format_independent() {
+        for msg in [peer_step(), peer_run()] {
+            let bytes = to_bytes(&msg);
+            for cut in 0..bytes.len() {
+                let err = from_bytes::<Request>(&bytes[..cut]).unwrap_err();
+                assert!(matches!(err, NetError::Protocol(_)), "cut {cut}: {err}");
+            }
+            let json = serde_json::to_string(&msg).unwrap();
+            assert_eq!(serde_json::from_str::<Request>(&json).unwrap(), msg);
+        }
+        let mut forged_values = vec![15u8];
+        "t".to_string().encode(&mut forged_values);
+        0usize.encode(&mut forged_values);
+        0u64.encode(&mut forged_values);
+        put_varint(&mut forged_values, u64::MAX); // values: count
+        let mut forged_records = vec![16u8];
+        "o".to_string().encode(&mut forged_records);
+        1u64.encode(&mut forged_records);
+        "label".to_string().encode(&mut forged_records);
+        Vec::<f64>::new().encode(&mut forged_records);
+        put_varint(&mut forged_records, 1 << 40); // records: count
+        forged_records.extend_from_slice(&[0; 32]);
+        for bytes in [forged_values, forged_records] {
+            let err = from_bytes::<Request>(&bytes).unwrap_err();
+            assert!(err.to_string().contains("promised"), "{err}");
+        }
+    }
+
+    /// Tag 12 was `PeerShipRun { line }`; retired, it is an unknown tag
+    /// however well-formed the rest of the old frame is.
+    #[test]
+    fn the_retired_run_tag_is_a_protocol_error() {
+        let mut old = vec![12u8];
+        "127.0.0.1:7701".to_string().encode(&mut old);
+        42u64.encode(&mut old);
+        "{\"label\":\"w\"}".to_string().encode(&mut old);
+        let err = from_bytes::<Request>(&old).unwrap_err();
+        assert!(err.to_string().contains("request tag 12"), "{err}");
     }
 
     #[test]

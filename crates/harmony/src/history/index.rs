@@ -118,7 +118,7 @@ impl CharacteristicsIndex {
     /// answers for by appending runs (the first [`len`](Self::len) runs
     /// are unchanged). The trees are shared rather than copied and the
     /// appended runs join the tail, so this costs nothing per stored run
-    /// — until the tail reaches [`REBUILD_TAIL`] and the trees are built
+    /// — until the tail reaches `REBUILD_TAIL` and the trees are built
     /// anew over all of `db`.
     pub fn extended(&self, db: &ExperienceDb) -> Self {
         debug_assert!(self.runs <= db.len(), "db shrank under its index");

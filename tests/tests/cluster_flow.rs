@@ -1,6 +1,7 @@
 //! Cluster suite: a multi-daemon ring shards sessions and runs by
-//! consistent hashing, ships WAL lines and session snapshots to replica
-//! peers, and fails sessions over when a member dies.
+//! consistent hashing, ships recorded runs and session records (whole
+//! at the start, one step per report after it) to replica peers, and
+//! fails sessions over when a member dies.
 //!
 //! The load-bearing properties, mirrored from the single-daemon
 //! resilience suite:
@@ -14,6 +15,7 @@
 //!   configurations in the same order, same best performance to the
 //!   last bit.
 
+use harmony::history::RunHistory;
 use harmony_net::client::{Client, RetryPolicy, SessionSummary};
 use harmony_net::cluster::{ring_hash, HashRing};
 use harmony_net::codec::{read_frame, write_frame};
@@ -21,6 +23,7 @@ use harmony_net::protocol::{Request, Response, SpaceSpec, MIN_SUPPORTED_VERSION}
 use harmony_net::server::{DaemonConfig, DaemonHandle, TuningDaemon};
 use std::collections::HashSet;
 use std::net::{TcpListener, TcpStream};
+use std::sync::Arc;
 use std::time::Duration;
 
 const RSL: &str =
@@ -48,6 +51,16 @@ fn reserve_addrs(n: usize) -> Vec<String> {
 
 /// Start ring member `i` of `addrs` with the given replication factor.
 fn cluster_daemon(addrs: &[String], i: usize, replication: usize) -> DaemonHandle {
+    cluster_daemon_with_ttl(addrs, i, replication, DaemonConfig::default().session_ttl)
+}
+
+/// [`cluster_daemon`] with a chosen parked-session time to live.
+fn cluster_daemon_with_ttl(
+    addrs: &[String],
+    i: usize,
+    replication: usize,
+    session_ttl: Duration,
+) -> DaemonHandle {
     let peers: Vec<String> = addrs
         .iter()
         .enumerate()
@@ -57,6 +70,7 @@ fn cluster_daemon(addrs: &[String], i: usize, replication: usize) -> DaemonHandl
     let config = DaemonConfig::builder()
         .listen(addrs[i].clone())
         .cluster(addrs[i].clone(), peers, replication)
+        .session_ttl(session_ttl)
         .build()
         .expect("valid cluster config");
     TuningDaemon::start(config).expect("cluster daemon starts")
@@ -296,6 +310,136 @@ fn killed_owner_fails_over_bit_identically() {
     }
 }
 
+/// Full session records shipped because a replica refused a step, as the
+/// member at `addr` counts them (one registry per process: every member
+/// started here reports the same number).
+fn resyncs(addr: &str) -> u64 {
+    let stats = Client::connect(addr).unwrap().stats().unwrap();
+    let line = stats
+        .lines()
+        .find(|l| l.starts_with("harmony_net_peer_session_resyncs_total "))
+        .expect("the resync counter is preregistered");
+    line.rsplit_once(' ').unwrap().1.parse().unwrap()
+}
+
+/// A successor that restarts mid-session comes back holding nothing. The
+/// next `Report`'s step finds that out and ships it the whole record, so
+/// when the owner dies afterwards the session still fails over onto
+/// exactly the trajectory of an undisturbed run.
+#[test]
+fn a_restarted_successor_catches_up_mid_session() {
+    let clean = TuningDaemon::start(DaemonConfig::default()).unwrap();
+    let mut direct = Client::connect(clean.addr()).unwrap();
+    let (clean_trace, clean_summary) = drive(&mut direct, "clean", vec![0.5, 0.5]);
+    clean.shutdown();
+
+    let addrs = reserve_addrs(3);
+    let mut daemons: Vec<Option<DaemonHandle>> =
+        (0..3).map(|i| Some(cluster_daemon(&addrs, i, 2))).collect();
+    let mut client = ring_client(&addrs, 11);
+    client
+        .start_session(
+            SpaceSpec::Rsl(RSL.into()),
+            "catch-up",
+            vec![0.5, 0.5],
+            Some(40),
+        )
+        .unwrap();
+    let token = client.session_token().expect("v2+ token").to_string();
+    let ring = HashRing::new(&addrs);
+    let holders = ring.successors(ring_hash(token.as_bytes()), 2);
+    assert_eq!(holders[0], addrs[0], "the creator owns the session");
+    let successor = addrs.iter().position(|a| a == holders[1]).unwrap();
+
+    let mut trace = Vec::new();
+    let mut evaluate = |client: &mut Client, n: usize| {
+        for _ in 0..n {
+            let p = client.fetch().unwrap().expect("the budget is not spent");
+            let y = perf(p.values.values());
+            trace.push((p.values.values().to_vec(), y.to_bits()));
+            client.report(y).unwrap();
+        }
+    };
+    evaluate(&mut client, 5);
+    let before = resyncs(&addrs[0]);
+    daemons[successor].take().unwrap().shutdown();
+    daemons[successor] = Some(cluster_daemon(&addrs, successor, 2));
+    evaluate(&mut client, 2);
+    assert!(
+        resyncs(&addrs[0]) > before,
+        "the restarted successor was never sent the record"
+    );
+
+    // The owner dies; the successor must hold all seven observations,
+    // five of which it only ever saw in the resynchronisation.
+    daemons[0].take().unwrap().shutdown();
+    while let Some(p) = client.fetch().expect("post-failover fetch") {
+        let y = perf(p.values.values());
+        trace.push((p.values.values().to_vec(), y.to_bits()));
+        client.report(y).expect("post-failover report");
+    }
+    let summary = client.end_session().expect("post-failover end");
+    assert_eq!(clean_trace, trace, "catching up changed the trajectory");
+    assert_eq!(clean_summary.iterations, summary.iterations);
+    assert_eq!(clean_summary.best.values(), summary.best.values());
+    assert_eq!(
+        clean_summary.performance.to_bits(),
+        summary.performance.to_bits()
+    );
+    for d in daemons.into_iter().flatten() {
+        d.shutdown();
+    }
+}
+
+/// A session whose client vanished is expired by its owner's reaper —
+/// and with it the successor's replica: the token is retired everywhere,
+/// so a later `Resume` on the successor has nothing to adopt (and the
+/// expired session's run is not recorded a second time from there).
+#[test]
+fn an_expired_session_leaves_no_replica_to_adopt() {
+    let addrs = reserve_addrs(2);
+    let ttl = Duration::from_millis(100);
+    let owner = cluster_daemon_with_ttl(&addrs, 0, 2, ttl);
+    let successor = cluster_daemon_with_ttl(&addrs, 1, 2, ttl);
+    let mut client = Client::connect(addrs[0].as_str()).unwrap();
+    client
+        .start_session(
+            SpaceSpec::Rsl(RSL.into()),
+            "vanished",
+            vec![0.3, 0.7],
+            Some(40),
+        )
+        .unwrap();
+    let token = client.session_token().unwrap().to_string();
+    for _ in 0..3 {
+        let p = client.fetch().unwrap().unwrap();
+        client.report(perf(p.values.values())).unwrap();
+    }
+    drop(client);
+
+    // The reaper records what was measured, ships the run (both members
+    // hold it at replication 2), then retires the token; the drop
+    // follows the run on the same link, so allow it a moment.
+    for _ in 0..200 {
+        if run_count(&addrs[1]) == 1 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert_eq!(run_count(&addrs[0]), 1, "the expired session's run is kept");
+    assert_eq!(run_count(&addrs[1]), 1);
+    std::thread::sleep(Duration::from_millis(200));
+
+    let mut stream = hello_v2(&addrs[1]);
+    match round_trip(&mut stream, &Request::Resume { token }) {
+        Response::NotMine { owner } => assert_eq!(owner, addrs[0]),
+        other => panic!("a retired token must not be adopted, got {other:?}"),
+    }
+    assert_eq!(run_count(&addrs[1]), 1, "nothing was recorded twice");
+    owner.shutdown();
+    successor.shutdown();
+}
+
 /// A member that holds nothing for a foreign token points the client at
 /// the ring owner instead of serving or inventing an error.
 #[test]
@@ -352,7 +496,7 @@ fn peer_requests_are_refused_on_client_connections() {
         &Request::PeerShipRun {
             origin: "impostor:1".into(),
             seq: 1,
-            line: "{}".into(),
+            run: Arc::new(RunHistory::new("forged", vec![0.5, 0.5])),
         },
     ) {
         Response::Error { message } => {

@@ -16,9 +16,10 @@
 //!   protocols 1–2, the compact [`wire`] binary encoding once `Hello`
 //!   negotiates protocol 3.
 //! * [`server`] — [`server::TuningDaemon`]: one event-driven reactor
-//!   (pipelined requests, a worker pool for request execution, a few
-//!   hundred bytes per idle connection) over the [`poll`] readiness
-//!   layer — `epoll` on Linux, `poll(2)` on every other Unix.
+//!   (pipelined requests served on its loop thread, a worker pool for
+//!   the few that can wait, a few hundred bytes per idle connection)
+//!   over the [`poll`] readiness layer — `epoll` on Linux, `poll(2)` on
+//!   every other Unix.
 //!   All sessions share one experience database: each
 //!   `SessionStart` is classified against it (the §4.2 warm start) and
 //!   each completed session is recorded back into it, so later clients

@@ -15,7 +15,7 @@
 //! | `harmony_net_connections_refused_total` | counter | connections turned away at the cap |
 //! | `harmony_net_requests_total{type=…}` | counter | requests served, by message type |
 //! | `harmony_net_request_seconds{type=…}` | histogram | request handling latency, by message type |
-//! | `harmony_net_errors_total` | counter | in-protocol `Error` responses sent |
+//! | `harmony_net_errors_total` | counter | in-protocol `Error` responses sent, plus requests that panicked |
 //! | `harmony_net_sessions_started_total` | counter | sessions opened via `SessionStart` |
 //! | `harmony_net_sessions_completed_total` | counter | sessions closed via `SessionEnd` |
 //! | `harmony_net_sessions_abandoned_total` | counter | sessions whose connection dropped mid-tune |
@@ -93,7 +93,7 @@ handle!(
     Counter,
     global().counter(
         "harmony_net_errors_total",
-        "In-protocol Error responses sent to clients.",
+        "In-protocol Error responses sent to clients, plus requests that panicked.",
     )
 );
 

@@ -1,5 +1,5 @@
 //! The event-driven daemon core: one readiness loop, per-connection
-//! state machines, and a worker pool executing requests.
+//! state machines, and a worker pool for the requests that can wait.
 //!
 //! # Architecture
 //!
@@ -17,13 +17,20 @@
 //!   burst parsed while the first request is still executing. Partial
 //!   frames (a slowloris dribbling bytes) simply stay buffered — they
 //!   cost memory proportional to what actually arrived, never a thread.
-//! * **executing** — at most one request per connection is *checked
-//!   out* to the worker pool (a [`harmony_exec::TaskPool`]) at a time,
-//!   which preserves per-connection request ordering while slow work
-//!   (classification, `Resume` grace polling) never blocks the event
-//!   loop. The connection's protocol state travels with the job and
-//!   comes back on the completion channel, together with the encoded
-//!   response frame.
+//! * **executing** — requests are served in order, one at a time per
+//!   connection, by the rule of [`server::may_wait`]. One that cannot
+//!   wait (`Fetch`, an unreplicated `Report`, …: an in-memory step of
+//!   microseconds) runs right here on the loop thread, and its response
+//!   frame is banked at once. One that can wait — on a peer, a clock, or
+//!   the whole database — is *checked out* to the worker pool (a
+//!   [`harmony_exec::TaskPool`]), so it never blocks the event loop; the
+//!   connection's protocol state travels with the job and comes back on
+//!   the completion channel with the encoded response frame. Both go
+//!   through one helper, which also contains a panicking request: the
+//!   connection is dropped, never the loop thread. A connection gets at
+//!   most [`MAX_PIPELINE`] inline requests per loop pass; one left with
+//!   a backlog gets its next turn before the loop blocks again, so a
+//!   pipelining client cannot monopolise the daemon.
 //! * **writing** — response frames append to the connection's write
 //!   buffer (`wbuf`); the reactor flushes opportunistically and only
 //!   registers write interest while bytes are actually pending.
@@ -35,7 +42,8 @@
 //! `Error` frame and is dropped *without* parking its session, as is one
 //! that errored or hit EOF inside a frame, while a clean EOF at a frame
 //! boundary parks (or records) the session via
-//! [`server::finish_connection`].
+//! [`server::finish_connection`] — on the worker pool when the daemon
+//! replicates, since recording an abandoned session ships its run.
 //!
 //! Backpressure: refusals over [`max_connections`] and while draining
 //! reuse the accept-time refusal frames and linger (bounded by
@@ -50,6 +58,7 @@ use crate::codec::{self, FrameOutcome, WireFormat, READ_CHUNK, SCRATCH_CLAMP};
 use crate::poll::{Poller, Readiness};
 use crate::protocol::{Request, Response};
 use crate::server::{self, ConnState, Shared, POLL_INTERVAL};
+use crate::NetError;
 use harmony_exec::TaskPool;
 use harmony_obs::event::{event, monotonic_us, Level};
 use std::collections::{HashMap, VecDeque};
@@ -57,6 +66,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -68,7 +78,9 @@ const WAKE: u64 = u64::MAX - 1;
 
 /// Per-connection cap on decoded-but-unserved pipelined requests;
 /// beyond it the reactor stops reading from the socket until the
-/// backlog drains, bounding both `rbuf` and the response backlog.
+/// backlog drains, bounding both `rbuf` and the response backlog. Also
+/// the most requests one connection has served on the loop thread per
+/// loop pass.
 const MAX_PIPELINE: usize = 32;
 
 /// How long a refused, draining or poisoned connection lingers before
@@ -86,14 +98,43 @@ enum Work {
     Fail(String),
 }
 
-/// A finished request coming back from the worker pool.
+/// A served request, from the loop thread or back from the worker pool.
 struct Done {
     token: u64,
     state: ConnState,
     /// The encoded response frame (header + payload).
     frame: Vec<u8>,
-    /// The response failed to encode; treat like a write error.
+    /// The response failed to encode, or serving panicked; treat like a
+    /// write error.
     fatal: bool,
+}
+
+/// Serve one request against its connection's checked-out state and
+/// package the outcome — the one helper both schedules run, on the loop
+/// thread or on a worker. A panic in `serve` is contained here: it comes
+/// back as a fatal `Done`, which drops the connection (without parking
+/// its session, like an unencodable response) instead of unwinding the
+/// loop thread or leaving the connection in flight forever.
+fn serve_one(
+    token: u64,
+    mut state: ConnState,
+    mut frame: Vec<u8>,
+    serve: impl FnOnce(&mut ConnState, &mut Vec<u8>) -> Result<(), NetError>,
+) -> Done {
+    let fatal = match catch_unwind(AssertUnwindSafe(|| serve(&mut state, &mut frame))) {
+        Ok(result) => result.is_err(),
+        Err(_) => {
+            crate::obs::errors_total().inc();
+            event(Level::Error, "net.request_panicked").emit();
+            true
+        }
+    };
+    Done {
+        token,
+        state,
+        frame,
+        fatal,
+    }
 }
 
 /// One connection's state machine.
@@ -105,16 +146,16 @@ struct Conn {
     /// Send buffer: bytes `wpos..` are unsent.
     wbuf: Vec<u8>,
     wpos: usize,
-    /// Protocol state; `None` while checked out to a worker (or after
+    /// Protocol state; `None` while a request is being served (or after
     /// the connection stopped serving).
     state: Option<ConnState>,
     /// Mirror of the state's negotiated wire format, readable while the
-    /// state is checked out. Synced from the returned state in
-    /// `on_done`, which runs before the `Hello` response reaches the
-    /// peer — so no post-negotiation frame can arrive ahead of the sync.
+    /// state is checked out. Synced from the returned state in `bank`,
+    /// which runs before the `Hello` response reaches the peer — so no
+    /// post-negotiation frame can arrive ahead of the sync.
     format: WireFormat,
-    /// Free-list of one: the response frame buffer handed to the worker
-    /// pool, recycled (clamped) when the response comes back. One slot
+    /// Free-list of one: the response frame buffer handed to the
+    /// request, recycled (clamped) when the response comes back. One slot
     /// suffices because at most one request per connection is in
     /// flight.
     spare: Vec<u8>,
@@ -166,6 +207,11 @@ impl Conn {
     fn flushed(&self) -> bool {
         self.wpos >= self.wbuf.len()
     }
+
+    /// Whether the next queued request may be served now.
+    fn servable(&self) -> bool {
+        !(self.in_flight || self.dead || self.poisoned || self.state.is_none())
+    }
 }
 
 /// The daemon's serving loop: built by [`Reactor::new`] on the thread
@@ -183,6 +229,9 @@ pub(crate) struct Reactor {
     wake_tx: Arc<UnixStream>,
     /// Tokens with a linger/flush deadline to sweep.
     timers: Vec<u64>,
+    /// Connections whose inline turn ended at [`MAX_PIPELINE`] with
+    /// requests still queued; the loop does not block while any exist.
+    backlog: Vec<u64>,
     /// Where every socket read lands before its bytes move to the
     /// connection's `rbuf`: [`READ_CHUNK`] bytes allocated once, since
     /// only the loop thread reads and it reads one socket at a time.
@@ -220,6 +269,7 @@ impl Reactor {
             wake_rx,
             wake_tx: Arc::new(wake_tx),
             timers: Vec::new(),
+            backlog: Vec::new(),
             read_chunk: vec![0; READ_CHUNK],
         })
     }
@@ -234,7 +284,13 @@ impl Reactor {
         let mut ready: Vec<Readiness> = Vec::new();
         loop {
             ready.clear();
-            let timeout = POLL_INTERVAL.as_millis() as i32;
+            // A backlogged connection is owed a turn: only look for new
+            // readiness, never block, until it has one.
+            let timeout = if self.backlog.is_empty() {
+                POLL_INTERVAL.as_millis() as i32
+            } else {
+                0
+            };
             if let Err(e) = self.poller.wait(&mut ready, timeout) {
                 event(Level::Error, "net.reactor_failed")
                     .str("error", e.to_string())
@@ -250,11 +306,14 @@ impl Reactor {
                 match ev.token {
                     LISTENER => self.accept_ready(),
                     WAKE => drain_wake(&self.wake_rx),
-                    token => self.pump(token, ev.readable, ev.writable),
+                    token => self.pump(token, ev.readable),
                 }
             }
             while let Ok(done) = self.done_rx.try_recv() {
                 self.on_done(done);
+            }
+            for token in std::mem::take(&mut self.backlog) {
+                self.advance(token);
             }
             self.sweep_timers();
         }
@@ -299,7 +358,7 @@ impl Reactor {
                 crate::obs::connections_active().inc();
                 let conn = Conn::new(stream, true);
                 if let Some(token) = self.register(conn) {
-                    self.pump(token, true, false);
+                    self.pump(token, true);
                 }
             }
         }
@@ -342,14 +401,18 @@ impl Reactor {
     }
 
     /// Drive one connection through read → parse → dispatch → write.
-    fn pump(&mut self, token: u64, readable: bool, writable: bool) {
+    fn pump(&mut self, token: u64, readable: bool) {
         if readable {
             self.read_ready(token);
         }
+        self.advance(token);
+    }
+
+    /// Keep a connection moving: serve what is queued, write what is
+    /// banked, and close it if its conversation is over.
+    fn advance(&mut self, token: u64) {
         self.dispatch(token);
-        if writable || readable {
-            self.flush(token);
-        }
+        self.flush(token);
         self.maybe_close(token);
     }
 
@@ -387,9 +450,93 @@ impl Reactor {
             }
         }
         parse_frames(conn);
+    }
+
+    /// Serve the connection's queued requests in order, one at a time
+    /// (which keeps responses in request order). Each that cannot wait is
+    /// served right here and its response banked; the first that can is
+    /// checked out to the worker pool, which ends the turn until
+    /// `on_done` brings it back. A turn serves at most [`MAX_PIPELINE`]
+    /// requests; a connection left with more queued goes on the backlog
+    /// for another turn in the next loop pass. Iterative, never
+    /// recursive: any burst a client pipelines costs the loop thread no
+    /// stack.
+    fn dispatch(&mut self, token: u64) {
+        for _ in 0..MAX_PIPELINE {
+            let Some(conn) = self.conns.get_mut(&token) else {
+                return;
+            };
+            if !conn.servable() {
+                break;
+            }
+            let (request, window) = match conn.pending.pop_front() {
+                None => break,
+                Some(Work::Request(request, window)) => (request, window),
+                Some(Work::Fail(message)) => {
+                    // One best-effort Error frame, then the connection is
+                    // done and its session is dropped without parking.
+                    // The frame comes from the pooled buffer, in the
+                    // connection's negotiated format.
+                    let mut frame = std::mem::take(&mut conn.spare);
+                    if codec::encode_frame_as(conn.format, &Response::Error { message }, &mut frame)
+                        .is_ok()
+                    {
+                        conn.wbuf.extend_from_slice(&frame);
+                    }
+                    codec::clamp_scratch(&mut frame);
+                    conn.spare = frame;
+                    conn.poisoned = true;
+                    conn.state = None;
+                    conn.pending.clear();
+                    conn.deadline = Some(Instant::now() + DRAIN_TIMEOUT);
+                    self.timers.push(token);
+                    break;
+                }
+            };
+            let state = conn.state.take().expect("state present: checked above");
+            conn.in_flight = true;
+            // The pooled frame buffer goes with the request and comes
+            // back (clamped) in `bank` — steady state encodes every
+            // response into the same allocation instead of a fresh `Vec`
+            // per request.
+            let mut frame = std::mem::take(&mut conn.spare);
+            frame.clear();
+            let wait = server::may_wait(&request, &self.shared);
+            let shared = Arc::clone(&self.shared);
+            let job = move || {
+                serve_one(token, state, frame, |state, frame| {
+                    // The format is captured before serving: a `Hello`
+                    // that negotiates v3 updates the state for
+                    // *subsequent* frames, while its own response still
+                    // encodes in the pre-negotiation format.
+                    let fmt = state.wire_format();
+                    server::serve_request(request, window, state, &shared, &mut |resp| {
+                        codec::encode_frame_as(fmt, resp, frame)
+                    })
+                })
+            };
+            if wait {
+                let tx = self.done_tx.clone();
+                let wake = Arc::clone(&self.wake_tx);
+                self.pool.submit(move || {
+                    let _ = tx.send(job());
+                    // A full wakeup pipe already guarantees a wakeup.
+                    let _ = (&*wake).write(&[1]);
+                });
+                break;
+            }
+            self.bank(job());
+        }
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        if conn.servable() && !conn.pending.is_empty() && !self.backlog.contains(&token) {
+            self.backlog.push(token);
+        }
         // Pipeline backpressure: a backlogged connection loses read
-        // interest until workers catch up, so neither `rbuf` nor the
-        // response backlog grows without bound.
+        // interest until its queue drains, so neither `rbuf` nor the
+        // response backlog grows without bound (and a level-triggered
+        // wait does not spin on it).
         let want = !conn.peer_closed && !conn.dead && conn.pending.len() < MAX_PIPELINE;
         if want != conn.want_read {
             conn.want_read = want;
@@ -398,82 +545,24 @@ impl Reactor {
         }
     }
 
-    /// Hand the next queued request to the worker pool (one in flight
-    /// per connection keeps responses in request order).
-    fn dispatch(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        if conn.in_flight || conn.dead || conn.poisoned || conn.state.is_none() {
-            return;
-        }
-        match conn.pending.pop_front() {
-            None => {}
-            Some(Work::Fail(message)) => {
-                // One best-effort Error frame, then the connection is
-                // done and its session is dropped without parking. The
-                // frame comes from the pooled buffer, in the
-                // connection's negotiated format.
-                let mut frame = std::mem::take(&mut conn.spare);
-                if codec::encode_frame_as(conn.format, &Response::Error { message }, &mut frame)
-                    .is_ok()
-                {
-                    conn.wbuf.extend_from_slice(&frame);
-                }
-                codec::clamp_scratch(&mut frame);
-                conn.spare = frame;
-                conn.poisoned = true;
-                conn.state = None;
-                conn.pending.clear();
-                conn.deadline = Some(Instant::now() + DRAIN_TIMEOUT);
-                self.timers.push(token);
-            }
-            Some(Work::Request(request, window)) => {
-                let mut state = conn.state.take().expect("state present: checked above");
-                conn.in_flight = true;
-                // The format is captured before serving: a `Hello` that
-                // negotiates v3 updates the state for *subsequent*
-                // frames, while its own response still encodes in the
-                // pre-negotiation format.
-                let fmt = state.wire_format();
-                // The pooled frame buffer travels with the job and
-                // comes back (clamped) in `on_done` — steady state
-                // encodes every response into the same allocation
-                // instead of a fresh `Vec` per request.
-                let mut frame = std::mem::take(&mut conn.spare);
-                frame.clear();
-                let shared = Arc::clone(&self.shared);
-                let tx = self.done_tx.clone();
-                let wake = Arc::clone(&self.wake_tx);
-                self.pool.submit(move || {
-                    let result =
-                        server::serve_request(request, window, &mut state, &shared, &mut |resp| {
-                            codec::encode_frame_as(fmt, resp, &mut frame)
-                        });
-                    let fatal = result.is_err();
-                    let _ = tx.send(Done {
-                        token,
-                        state,
-                        frame,
-                        fatal,
-                    });
-                    // A full wakeup pipe already guarantees a wakeup.
-                    let _ = (&*wake).write(&[1]);
-                });
-            }
-        }
+    /// A worker finished: bank the response and keep the connection
+    /// moving.
+    fn on_done(&mut self, done: Done) {
+        let token = done.token;
+        self.bank(done);
+        self.advance(token);
     }
 
-    /// A worker finished: bank the response, restore the state, and
-    /// keep the connection moving.
-    fn on_done(&mut self, done: Done) {
+    /// Take a served request back: bank its response frame and restore
+    /// the connection's protocol state.
+    fn bank(&mut self, done: Done) {
         let Some(conn) = self.conns.get_mut(&done.token) else {
             return; // connection died while the request ran
         };
         conn.in_flight = false;
         if done.fatal {
-            // An unencodable response is handled like a write error:
-            // drop the connection and its session.
+            // An unencodable response or a panic is handled like a
+            // write error: drop the connection and its session.
             conn.dead = true;
         } else {
             conn.wbuf.extend_from_slice(&done.frame);
@@ -489,19 +578,6 @@ impl Reactor {
             conn.format = done.state.wire_format();
             conn.state = Some(done.state);
         }
-        // Serving the backlog may have been paused at MAX_PIPELINE;
-        // popping one request may re-enable reading.
-        let want = !conn.peer_closed && !conn.dead && conn.pending.len() < MAX_PIPELINE;
-        if want != conn.want_read {
-            conn.want_read = want;
-            let (r, w) = (conn.want_read, conn.want_write);
-            let _ = self
-                .poller
-                .modify(conn.stream.as_raw_fd(), done.token, r, w);
-        }
-        self.dispatch(done.token);
-        self.flush(done.token);
-        self.maybe_close(done.token);
     }
 
     /// Write as much of `wbuf` as the socket accepts; keep write
@@ -582,10 +658,20 @@ impl Reactor {
         // EOF inside a frame is an error, not a clean goodbye: the
         // session is dropped, not parked.
         let mid_frame = conn.rpos < conn.rbuf.len();
-        if let Some(mut state) = conn.state.take() {
-            if !conn.dead && !mid_frame {
-                server::finish_connection(&mut state, &self.shared);
-            }
+        let Some(mut state) = conn.state.take() else {
+            return;
+        };
+        if conn.dead || mid_frame {
+            return;
+        }
+        // On a cluster, recording an abandoned session ships its run to
+        // peers: that waits, so it leaves the loop thread.
+        if self.shared.replicates() {
+            let shared = Arc::clone(&self.shared);
+            self.pool
+                .submit(move || server::finish_connection(&mut state, &shared));
+        } else {
+            server::finish_connection(&mut state, &self.shared);
         }
     }
 
@@ -612,7 +698,9 @@ impl Reactor {
 
     /// Shutdown: let checked-out requests finish (their responses still
     /// go out best-effort), then settle every connection — parking
-    /// tokened sessions for the sessions file, recording v1 ones.
+    /// tokened sessions for the sessions file, recording v1 ones. A
+    /// settlement handed to the pool still lands before the reactor's
+    /// thread ends: dropping the pool drains its queue.
     fn teardown(&mut self) {
         for conn in self.conns.values_mut() {
             // Already-decoded-but-unserved requests are dropped, the
@@ -696,5 +784,31 @@ fn parse_frames(conn: &mut Conn) {
     }
     if conn.rbuf.is_empty() && conn.rbuf.capacity() > SCRATCH_CLAMP {
         conn.rbuf.shrink_to(SCRATCH_CLAMP);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A panicking request comes back as a fatal `Done` for its own
+    /// connection — counted as an error — instead of unwinding the
+    /// thread that served it; a served one comes back with its frame.
+    #[test]
+    fn a_panicking_request_comes_back_fatal() {
+        let errors = crate::obs::errors_total().get();
+        let done = serve_one(7, ConnState::new(), Vec::new(), |_, _| {
+            panic!("request goes boom")
+        });
+        assert_eq!(done.token, 7);
+        assert!(done.fatal, "a panic must drop the connection");
+        assert!(crate::obs::errors_total().get() > errors);
+
+        let done = serve_one(8, ConnState::new(), Vec::new(), |_, frame| {
+            frame.extend_from_slice(b"ok");
+            Ok(())
+        });
+        assert!(!done.fatal);
+        assert_eq!(done.frame, b"ok");
     }
 }

@@ -3,11 +3,14 @@
 //!
 //! Threading model: an event-driven reactor (`reactor` module) — one
 //! readiness loop (`epoll` on Linux, `poll(2)` on other Unixes; see
-//! [`crate::poll`]) owning every connection's read/write buffers plus a
-//! small worker pool (a [`harmony_exec::TaskPool`]) that executes
-//! requests, so the cost of an idle connection is a few hundred bytes of
-//! state instead of a thread stack, and requests pipelined on one
-//! connection are parsed while earlier ones execute. Connections over
+//! [`crate::poll`]) owning every connection's read/write buffers, so the
+//! cost of an idle connection is a few hundred bytes of state instead of
+//! a thread stack. The loop thread serves every request that cannot
+//! wait (a `Fetch` or `Report` is an in-memory step of microseconds);
+//! the few that can — on a peer, a clock, or the whole database, as
+//! `may_wait` decides — go to a small worker pool (a
+//! [`harmony_exec::TaskPool`]), and requests pipelined behind them are
+//! parsed while they execute. Connections over
 //! [`DaemonConfig::max_connections`] are refused with an in-protocol
 //! `Error` rather than queued, so a stalled client cannot starve new
 //! ones. Off Unix there is no readiness backend and no daemon:
@@ -507,6 +510,12 @@ impl Shared {
             // A dead flusher only costs durability, not serving.
             let _ = tx.send(run);
         }
+    }
+
+    /// Whether locally-originated session work is replicated to peers
+    /// before it is acknowledged — a synchronous peer round trip.
+    pub(crate) fn replicates(&self) -> bool {
+        self.cluster.is_some()
     }
 
     /// [`record_run`](Self::record_run) plus cluster fan-out: ship the
@@ -1207,7 +1216,8 @@ impl ConnState {
 /// Clean-disconnect teardown: park a tokened session for `Resume`, fold
 /// an abandoned v1 session's measurements into the experience database.
 /// Error paths deliberately skip this — an errored connection drops its
-/// session.
+/// session. Recording replicates the run on a cluster, so there the
+/// reactor runs this on its worker pool, by the rule of [`may_wait`].
 pub(crate) fn finish_connection(conn: &mut ConnState, shared: &Shared) {
     if let Some(sess) = conn.active.take() {
         match sess.record.token.clone() {
@@ -1240,7 +1250,8 @@ pub(crate) fn finish_connection(conn: &mut ConnState, shared: &Shared) {
 /// time it, open the serve span, dispatch to [`handle_request`], and
 /// emit the response through `write` with the protocol-required
 /// ordering (a `SessionEnd`'s trace is sealed *before* its response
-/// unblocks the client). Runs on the reactor's worker pool.
+/// unblocks the client). Runs on the reactor's loop thread, or on its
+/// worker pool when [`may_wait`] says the request can wait.
 pub(crate) fn serve_request(
     request: Request,
     read_window: Option<(u64, u64)>,
@@ -1345,6 +1356,44 @@ pub(crate) fn serve_request(
         }
     }
     Ok(())
+}
+
+/// Whether serving `request` can wait — on a peer, a clock, or the whole
+/// database — and so must leave the reactor's loop thread for its worker
+/// pool, where it stalls no other connection. Everything else is an
+/// in-memory step of microseconds and runs on the loop thread, which
+/// saves the request two thread hand-offs.
+///
+/// Pooled, and why:
+/// - `Resume`: its grace poll sleeps.
+/// - `SessionStart`, `Report` and `SessionEnd` on a cluster: they are
+///   replicated before they are acknowledged, a synchronous peer round
+///   trip that a dark successor stretches to the link timeouts.
+/// - `DbQuery`, `Stats`, `TraceDump` and `Sensitivity`: their answers grow
+///   with the database, the metrics registry, the trace buffer or the
+///   prior.
+///
+/// Inline: `Hello`, `Fetch`, the unreplicated session requests, and every
+/// `Peer*` receipt — a receipt only takes in-memory locks and never ships
+/// onward, so two members shipping to each other never wait on each
+/// other's loop. The match has no catch-all arm: a new request kind has
+/// to choose.
+pub(crate) fn may_wait(request: &Request, shared: &Shared) -> bool {
+    match request {
+        Request::Resume { .. } => true,
+        Request::SessionStart { .. } | Request::Report { .. } | Request::SessionEnd => {
+            shared.replicates()
+        }
+        Request::DbQuery | Request::Stats | Request::TraceDump | Request::Sensitivity => true,
+        Request::Traced { request, .. } => may_wait(request, shared),
+        Request::Hello { .. }
+        | Request::Fetch
+        | Request::PeerHello { .. }
+        | Request::PeerShipSession { .. }
+        | Request::PeerDropSession { .. }
+        | Request::PeerShipStep { .. }
+        | Request::PeerShipRun { .. } => false,
+    }
 }
 
 fn handle_request(request: Request, conn: &mut ConnState, shared: &Shared) -> Response {
@@ -2828,6 +2877,127 @@ mod tests {
             Response::PeerOk
         ));
         handle.shutdown();
+    }
+
+    /// The reactor's schedule over one sample of every request kind, on
+    /// a bare daemon and on a cluster: what waits on a peer, a clock or
+    /// the whole database leaves the loop thread, and the replicated
+    /// session requests are the only ones the cluster moves.
+    #[test]
+    fn only_requests_that_can_wait_leave_the_loop_thread() {
+        let bare = daemon();
+        let clustered = TuningDaemon::start(
+            DaemonConfig::builder()
+                .cluster("127.0.0.1:9", vec!["127.0.0.2:9".into()], 1)
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+        let traced = |request| Request::Traced {
+            trace_id: 1,
+            parent_span: 2,
+            spans: Vec::new(),
+            request: Box::new(request),
+        };
+        let report = || Request::Report {
+            performance: 1.0,
+            seq: Some(0),
+        };
+        // (request, waits on a bare daemon, waits on a cluster)
+        let cases = [
+            (
+                Request::Hello {
+                    version: None,
+                    min_version: Some(1),
+                    max_version: Some(3),
+                    client: "test".into(),
+                },
+                false,
+                false,
+            ),
+            (
+                Request::SessionStart {
+                    space: SpaceSpec::Rsl(RSL.into()),
+                    label: "w".into(),
+                    characteristics: vec![0.5],
+                    max_iterations: None,
+                    engine: None,
+                },
+                false,
+                true,
+            ),
+            (
+                Request::Resume {
+                    token: "hs-1-1".into(),
+                },
+                true,
+                true,
+            ),
+            (Request::Fetch, false, false),
+            (report(), false, true),
+            (Request::SessionEnd, false, true),
+            (Request::Sensitivity, true, true),
+            (Request::DbQuery, true, true),
+            (Request::Stats, true, true),
+            (traced(Request::Fetch), false, false),
+            (traced(report()), false, true),
+            (traced(Request::Stats), true, true),
+            (Request::TraceDump, true, true),
+            (
+                Request::PeerHello {
+                    node: "127.0.0.2:9".into(),
+                },
+                false,
+                false,
+            ),
+            (
+                Request::PeerShipSession {
+                    origin: "127.0.0.2:9".into(),
+                    session: "{}".into(),
+                },
+                false,
+                false,
+            ),
+            (
+                Request::PeerDropSession {
+                    origin: "127.0.0.2:9".into(),
+                    token: "hs-1-1".into(),
+                },
+                false,
+                false,
+            ),
+            (
+                Request::PeerShipStep {
+                    token: "hs-1-1".into(),
+                    iteration: 0,
+                    next_seq: 1,
+                    values: vec![1, 2],
+                    performance: 1.0,
+                },
+                false,
+                false,
+            ),
+            (
+                Request::PeerShipRun {
+                    origin: "127.0.0.2:9".into(),
+                    seq: 1,
+                    run: run_at("shipped", 0.5),
+                },
+                false,
+                false,
+            ),
+        ];
+        for (request, bare_waits, cluster_waits) in &cases {
+            let kind = request.kind();
+            assert_eq!(may_wait(request, &bare.shared), *bare_waits, "{kind}, bare");
+            assert_eq!(
+                may_wait(request, &clustered.shared),
+                *cluster_waits,
+                "{kind}, clustered"
+            );
+        }
+        bare.shutdown();
+        clustered.shutdown();
     }
 
     /// Two clustered daemons in this process, each the other's ring

@@ -521,6 +521,69 @@ fn peer_requests_are_refused_on_client_connections() {
     }
 }
 
+/// An abandoned v1 session on a cluster ships its recorded run to peers,
+/// which waits up to the peer link timeouts when a successor is dark; that
+/// wait must not happen on the reactor's loop thread, where it would stall
+/// every other connection.
+#[test]
+fn an_abandoned_session_ships_without_stalling_the_loop() {
+    let daemon_addr = reserve_addrs(1).remove(0);
+    // A ring member that accepts connections (the kernel completes the
+    // handshake) and never answers: every ship to it runs into its read
+    // timeout.
+    let dark = TcpListener::bind("127.0.0.1:0").unwrap();
+    let dark_addr = dark.local_addr().unwrap().to_string();
+    let config = DaemonConfig::builder()
+        .listen(daemon_addr.clone())
+        .cluster(daemon_addr.clone(), vec![dark_addr], 2)
+        .build()
+        .unwrap();
+    let handle = TuningDaemon::start(config).unwrap();
+
+    let mut v1 = Client::builder(daemon_addr.as_str())
+        .max_protocol_version(1)
+        .connect()
+        .unwrap();
+    v1.start_session(
+        SpaceSpec::Rsl(RSL.into()),
+        "abandoned",
+        vec![0.5, 0.5],
+        None,
+    )
+    .unwrap();
+    for _ in 0..3 {
+        let p = v1.fetch().unwrap().expect("budget left");
+        v1.report(perf(p.values.values())).unwrap();
+    }
+    // A clean disconnect: the session is abandoned, its run recorded and
+    // shipped to the dark member. A v1 session has no token, so nothing
+    // was shipped before: the dial accepted here is the run's ship.
+    drop(v1);
+    let (_unanswered, _) = dark.accept().unwrap();
+
+    let started = std::time::Instant::now();
+    let mut next = Client::connect(daemon_addr.as_str()).unwrap();
+    let waited = started.elapsed();
+    assert!(
+        waited < Duration::from_millis(500),
+        "connect + Hello took {waited:?} while a ship to a dark peer was pending"
+    );
+    next.stats().unwrap();
+
+    // The experience is kept all the same, once the ship gives up.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while handle.db_runs() == 0 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert_eq!(
+        handle.db_runs(),
+        1,
+        "the abandoned session's run is recorded"
+    );
+    drop(next);
+    handle.shutdown();
+}
+
 /// A raw protocol-v2 connection (JSON framing, no auto-redirects).
 fn hello_v2(addr: &str) -> TcpStream {
     let mut stream = TcpStream::connect(addr).unwrap();

@@ -584,6 +584,111 @@ fn pipelined_requests_on_one_connection_answer_in_order() {
     handle.shutdown();
 }
 
+/// Requests that cannot wait are served on the reactor's loop thread, a
+/// bounded batch per turn: a burst far past `MAX_PIPELINE` must be
+/// answered completely and in order without the loop recursing once per
+/// request (20,000 deep overflowed its stack), and the daemon must serve
+/// the next client afterwards.
+#[test]
+fn a_huge_pipelined_burst_is_answered_in_order() {
+    let handle = TuningDaemon::start(daemon_config(None)).unwrap();
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .unwrap();
+    const FETCHES: usize = 20_000;
+    let fetch = raw_frame(&Request::Fetch);
+    let mut burst = raw_frame(&session_start_request(vec![5.0, 5.0], Some(10)));
+    for _ in 0..FETCHES {
+        burst.extend_from_slice(&fetch);
+    }
+    burst.extend_from_slice(&raw_frame(&Request::SessionEnd));
+    stream.write_all(&burst).unwrap();
+
+    assert_eq!(read_raw_response(&mut stream).0, "SessionStarted");
+    let (_, first) = read_raw_response(&mut stream);
+    for i in 1..FETCHES {
+        // Fetch is idempotent: every answer is the same proposal.
+        let (tag, payload) = read_raw_response(&mut stream);
+        assert_eq!(tag, "Config", "answer {i}");
+        assert_eq!(payload, first, "answer {i}");
+    }
+    assert!(first.contains("\"iteration\":0"), "{first}");
+    assert_eq!(read_raw_response(&mut stream).0, "SessionSummary");
+    drop(stream);
+
+    let (_, summary) = run_session(handle.addr(), "after-the-burst", vec![1.0, 2.0]);
+    assert!(summary.performance > 190.0);
+    handle.shutdown();
+}
+
+/// `Resume` stays on the worker pool because its grace poll sleeps: while
+/// one connection's `Resume` waits out the grace period for a session
+/// that is live elsewhere (not parked), a third connection runs a whole
+/// session to completion.
+#[test]
+fn a_waiting_resume_does_not_stall_other_sessions() {
+    let handle = TuningDaemon::start(daemon_config(None)).unwrap();
+    let addr = handle.addr();
+    let mut owner = Client::connect(addr).unwrap();
+    owner
+        .start_session(SpaceSpec::Explicit(space()), "live", vec![7.0, 7.0], None)
+        .unwrap();
+    let token = owner.session_token().unwrap().to_string();
+
+    let mut resumer = TcpStream::connect(addr).unwrap();
+    resumer
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    let hello = Request::Hello {
+        version: None,
+        min_version: Some(2),
+        max_version: Some(2),
+        client: "resumer".into(),
+    };
+    resumer.write_all(&raw_frame(&hello)).unwrap();
+    assert_eq!(read_raw_response(&mut resumer).0, "Hello");
+    resumer
+        .write_all(&raw_frame(&Request::Resume { token }))
+        .unwrap();
+    let waiting = std::thread::spawn(move || {
+        let (tag, payload) = read_raw_response(&mut resumer);
+        (tag, payload, std::time::Instant::now())
+    });
+
+    // The Resume frame is already on its way: a loop thread that served
+    // it would sit out the grace poll before serving anything else.
+    let mut other = Client::connect(addr).unwrap();
+    other
+        .start_session(
+            SpaceSpec::Explicit(space()),
+            "other",
+            vec![1.0, 9.0],
+            Some(20),
+        )
+        .unwrap();
+    let mut evaluations = 0;
+    while let Some(p) = other.fetch().unwrap() {
+        other.report(perf(&p.values)).unwrap();
+        evaluations += 1;
+    }
+    other.end_session().unwrap();
+    let other_done = std::time::Instant::now();
+    assert_eq!(evaluations, 20);
+
+    let (tag, payload, resume_answered) = waiting.join().unwrap();
+    assert_eq!(
+        tag, "Error",
+        "a live, unparked session cannot be resumed: {payload}"
+    );
+    assert!(
+        other_done < resume_answered,
+        "a whole session must finish while a Resume waits out its grace poll"
+    );
+    drop(owner);
+    handle.shutdown();
+}
+
 #[test]
 fn slowloris_connection_does_not_stall_others() {
     let handle = TuningDaemon::start(daemon_config(None)).unwrap();

@@ -1,5 +1,5 @@
-//! Multi-daemon clustering: the consistent-hash ring, peer links, and
-//! replication fan-out.
+//! Multi-daemon clustering: the consistent-hash ring and the replica
+//! sets it assigns.
 //!
 //! A cluster is a flat ring of daemons, each identified by the address
 //! it advertises to its peers (`ClusterConfig::self_addr`, the others'
@@ -20,42 +20,29 @@
 //!   members hold it, so killing any single daemon loses nothing at
 //!   `replication >= 2`.
 //!
-//! Shipping rides the ordinary client protocol: a peer link dials the
-//! target's one listener, negotiates `Hello` like any client (binary
-//! framing on v3), then authorizes itself with `PeerHello`. Only after
-//! that handshake will the receiving daemon honor `PeerShipSession` /
-//! `PeerShipStep` / `PeerShipRun` / `PeerDropSession` — on
-//! client-facing connections the whole `Peer*` family is refused. A
-//! replica that cannot apply a step (it holds no record for the token,
-//! or one of a different length: it restarted, or a ship to it was
-//! lost) refuses it in-protocol and is sent the whole record on the
-//! same link, so a replica is never behind by more than the steps
-//! whose transport failed. Replicated applies
-//! are local-only (a daemon never re-ships what a peer shipped to it),
-//! which keeps the fan-out a single hop and free of cycles.
+//! This module decides *who* holds what ([`ClusterState::session_targets`],
+//! [`ClusterState::run_targets`]) and keeps the receiving side's
+//! `(origin, seq)` bookkeeping; the reactor's peer links (`peer.rs`) do
+//! the shipping. A link dials the target's one listener, negotiates
+//! `Hello` like any client (binary framing on v3), then authorizes
+//! itself with `PeerHello`. Only after that handshake will the receiving
+//! daemon honor `PeerShipSession` / `PeerShipStep` / `PeerShipRun` /
+//! `PeerDropSession` — on client-facing connections the whole `Peer*`
+//! family is refused. A replica that cannot apply a step (it holds no
+//! record for the token, or one of a different length: it restarted, or
+//! a ship to it was lost) refuses it in-protocol and is sent the whole
+//! record on the same link, so a replica is never behind by more than
+//! the steps whose transport failed. Replicated applies are local-only
+//! (a daemon never re-ships what a peer shipped to it), which keeps the
+//! fan-out a single hop and free of cycles.
 
-use crate::codec::{clamp_scratch, read_frame_buf_as, write_frame_buf_as, WireFormat};
-use crate::protocol::{Request, Response, MIN_SUPPORTED_VERSION, PROTOCOL_VERSION};
-use crate::NetError;
-use harmony::history::RunHistory;
 use std::collections::HashMap;
-use std::io;
-use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
+use std::sync::Mutex;
 
 /// Virtual nodes per ring member. Enough that token load stays within
 /// 2x of ideal up to double-digit cluster sizes (the property tests
 /// below pin this down).
 const VNODES: usize = 64;
-
-/// Cap on one peer dial. Peers are LAN-close by assumption; a peer
-/// that cannot accept in this window is treated as down and the ship
-/// is dropped (and counted) rather than stalling the session.
-const PEER_CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
-
-/// Read/write deadline on an established peer link.
-const PEER_RW_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// How many candidate tokens `SessionStart` draws before giving up on
 /// landing one on itself. With uniform hashing each draw succeeds with
@@ -236,107 +223,12 @@ impl ClusterConfig {
     }
 }
 
-/// One outbound link to a peer: a lazily-dialed connection that has
-/// completed the `Hello` + `PeerHello` handshake.
-#[derive(Debug, Default)]
-struct PeerLink {
-    stream: Option<TcpStream>,
-    format: WireFormat,
-    buf: Vec<u8>,
-    /// Sequence of the last run shipped on this link. The receiver
-    /// drops any `(origin, seq)` at or below the last it applied, so
-    /// the number is drawn under the link's lock, where the delivery
-    /// order is decided.
-    run_seq: u64,
-}
-
-impl PeerLink {
-    /// Dial `addr`, negotiate `Hello`, and authorize with `PeerHello`.
-    fn connect(&mut self, addr: &str, self_addr: &str) -> Result<(), NetError> {
-        let resolved = addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::AddrNotAvailable, "peer unresolvable"))?;
-        let stream = TcpStream::connect_timeout(&resolved, PEER_CONNECT_TIMEOUT)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(PEER_RW_TIMEOUT))?;
-        stream.set_write_timeout(Some(PEER_RW_TIMEOUT))?;
-        self.stream = Some(stream);
-        self.format = WireFormat::Json;
-        let hello = self.exchange(&Request::Hello {
-            version: None,
-            min_version: Some(MIN_SUPPORTED_VERSION),
-            max_version: Some(PROTOCOL_VERSION),
-            client: format!("harmony-net peer {self_addr}"),
-        })?;
-        match hello {
-            Response::Hello { version, .. } => {
-                self.format = if version >= 3 {
-                    WireFormat::Binary
-                } else {
-                    WireFormat::Json
-                };
-            }
-            other => return Err(unexpected("Hello", other)),
-        }
-        match self.exchange(&Request::PeerHello {
-            node: self_addr.to_string(),
-        })? {
-            Response::PeerOk => Ok(()),
-            Response::Error { message } => Err(NetError::Remote(message)),
-            other => Err(unexpected("PeerOk", other)),
-        }
-    }
-
-    fn next_run_seq(&mut self) -> u64 {
-        self.run_seq += 1;
-        self.run_seq
-    }
-
-    fn exchange(&mut self, request: &Request) -> Result<Response, NetError> {
-        let stream = self.stream.as_mut().expect("exchange without a link");
-        write_frame_buf_as(stream, self.format, request, &mut self.buf)?;
-        let response = read_frame_buf_as(stream, self.format, &mut self.buf);
-        clamp_scratch(&mut self.buf);
-        response
-    }
-
-    /// One request on the link, dialing first if needed and redialing
-    /// once on a transport failure (the previous connection may have
-    /// idled out between ships).
-    fn ship(
-        &mut self,
-        addr: &str,
-        self_addr: &str,
-        request: &Request,
-    ) -> Result<Response, NetError> {
-        if self.stream.is_none() {
-            self.connect(addr, self_addr)?;
-            return self.exchange(request);
-        }
-        match self.exchange(request) {
-            Ok(response) => Ok(response),
-            Err(e) if e.is_retryable() => {
-                self.stream = None;
-                self.connect(addr, self_addr)?;
-                self.exchange(request)
-            }
-            Err(e) => {
-                self.stream = None;
-                Err(e)
-            }
-        }
-    }
-}
-
-/// Live cluster state: the ring, one link per peer, and the per-origin
-/// sequence bookkeeping that makes shipped runs idempotent.
+/// Live cluster state: the ring, and the per-origin sequence
+/// bookkeeping that makes shipped runs idempotent.
 #[derive(Debug)]
 pub struct ClusterState {
     config: ClusterConfig,
     ring: HashRing,
-    /// Outbound links, parallel to `config.peers`.
-    links: Vec<Mutex<PeerLink>>,
     /// Highest shipped-run sequence applied from each origin. A
     /// retried ship re-delivers the same `(origin, seq)` and is
     /// dropped here instead of double-counting the run.
@@ -348,24 +240,9 @@ impl ClusterState {
     pub fn new(config: ClusterConfig) -> Result<ClusterState, String> {
         config.validate()?;
         let ring = HashRing::new(&config.members());
-        // Ship sequences start at the wall clock: a restarted daemon
-        // numbers its runs above everything its predecessor shipped, so
-        // a peer that remembers the old high-water mark keeps applying.
-        let epoch = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0);
-        let link = |_| {
-            Mutex::new(PeerLink {
-                run_seq: epoch,
-                ..PeerLink::default()
-            })
-        };
-        let links = config.peers.iter().map(link).collect();
         Ok(ClusterState {
             config,
             ring,
-            links,
             applied: Mutex::new(HashMap::new()),
         })
     }
@@ -398,33 +275,26 @@ impl ClusterState {
     /// The peers that must hold a replica of `token`'s session: the
     /// token's ring successors after the owner, `replication - 1` of
     /// them, never this daemon itself.
-    pub fn session_replica_targets(&self, token: &str) -> Vec<String> {
-        self.addrs(self.session_targets(token))
+    pub(crate) fn session_targets(&self, token: &str) -> impl Iterator<Item = usize> + '_ {
+        self.targets(ring_hash(token.as_bytes()))
     }
 
     /// The peers that must hold a run recorded with `characteristics`:
     /// the home shard and its successors until `replication` members
     /// hold the run, minus this daemon (which applies locally).
-    pub fn run_replica_targets(&self, characteristics: &[f64]) -> Vec<String> {
-        self.addrs(self.targets(characteristics_hash(characteristics)))
-    }
-
-    fn session_targets(&self, token: &str) -> impl Iterator<Item = usize> + '_ {
-        self.targets(ring_hash(token.as_bytes()))
+    pub(crate) fn run_targets(&self, characteristics: &[f64]) -> impl Iterator<Item = usize> + '_ {
+        self.targets(characteristics_hash(characteristics))
     }
 
     /// The replica set of a ring coordinate as indices into
-    /// `config.peers` (and so into `links`). The ring is built from
-    /// [`ClusterConfig::members`], which lists this daemon first:
-    /// member 0 is not a target, member `i + 1` is peer `i`.
+    /// `config.peers` (and so into the reactor's links), so the ship
+    /// paths neither allocate address strings nor search for a link. The
+    /// ring is built from [`ClusterConfig::members`], which lists this
+    /// daemon first: member 0 is not a target, member `i + 1` is peer `i`.
     fn targets(&self, hash: u64) -> impl Iterator<Item = usize> + '_ {
         self.ring
             .successor_indices(hash, self.config.replication)
             .filter_map(|member| member.checked_sub(1))
-    }
-
-    fn addrs(&self, peers: impl Iterator<Item = usize>) -> Vec<String> {
-        peers.map(|idx| self.config.peers[idx].clone()).collect()
     }
 
     /// Record that `(origin, seq)` arrived; `false` means it was
@@ -438,120 +308,6 @@ impl ClusterState {
         *last = seq;
         true
     }
-
-    /// The locked outbound link to peer `idx` of `config.peers`.
-    fn link(&self, idx: usize) -> MutexGuard<'_, PeerLink> {
-        self.links[idx].lock().unwrap()
-    }
-
-    /// One request to peer `idx` on its locked link.
-    fn exchange(
-        &self,
-        link: &mut PeerLink,
-        idx: usize,
-        request: &Request,
-    ) -> Result<Response, NetError> {
-        link.ship(&self.config.peers[idx], &self.config.self_addr, request)
-    }
-
-    /// Ship one request to one peer, counting the outcome. An
-    /// in-protocol `Error` from the peer counts as a ship failure too.
-    /// Failures are tolerated: the caller keeps serving, and a session
-    /// replica left behind is resynchronised when it refuses the next
-    /// step (see [`ship_step`](Self::ship_step)).
-    fn ship_on(&self, link: &mut PeerLink, idx: usize, request: &Request) -> bool {
-        match self.exchange(link, idx, request) {
-            Ok(Response::PeerOk) => true,
-            Ok(_) | Err(_) => {
-                crate::obs::peer_ship_failures_total().inc();
-                false
-            }
-        }
-    }
-
-    /// Replicate one recorded run to every member that must hold it.
-    pub fn ship_run(&self, run: &Arc<RunHistory>) {
-        for idx in self.targets(characteristics_hash(&run.characteristics)) {
-            let mut link = self.link(idx);
-            let request = Request::PeerShipRun {
-                origin: self.config.self_addr.clone(),
-                seq: link.next_run_seq(),
-                run: Arc::clone(run),
-            };
-            if self.ship_on(&mut link, idx, &request) {
-                crate::obs::peer_runs_shipped_total().inc();
-            }
-        }
-    }
-
-    fn session_request(&self, session: String) -> Request {
-        Request::PeerShipSession {
-            origin: self.config.self_addr.clone(),
-            session,
-        }
-    }
-
-    /// Replicate a whole session record (`session` is a serialized
-    /// `SessionRecord`, the same shape `<db>.sessions` holds) to the
-    /// token's replica set: what a session's start sends.
-    pub fn ship_session(&self, token: &str, session: String) {
-        let request = self.session_request(session);
-        for idx in self.session_targets(token) {
-            if self.ship_on(&mut self.link(idx), idx, &request) {
-                crate::obs::peer_sessions_shipped_total().inc();
-            }
-        }
-    }
-
-    /// Replicate one observation — `step` is a `PeerShipStep` — to the
-    /// token's replica set. A replica that refuses it (it restarted, or
-    /// an earlier step never reached it) is sent the whole record
-    /// instead, serialized by `session` only then, on the same locked
-    /// link so no later step can overtake the resynchronisation. A
-    /// transport failure is counted and left at that: the peer is
-    /// probably down, a second dial would double what its absence costs
-    /// every `Report`, and the next step it does receive is refused as
-    /// a gap and resynchronises it.
-    pub fn ship_step(&self, token: &str, step: &Request, session: impl Fn() -> Option<String>) {
-        for idx in self.session_targets(token) {
-            let mut link = self.link(idx);
-            let shipped = match self.exchange(&mut link, idx, step) {
-                Ok(Response::PeerOk) => true,
-                Ok(_) => {
-                    let resynced = session().is_some_and(|session| {
-                        self.ship_on(&mut link, idx, &self.session_request(session))
-                    });
-                    if resynced {
-                        crate::obs::peer_session_resyncs_total().inc();
-                    }
-                    resynced
-                }
-                Err(_) => {
-                    crate::obs::peer_ship_failures_total().inc();
-                    false
-                }
-            };
-            if shipped {
-                crate::obs::peer_sessions_shipped_total().inc();
-            }
-        }
-    }
-
-    /// Tell the token's replica set the session is over and the
-    /// replicas can be dropped.
-    pub fn drop_session(&self, token: &str) {
-        let request = Request::PeerDropSession {
-            origin: self.config.self_addr.clone(),
-            token: token.to_string(),
-        };
-        for idx in self.session_targets(token) {
-            self.ship_on(&mut self.link(idx), idx, &request);
-        }
-    }
-}
-
-fn unexpected(wanted: &str, got: Response) -> NetError {
-    NetError::Protocol(format!("expected {wanted}, peer sent {got:?}"))
 }
 
 #[cfg(test)]
@@ -706,25 +462,24 @@ mod tests {
         assert!(state.apply_shipped("b:1", 3));
     }
 
+    #[cfg(unix)]
     #[test]
     fn a_successor_state_never_reuses_a_ship_sequence() {
-        // A restarted daemon is a second `ClusterState` for the same
-        // origin; the peer still remembers the first one's sequences.
-        let start = || {
-            ClusterState::new(ClusterConfig {
-                self_addr: "a:1".into(),
-                peers: vec!["b:1".into()],
-                replication: 2,
-            })
-            .unwrap()
-        };
-        let peer = start();
-        let first = start();
+        // A restarted daemon brings a second set of peer links for the
+        // same origin; the peer still remembers the first one's
+        // sequences.
+        let peer = ClusterState::new(ClusterConfig {
+            self_addr: "b:1".into(),
+            peers: vec!["a:1".into()],
+            replication: 2,
+        })
+        .unwrap();
+        let link = || crate::peer::PeerLink::new("b:1".into(), 0);
+        let mut first = link();
         for _ in 0..3 {
-            let seq = first.link(0).next_run_seq();
-            assert!(peer.apply_shipped("a:1", seq));
+            assert!(peer.apply_shipped("a:1", first.next_run_seq()));
         }
-        let seq = start().link(0).next_run_seq();
+        let seq = link().next_run_seq();
         assert!(peer.apply_shipped("a:1", seq), "successor's run dropped");
     }
 
@@ -737,9 +492,12 @@ mod tests {
         })
         .unwrap();
         for t in tokens(300) {
-            let targets = state.session_replica_targets(&t);
+            let targets: Vec<&str> = state
+                .session_targets(&t)
+                .map(|peer| state.config.peers[peer].as_str())
+                .collect();
             assert!(targets.len() <= 2);
-            assert!(!targets.iter().any(|a| a == "a:1"));
+            assert!(!targets.contains(&"a:1"));
             if state.owns_token(&t) {
                 // Owner + one successor, owner filtered out.
                 assert_eq!(targets.len(), 1, "{t}");

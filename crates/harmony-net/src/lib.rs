@@ -17,7 +17,8 @@
 //!   negotiates protocol 3.
 //! * [`server`] — [`server::TuningDaemon`]: one event-driven reactor
 //!   (pipelined requests served on its loop thread, a worker pool for
-//!   the few that can wait, a few hundred bytes per idle connection)
+//!   the few that can wait, peer links it owns on a cluster, a few
+//!   hundred bytes per idle connection)
 //!   over the [`poll`] readiness layer — `epoll` on Linux, `poll(2)` on
 //!   every other Unix.
 //!   All sessions share one experience database: each
@@ -72,6 +73,8 @@ pub mod codec;
 mod error;
 pub mod fault;
 mod obs;
+#[cfg(unix)]
+pub(crate) mod peer;
 #[cfg(unix)]
 pub mod poll;
 pub mod protocol;

@@ -1,12 +1,14 @@
 //! The event-driven daemon core: one readiness loop, per-connection
-//! state machines, and a worker pool for the requests that can wait.
+//! state machines, the outbound peer links, and a worker pool for the
+//! requests that can wait.
 //!
 //! # Architecture
 //!
-//! One reactor thread owns every socket. It waits on a [`Poller`]
-//! (level-triggered, raw syscalls: `epoll` on Linux, `poll(2)` on other
-//! Unixes — see [`crate::poll`]), accepts non-blocking connections, and
-//! runs a small state machine per connection:
+//! One reactor thread owns every socket — client connections and, on a
+//! cluster, one outbound link per peer ([`crate::peer`]). It waits on a
+//! [`Poller`] (level-triggered, raw syscalls: `epoll` on Linux, `poll(2)`
+//! on other Unixes — see [`crate::poll`]), accepts non-blocking
+//! connections, and runs a small state machine per connection:
 //!
 //! * **reading** — readable bytes are pulled through the reactor's one
 //!   read chunk (allocated with the reactor, not per readiness event)
@@ -19,10 +21,10 @@
 //!   cost memory proportional to what actually arrived, never a thread.
 //! * **executing** — requests are served in order, one at a time per
 //!   connection, by the rule of [`server::may_wait`]. One that cannot
-//!   wait (`Fetch`, an unreplicated `Report`, …: an in-memory step of
-//!   microseconds) runs right here on the loop thread, and its response
-//!   frame is banked at once. One that can wait — on a peer, a clock, or
-//!   the whole database — is *checked out* to the worker pool (a
+//!   wait (`Fetch`, `Report`, …: an in-memory step of microseconds) runs
+//!   right here on the loop thread, and its response frame is banked at
+//!   once. One that can wait — on a clock or the whole database — is
+//!   *checked out* to the worker pool (a
 //!   [`harmony_exec::TaskPool`]), so it never blocks the event loop; the
 //!   connection's protocol state travels with the job and comes back on
 //!   the completion channel with the encoded response frame. Both go
@@ -31,6 +33,14 @@
 //!   most [`MAX_PIPELINE`] inline requests per loop pass; one left with
 //!   a backlog gets its next turn before the loop blocks again, so a
 //!   pipelining client cannot monopolise the daemon.
+//! * **held** — a request that replicated left `Peer*` ships in its
+//!   state's outbox. The reactor queues them on the peer links and keeps
+//!   the connection in flight, its response held, until every ship is
+//!   answered (or has failed): an acknowledgment still implies the
+//!   replicas hold what it acknowledges. The last answer banks the
+//!   response and puts the connection on the backlog. A replica that
+//!   refuses a step is sent the whole record, taken from the held
+//!   state, on the same link.
 //! * **writing** — response frames append to the connection's write
 //!   buffer (`wbuf`); the reactor flushes opportunistically and only
 //!   registers write interest while bytes are actually pending.
@@ -42,8 +52,10 @@
 //! `Error` frame and is dropped *without* parking its session, as is one
 //! that errored or hit EOF inside a frame, while a clean EOF at a frame
 //! boundary parks (or records) the session via
-//! [`server::finish_connection`] — on the worker pool when the daemon
-//! replicates, since recording an abandoned session ships its run.
+//! [`server::finish_connection`], whose ships nobody waits for. The loop
+//! also reaps expired parked sessions every [`POLL_INTERVAL`], so every
+//! ship is issued on the loop thread; the worker pool's only part in
+//! replication is dialling a link (std has no non-blocking connect).
 //!
 //! Backpressure: refusals over [`max_connections`] and while draining
 //! reuse the accept-time refusal frames and linger (bounded by
@@ -55,12 +67,14 @@
 //! [`max_connections`]: crate::server::DaemonConfig::max_connections
 
 use crate::codec::{self, FrameOutcome, WireFormat, READ_CHUNK, SCRATCH_CLAMP};
+use crate::peer::{self, PeerLink, Ship, PEER_RW_TIMEOUT};
 use crate::poll::{Poller, Readiness};
 use crate::protocol::{Request, Response};
-use crate::server::{self, ConnState, Shared, POLL_INTERVAL};
+use crate::server::{self, ConnState, Outbox, Shared, POLL_INTERVAL};
 use crate::NetError;
 use harmony_exec::TaskPool;
 use harmony_obs::event::{event, monotonic_us, Level};
+use harmony_obs::trace::TraceContext;
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -75,6 +89,13 @@ use std::time::{Duration, Instant};
 const LISTENER: u64 = u64::MAX;
 /// Event-loop token for the worker-completion wakeup pipe.
 const WAKE: u64 = u64::MAX - 1;
+/// Event-loop token of peer link 0; link `i` is `LINK + i`. Connection
+/// tokens are file descriptors, far below it.
+const LINK: u64 = 1 << 62;
+
+/// A link's dial job, back from the worker pool: the peer index and the
+/// handshaken stream.
+type Dialled = (usize, Result<(TcpStream, WireFormat), NetError>);
 
 /// Per-connection cap on decoded-but-unserved pipelined requests;
 /// beyond it the reactor stops reading from the socket until the
@@ -165,6 +186,10 @@ struct Conn {
     peer_closed: bool,
     /// Socket error observed; close without parking.
     dead: bool,
+    /// A served request's outcome, held while its ships await answers.
+    held: Option<Done>,
+    /// Answers the held response still waits for.
+    owed: usize,
     /// A real conversation (counted against `max_connections`), as
     /// opposed to a refusal that only lingers.
     serving: bool,
@@ -195,6 +220,8 @@ impl Conn {
             pending: VecDeque::new(),
             peer_closed: false,
             dead: false,
+            held: None,
+            owed: 0,
             serving,
             poisoned: false,
             deadline: None,
@@ -229,9 +256,17 @@ pub(crate) struct Reactor {
     wake_tx: Arc<UnixStream>,
     /// Tokens with a linger/flush deadline to sweep.
     timers: Vec<u64>,
-    /// Connections whose inline turn ended at [`MAX_PIPELINE`] with
-    /// requests still queued; the loop does not block while any exist.
+    /// Connections owed another turn before the loop blocks again: an
+    /// inline turn ended at [`MAX_PIPELINE`] with requests still queued,
+    /// or a held response was released.
     backlog: Vec<u64>,
+    /// One outbound link per peer, in the order of the cluster's peer
+    /// list; empty without a cluster.
+    links: Vec<PeerLink>,
+    dial_tx: mpsc::Sender<Dialled>,
+    dial_rx: mpsc::Receiver<Dialled>,
+    /// When the loop next sweeps expired parked sessions.
+    next_reap: Instant,
     /// Where every socket read lands before its bytes move to the
     /// connection's `rbuf`: [`READ_CHUNK`] bytes allocated once, since
     /// only the loop thread reads and it reads one socket at a time.
@@ -258,6 +293,13 @@ impl Reactor {
             .unwrap_or(2)
             .clamp(2, 8);
         let (done_tx, done_rx) = mpsc::channel();
+        let (dial_tx, dial_rx) = mpsc::channel();
+        let links = shared.cluster.as_ref().map_or_else(Vec::new, |cluster| {
+            let peers = cluster.config().peers.iter().enumerate();
+            peers
+                .map(|(i, addr)| PeerLink::new(addr.clone(), LINK + i as u64))
+                .collect()
+        });
         Ok(Reactor {
             shared,
             listener,
@@ -270,6 +312,10 @@ impl Reactor {
             wake_tx: Arc::new(wake_tx),
             timers: Vec::new(),
             backlog: Vec::new(),
+            links,
+            dial_tx,
+            dial_rx,
+            next_reap: Instant::now() + POLL_INTERVAL,
             read_chunk: vec![0; READ_CHUNK],
         })
     }
@@ -302,21 +348,47 @@ impl Reactor {
             if self.shared.shutdown.load(Ordering::SeqCst) {
                 return;
             }
-            for ev in &ready {
-                match ev.token {
-                    LISTENER => self.accept_ready(),
-                    WAKE => drain_wake(&self.wake_rx),
-                    token => self.pump(token, ev.readable),
-                }
+            let now = self.turn(&ready);
+            if now >= self.next_reap {
+                self.next_reap = now + POLL_INTERVAL;
+                let mut outbox = Outbox::new();
+                server::reap_expired(&self.shared, &mut outbox);
+                self.ship_all(outbox, None, None);
             }
-            while let Ok(done) = self.done_rx.try_recv() {
-                self.on_done(done);
-            }
-            for token in std::mem::take(&mut self.backlog) {
-                self.advance(token);
-            }
-            self.sweep_timers();
         }
+    }
+
+    /// One pass over what a wait returned: readiness, then completions
+    /// from the pool, then backlogged connections, then deadlines.
+    /// Returns the time the deadlines were checked against.
+    fn turn(&mut self, ready: &[Readiness]) -> Instant {
+        for ev in ready {
+            match ev.token {
+                LISTENER => self.accept_ready(),
+                WAKE => drain_wake(&self.wake_rx),
+                token if token >= LINK => self.link_ready((token - LINK) as usize, ev.readable),
+                token => self.pump(token, ev.readable),
+            }
+        }
+        while let Ok(done) = self.done_rx.try_recv() {
+            self.on_done(done);
+        }
+        while let Ok((peer, dialled)) = self.dial_rx.try_recv() {
+            self.links[peer].dialled(dialled, &self.poller);
+            self.after_link(peer);
+        }
+        for token in std::mem::take(&mut self.backlog) {
+            self.advance(token);
+        }
+        let now = Instant::now();
+        self.sweep_timers(now);
+        for peer in 0..self.links.len() {
+            if self.links[peer].overdue(now) {
+                self.links[peer].drop_connection(&self.poller);
+                self.after_link(peer);
+            }
+        }
+        now
     }
 
     /// Accept until the listener would block.
@@ -501,7 +573,7 @@ impl Reactor {
             // per request.
             let mut frame = std::mem::take(&mut conn.spare);
             frame.clear();
-            let wait = server::may_wait(&request, &self.shared);
+            let wait = server::may_wait(&request);
             let shared = Arc::clone(&self.shared);
             let job = move || {
                 serve_one(token, state, frame, |state, frame| {
@@ -525,7 +597,7 @@ impl Reactor {
                 });
                 break;
             }
-            self.bank(job());
+            self.settle(job());
         }
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
@@ -545,12 +617,113 @@ impl Reactor {
         }
     }
 
-    /// A worker finished: bank the response and keep the connection
+    /// A worker finished: settle the response and keep the connection
     /// moving.
     fn on_done(&mut self, done: Done) {
         let token = done.token;
-        self.bank(done);
+        self.settle(done);
         self.advance(token);
+    }
+
+    /// Take a served request back. Its response is banked at once, unless
+    /// the request replicated: then its ships go out and the connection
+    /// stays in flight, the response held, until every ship is answered.
+    fn settle(&mut self, mut done: Done) {
+        let ships = std::mem::take(&mut done.state.outbox);
+        let trace = done.state.ship_trace.take();
+        let token = done.token;
+        let owner = match self.conns.get_mut(&token) {
+            Some(conn) if !ships.is_empty() && !done.fatal => {
+                conn.owed = ships.len();
+                conn.held = Some(done);
+                Some(token)
+            }
+            _ => {
+                self.bank(done);
+                None
+            }
+        };
+        self.ship_all(ships, owner, trace);
+    }
+
+    /// Queue every ship of an outbox on its link. `owner` is the
+    /// connection whose held response waits for the answers.
+    fn ship_all(&mut self, ships: Outbox, owner: Option<u64>, trace: Option<TraceContext>) {
+        for (peer, request) in ships {
+            self.links[peer].push(Ship::new(request, owner, trace), &self.poller);
+            self.after_link(peer);
+        }
+    }
+
+    /// Readiness on a peer link: settle the answers that arrived, write
+    /// what is pending.
+    fn link_ready(&mut self, peer: usize, readable: bool) {
+        self.links[peer].pump(readable, &mut self.read_chunk, &self.poller);
+        self.after_link(peer);
+    }
+
+    /// Settle every ship the link's last step answered or failed, then
+    /// start a dial if ships wait for a connection.
+    fn after_link(&mut self, peer: usize) {
+        while let Some((ship, answer)) = self.links[peer].answers.pop_front() {
+            self.answered(peer, ship, answer);
+        }
+        let Some(cluster) = &self.shared.cluster else {
+            return;
+        };
+        if self.links[peer].needs_dial() {
+            let addr = self.links[peer].addr().to_string();
+            let me = cluster.self_addr().to_string();
+            let tx = self.dial_tx.clone();
+            let wake = Arc::clone(&self.wake_tx);
+            self.pool.submit(move || {
+                let _ = tx.send((peer, peer::dial(&addr, &me)));
+                let _ = (&*wake).write(&[1]);
+            });
+        }
+    }
+
+    /// One ship's answer (`None`: its transport failed for good). A
+    /// refused step is answered with the whole record on the same link,
+    /// taken from the held connection's state — which cannot move while
+    /// the connection waits, so it is the record the step came from.
+    /// Everything else settles the ship and releases what its owner is
+    /// owed.
+    fn answered(&mut self, peer: usize, ship: Ship, answer: Option<Response>) {
+        if !ship.settle(answer.as_ref()) {
+            let held = ship
+                .owner
+                .and_then(|token| self.conns.get(&token)?.held.as_ref());
+            if let Some(record) =
+                held.and_then(|done| server::resync_ship(&self.shared, &done.state))
+            {
+                self.links[peer].push(ship.resync(record), &self.poller);
+                return;
+            }
+        }
+        self.release(ship.owner);
+    }
+
+    /// One of the answers a held connection waits for came in. The last
+    /// one banks its response and puts it on the backlog — not
+    /// `advance`d from here, which would re-enter the link that called.
+    fn release(&mut self, owner: Option<u64>) {
+        let Some(token) = owner else {
+            return;
+        };
+        let Some(conn) = self.conns.get_mut(&token).filter(|c| c.held.is_some()) else {
+            return;
+        };
+        conn.owed -= 1;
+        if conn.owed > 0 {
+            return;
+        }
+        if let Some(done) = conn.held.take() {
+            self.bank(done);
+            if !self.backlog.contains(&token) {
+                self.backlog.push(token);
+            }
+        }
     }
 
     /// Take a served request back: bank its response frame and restore
@@ -664,19 +837,12 @@ impl Reactor {
         if conn.dead || mid_frame {
             return;
         }
-        // On a cluster, recording an abandoned session ships its run to
-        // peers: that waits, so it leaves the loop thread.
-        if self.shared.replicates() {
-            let shared = Arc::clone(&self.shared);
-            self.pool
-                .submit(move || server::finish_connection(&mut state, &shared));
-        } else {
-            server::finish_connection(&mut state, &self.shared);
-        }
+        server::finish_connection(&mut state, &self.shared);
+        self.ship_all(std::mem::take(&mut state.outbox), None, None);
     }
 
     /// Close refusals and poisoned connections whose deadline passed.
-    fn sweep_timers(&mut self) {
+    fn sweep_timers(&mut self, now: Instant) {
         if self.timers.is_empty() {
             return;
         }
@@ -687,7 +853,7 @@ impl Reactor {
             .filter(|t| {
                 self.conns
                     .get(t)
-                    .is_some_and(|c| c.deadline.is_some_and(|d| Instant::now() >= d))
+                    .is_some_and(|c| c.deadline.is_some_and(|d| now >= d))
             })
             .collect();
         for token in due {
@@ -696,27 +862,51 @@ impl Reactor {
         self.timers.retain(|t| self.conns.contains_key(t));
     }
 
-    /// Shutdown: let checked-out requests finish (their responses still
-    /// go out best-effort), then settle every connection — parking
-    /// tokened sessions for the sessions file, recording v1 ones. A
-    /// settlement handed to the pool still lands before the reactor's
-    /// thread ends: dropping the pool drains its queue.
+    /// Shutdown: let checked-out and held requests finish (their
+    /// responses still go out best-effort), then settle every connection —
+    /// parking tokened sessions for the sessions file, recording v1 ones —
+    /// and, when nothing persists, record the parked sessions too. What
+    /// that ships is flushed before the links close, bounded by
+    /// [`PEER_RW_TIMEOUT`].
     fn teardown(&mut self) {
+        // The settling waits below must wake only for links and the
+        // wakeup pair: the listener (kept ready by the connect that
+        // unblocked shutdown) and the connections leave the poller.
+        let _ = self.poller.remove(self.listener.as_raw_fd());
         for conn in self.conns.values_mut() {
             // Already-decoded-but-unserved requests are dropped, the
             // same as bytes still unread in the socket.
             conn.pending.clear();
+            let _ = self.poller.remove(conn.stream.as_raw_fd());
         }
-        while self.conns.values().any(|c| c.in_flight) {
-            match self.done_rx.recv_timeout(Duration::from_secs(5)) {
-                Ok(done) => self.on_done(done),
-                Err(_) => break,
-            }
-        }
+        let served = |r: &Reactor| !r.conns.values().any(|c| c.in_flight);
+        self.wait_until(Instant::now() + Duration::from_secs(5), served);
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
         for token in tokens {
             self.flush(token);
             self.close(token);
+        }
+        let mut outbox = Outbox::new();
+        server::record_parked(&self.shared, &mut outbox);
+        self.ship_all(outbox, None, None);
+        let answered = |r: &Reactor| r.links.iter().all(PeerLink::settled);
+        self.wait_until(Instant::now() + PEER_RW_TIMEOUT, answered);
+    }
+
+    /// Keep taking loop passes until `done` holds or `deadline` passes.
+    fn wait_until(&mut self, deadline: Instant, done: impl Fn(&Reactor) -> bool) {
+        let mut ready = Vec::new();
+        while !done(self) {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return;
+            }
+            ready.clear();
+            let timeout = left.min(POLL_INTERVAL).as_millis() as i32;
+            if self.poller.wait(&mut ready, timeout).is_err() {
+                return;
+            }
+            self.turn(&ready);
         }
     }
 }

@@ -7,10 +7,13 @@
 //! cost of an idle connection is a few hundred bytes of state instead of
 //! a thread stack. The loop thread serves every request that cannot
 //! wait (a `Fetch` or `Report` is an in-memory step of microseconds);
-//! the few that can — on a peer, a clock, or the whole database, as
-//! `may_wait` decides — go to a small worker pool (a
-//! [`harmony_exec::TaskPool`]), and requests pipelined behind them are
-//! parsed while they execute. Connections over
+//! the few that can — on a clock or the whole database, as `may_wait`
+//! decides — go to a small worker pool (a [`harmony_exec::TaskPool`]),
+//! and requests pipelined behind them are parsed while they execute. On
+//! a cluster a request that replicates is served inline too: it leaves
+//! its `Peer*` messages in the connection's [`Outbox`], and the reactor
+//! sends them on its peer links and holds the response until every
+//! peer has answered. Connections over
 //! [`DaemonConfig::max_connections`] are refused with an in-protocol
 //! `Error` rather than queued, so a stalled client cannot starve new
 //! ones. Off Unix there is no readiness backend and no daemon:
@@ -70,9 +73,14 @@ use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How often the reactor's event wait and the session reaper wake up
-/// to check for shutdown.
+/// How often the reactor's event wait wakes up to check for shutdown,
+/// and how often its loop reaps expired sessions.
 pub(crate) const POLL_INTERVAL: Duration = Duration::from_millis(50);
+
+/// `Peer*` messages a request queued for the cluster, as `(peer index,
+/// request)`: the reactor sends each on that peer's link. A
+/// `PeerShipRun`'s `seq` is drawn there, when it is queued on its link.
+pub(crate) type Outbox = Vec<(usize, Request)>;
 
 /// Daemon settings.
 #[derive(Debug, Clone)]
@@ -102,7 +110,7 @@ pub struct DaemonConfig {
     /// Name reported in the `Hello` exchange.
     pub server_name: String,
     /// How long a disconnected session stays parked awaiting
-    /// [`Request::Resume`] before the reaper folds whatever it measured
+    /// [`Request::Resume`] before the reactor folds whatever it measured
     /// into the experience database. Also bounds how long a finished
     /// session's cached summary stays answerable.
     pub session_ttl: Duration,
@@ -479,8 +487,8 @@ pub(crate) struct Shared {
     completed: AtomicUsize,
     pub(crate) shutdown: AtomicBool,
     pub(crate) draining: AtomicBool,
-    /// The peer ring and outbound links; `None` when clustering is off.
-    cluster: Option<Arc<ClusterState>>,
+    /// The peer ring; `None` when clustering is off.
+    pub(crate) cluster: Option<Arc<ClusterState>>,
     /// Session records replicated here on behalf of peer owners, keyed
     /// by token and kept current by the owner's steps: if the owner
     /// dies, the client's `Resume` lands here (the token's next ring
@@ -512,31 +520,38 @@ impl Shared {
         }
     }
 
-    /// Whether locally-originated session work is replicated to peers
-    /// before it is acknowledged — a synchronous peer round trip.
-    pub(crate) fn replicates(&self) -> bool {
-        self.cluster.is_some()
-    }
-
-    /// [`record_run`](Self::record_run) plus cluster fan-out: ship the
-    /// run to its replica set before applying it locally.
-    /// Locally-originated recordings come through here; peer-shipped
-    /// ones call `record_run` directly, which is what keeps replication
-    /// a single hop (a daemon never re-ships what a peer shipped to it).
-    fn record_run_and_replicate(&self, run: Arc<RunHistory>) {
+    /// [`record_run`](Self::record_run) plus cluster fan-out: queue the
+    /// run for its replica set. Locally-originated recordings come
+    /// through here; peer-shipped ones call `record_run` directly, which
+    /// is what keeps replication a single hop (a daemon never re-ships
+    /// what a peer shipped to it).
+    fn record_run_and_replicate(&self, run: Arc<RunHistory>, outbox: &mut Outbox) {
         if let Some(cluster) = &self.cluster {
-            cluster.ship_run(&run);
+            for peer in cluster.run_targets(&run.characteristics) {
+                let ship = Request::PeerShipRun {
+                    origin: cluster.self_addr().to_string(),
+                    seq: 0,
+                    run: Arc::clone(&run),
+                };
+                outbox.push((peer, ship));
+            }
         }
         self.record_run(run);
     }
 
-    /// A session is over for good — ended by its client, or expired by
-    /// the reaper: its replicas have nothing left to fail over to.
+    /// A session is over for good — ended by its client, or expired
+    /// while parked: its replicas have nothing left to fail over to.
     /// (Shutdown does not come through here: the replicas are what the
     /// parked sessions' clients resume from.)
-    fn retire(&self, token: &str) {
+    fn retire(&self, token: &str, outbox: &mut Outbox) {
         if let Some(cluster) = &self.cluster {
-            cluster.drop_session(token);
+            for peer in cluster.session_targets(token) {
+                let drop = Request::PeerDropSession {
+                    origin: cluster.self_addr().to_string(),
+                    token: token.to_string(),
+                };
+                outbox.push((peer, drop));
+            }
         }
     }
 
@@ -713,38 +728,62 @@ fn build_session(record: SessionRecord, config: &DaemonConfig) -> Result<ActiveS
     })
 }
 
-/// Replicate a live session's whole record to the token's replica set:
-/// how a replica comes to exist when the session starts. Synchronous,
-/// like [`ship_step`], and a no-op without a cluster or a token.
-fn ship_snapshot(shared: &Shared, sess: &ActiveSession) {
+/// Queue a live session's whole record for the token's replica set: how
+/// a replica comes to exist when the session starts. A no-op without a
+/// cluster or a token.
+fn ship_snapshot(shared: &Shared, sess: &ActiveSession, outbox: &mut Outbox) {
     let (Some(cluster), Some(token)) = (&shared.cluster, &sess.record.token) else {
         return;
     };
-    if let Ok(text) = serde_json::to_string(&sess.record) {
-        cluster.ship_session(token, text);
+    if let Some(ship) = session_ship(cluster, &sess.record) {
+        outbox.extend(
+            cluster
+                .session_targets(token)
+                .map(|peer| (peer, ship.clone())),
+        );
     }
 }
 
-/// Replicate the observation a `Report` just appended to the token's
-/// replica set, synchronously — the client's acknowledgment must imply
-/// the replicas hold it, or a failover could lose acknowledged
-/// progress. What travels is that one trace entry; the whole record
-/// follows only to a replica that refuses the step.
-fn ship_step(shared: &Shared, sess: &ActiveSession) {
+/// Queue the observation a `Report` just appended for the token's
+/// replica set. The reactor holds the client's acknowledgment until
+/// every replica has answered — it must imply the replicas hold the
+/// observation, or a failover could lose acknowledged progress. What
+/// travels is that one trace entry; the whole record follows only to a
+/// replica that refuses the step (see [`resync_ship`]).
+fn ship_step(shared: &Shared, sess: &ActiveSession, outbox: &mut Outbox) {
     let (Some(cluster), Some(token)) = (&shared.cluster, &sess.record.token) else {
         return;
     };
     let Some(entry) = sess.record.trace.last() else {
         return;
     };
-    let step = Request::PeerShipStep {
-        token: token.clone(),
-        iteration: entry.iteration,
-        next_seq: sess.record.next_seq,
-        values: entry.config.values().to_vec(),
-        performance: entry.performance,
-    };
-    cluster.ship_step(token, &step, || serde_json::to_string(&sess.record).ok());
+    for peer in cluster.session_targets(token) {
+        let step = Request::PeerShipStep {
+            token: token.clone(),
+            iteration: entry.iteration,
+            next_seq: sess.record.next_seq,
+            values: entry.config.values().to_vec(),
+            performance: entry.performance,
+        };
+        outbox.push((peer, step));
+    }
+}
+
+/// The whole-record ship for the session `conn` holds: the reactor's
+/// answer to a replica that refused one of its steps. The connection is
+/// held until that replica answers, so the record is the one the step
+/// came from.
+pub(crate) fn resync_ship(shared: &Shared, conn: &ConnState) -> Option<Request> {
+    session_ship(shared.cluster.as_ref()?, &conn.active.as_ref()?.record)
+}
+
+/// A `PeerShipSession` carrying `record`, serialized as the sessions
+/// file holds it.
+fn session_ship(cluster: &ClusterState, record: &SessionRecord) -> Option<Request> {
+    Some(Request::PeerShipSession {
+        origin: cluster.self_addr().to_string(),
+        session: serde_json::to_string(record).ok()?,
+    })
 }
 
 /// A persisted session this version cannot read or rebuild — one written
@@ -903,40 +942,34 @@ impl TuningDaemon {
             let compact_every = shared.config.compact_every;
             std::thread::spawn(move || flusher_loop(rx, sink, journaled, compact_every))
         });
-        let reaper = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || reaper_loop(&shared))
-        };
         let acceptor = std::thread::spawn(move || reactor.serve());
         Ok(DaemonHandle {
             addr,
             shared,
             acceptor: Some(acceptor),
             flusher,
-            reaper: Some(reaper),
         })
     }
 }
 
-/// The keepalive reaper: folds parked sessions whose TTL expired into
-/// the experience database and drops stale cached summaries.
-fn reaper_loop(shared: &Arc<Shared>) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        std::thread::sleep(POLL_INTERVAL);
-        for sess in shared.registry.take_expired(shared.config.session_ttl) {
-            crate::obs::session_ttl_expirations_total().inc();
-            crate::obs::sessions_abandoned_total().inc();
-            event(Level::Warn, "net.session_ttl_expired")
-                .str("label", &sess.record.label)
-                .u64("iterations", sess.iterations() as u64)
-                .emit();
-            let token = sess.record.token.clone();
-            if sess.iterations() > 0 {
-                record_session(sess, shared);
-            }
-            if let Some(token) = token {
-                shared.retire(&token);
-            }
+/// The keepalive sweep, run by the reactor's loop every
+/// [`POLL_INTERVAL`]: folds parked sessions whose TTL expired into the
+/// experience database, retires their replicas, and drops stale cached
+/// summaries.
+pub(crate) fn reap_expired(shared: &Shared, outbox: &mut Outbox) {
+    for sess in shared.registry.take_expired(shared.config.session_ttl) {
+        crate::obs::session_ttl_expirations_total().inc();
+        crate::obs::sessions_abandoned_total().inc();
+        event(Level::Warn, "net.session_ttl_expired")
+            .str("label", &sess.record.label)
+            .u64("iterations", sess.iterations() as u64)
+            .emit();
+        let token = sess.record.token.clone();
+        if sess.iterations() > 0 {
+            record_session(sess, shared, outbox);
+        }
+        if let Some(token) = token {
+            shared.retire(&token, outbox);
         }
     }
 }
@@ -947,7 +980,6 @@ pub struct DaemonHandle {
     shared: Arc<Shared>,
     acceptor: Option<JoinHandle<()>>,
     flusher: Option<JoinHandle<()>>,
-    reaper: Option<JoinHandle<()>>,
 }
 
 impl DaemonHandle {
@@ -1002,13 +1034,9 @@ impl DaemonHandle {
         // Unblock the acceptor with one throwaway connection.
         let _ = TcpStream::connect(self.addr);
         let _ = acceptor.join();
-        if let Some(reaper) = self.reaper.take() {
-            let _ = reaper.join();
-        }
-        // The reactor's teardown has parked every tokened session by now;
-        // persist them (or fold them into the db when nothing persists)
-        // before the flusher compacts, so a run recorded here still
-        // reaches the snapshot file.
+        // The reactor's teardown has parked every tokened session by now
+        // (and, when nothing persists, recorded them); persist them before
+        // the flusher compacts.
         persist_parked(&self.shared);
         // Closing the channel ends the flusher loop; it drains queued
         // runs and compacts once more on the way out, so the snapshot
@@ -1031,40 +1059,50 @@ impl DaemonHandle {
     }
 }
 
-/// Shutdown path for parked sessions: write them to the sessions file
-/// when a database path exists (tokens stay resumable across restart);
-/// otherwise fold whatever they measured into the in-memory database's
-/// last compaction like any abandoned session.
-fn persist_parked(shared: &Arc<Shared>) {
+/// Shutdown path for parked sessions when a database path exists: write
+/// them to the sessions file, so their tokens stay resumable across the
+/// restart. (Without one, the reactor's teardown has recorded them:
+/// see [`record_parked`].)
+fn persist_parked(shared: &Shared) {
+    let Some(db_path) = &shared.config.db_path else {
+        return;
+    };
     let parked = shared.registry.drain_all();
     if parked.is_empty() {
         return;
     }
-    if let Some(db_path) = &shared.config.db_path {
-        let persisted: Vec<&SessionRecord> = parked.iter().map(|(_, sess)| &sess.record).collect();
-        let path = sessions_path(db_path);
-        let write = serde_json::to_string(&persisted)
-            .map_err(|e| e.to_string())
-            .and_then(|text| std::fs::write(&path, text).map_err(|e| e.to_string()));
-        match write {
-            Ok(()) => event(Level::Info, "net.sessions_persisted")
+    let persisted: Vec<&SessionRecord> = parked.iter().map(|(_, sess)| &sess.record).collect();
+    let path = sessions_path(db_path);
+    let write = serde_json::to_string(&persisted)
+        .map_err(|e| e.to_string())
+        .and_then(|text| std::fs::write(&path, text).map_err(|e| e.to_string()));
+    match write {
+        Ok(()) => event(Level::Info, "net.sessions_persisted")
+            .str("path", path.display().to_string())
+            .u64("sessions", persisted.len() as u64)
+            .emit(),
+        Err(e) => {
+            crate::obs::db_persist_failures_total().inc();
+            event(Level::Error, "net.sessions_persist_failed")
                 .str("path", path.display().to_string())
-                .u64("sessions", persisted.len() as u64)
-                .emit(),
-            Err(e) => {
-                crate::obs::db_persist_failures_total().inc();
-                event(Level::Error, "net.sessions_persist_failed")
-                    .str("path", path.display().to_string())
-                    .str("error", e)
-                    .emit();
-            }
+                .str("error", e)
+                .emit();
         }
-    } else {
-        for (_, sess) in parked {
-            crate::obs::sessions_abandoned_total().inc();
-            if sess.iterations() > 0 {
-                record_session(sess, shared);
-            }
+    }
+}
+
+/// Shutdown path for parked sessions when nothing persists: fold
+/// whatever they measured into the in-memory database's last compaction
+/// like any abandoned session. Recording ships the runs, so the
+/// reactor's teardown runs this while its peer links are still up.
+pub(crate) fn record_parked(shared: &Shared, outbox: &mut Outbox) {
+    if shared.config.db_path.is_some() {
+        return;
+    }
+    for (_, sess) in shared.registry.drain_all() {
+        crate::obs::sessions_abandoned_total().inc();
+        if sess.iterations() > 0 {
+            record_session(sess, shared, outbox);
         }
     }
 }
@@ -1191,6 +1229,13 @@ pub(crate) struct ConnState {
     /// peer and may ship `Peer*` traffic. Client-facing connections
     /// never set it, so the `Peer*` family is refused there.
     peer: bool,
+    /// What the request just served replicates. The reactor takes it
+    /// after every request and holds the response until each ship is
+    /// answered.
+    pub(crate) outbox: Outbox,
+    /// The trace the outbox's `peer.ship` spans join: the request's
+    /// serve span, when its trace outlives the response.
+    pub(crate) ship_trace: Option<TraceContext>,
 }
 
 impl ConnState {
@@ -1204,6 +1249,8 @@ impl ConnState {
             format: WireFormat::Json,
             completed_token: None,
             peer: false,
+            outbox: Vec::new(),
+            ship_trace: None,
         }
     }
 
@@ -1216,8 +1263,8 @@ impl ConnState {
 /// Clean-disconnect teardown: park a tokened session for `Resume`, fold
 /// an abandoned v1 session's measurements into the experience database.
 /// Error paths deliberately skip this — an errored connection drops its
-/// session. Recording replicates the run on a cluster, so there the
-/// reactor runs this on its worker pool, by the rule of [`may_wait`].
+/// session. On a cluster, recording queues the run in `conn.outbox`; the
+/// reactor ships it with nobody waiting on the answer.
 pub(crate) fn finish_connection(conn: &mut ConnState, shared: &Shared) {
     if let Some(sess) = conn.active.take() {
         match sess.record.token.clone() {
@@ -1239,7 +1286,7 @@ pub(crate) fn finish_connection(conn: &mut ConnState, shared: &Shared) {
                     .u64("iterations", sess.iterations() as u64)
                     .emit();
                 if sess.iterations() > 0 {
-                    record_session(sess, shared);
+                    record_session(sess, shared, &mut conn.outbox);
                 }
             }
         }
@@ -1252,6 +1299,12 @@ pub(crate) fn finish_connection(conn: &mut ConnState, shared: &Shared) {
 /// ordering (a `SessionEnd`'s trace is sealed *before* its response
 /// unblocks the client). Runs on the reactor's loop thread, or on its
 /// worker pool when [`may_wait`] says the request can wait.
+///
+/// A request that replicates leaves its ships in `conn.outbox`, and the
+/// reactor holds the written response until they are answered. Their
+/// `peer.ship` spans join the request's trace only when that trace
+/// outlives the response: not a bare request's fresh root, and not the
+/// session trace a `SessionEnd` seals.
 pub(crate) fn serve_request(
     request: Request,
     read_window: Option<(u64, u64)>,
@@ -1318,6 +1371,9 @@ pub(crate) fn serve_request(
         crate::obs::errors_total().inc();
         serve_span.mark_error();
     }
+    if tctx.is_some() && !is_session_end && !conn.outbox.is_empty() {
+        conn.ship_trace = serve_span.context();
+    }
     if is_session_end {
         // A session's trace closes with the session — and it must be
         // sealed BEFORE the response unblocks the client: an
@@ -1358,7 +1414,7 @@ pub(crate) fn serve_request(
     Ok(())
 }
 
-/// Whether serving `request` can wait — on a peer, a clock, or the whole
+/// Whether serving `request` can wait — on a clock or the whole
 /// database — and so must leave the reactor's loop thread for its worker
 /// pool, where it stalls no other connection. Everything else is an
 /// in-memory step of microseconds and runs on the loop thread, which
@@ -1366,27 +1422,26 @@ pub(crate) fn serve_request(
 ///
 /// Pooled, and why:
 /// - `Resume`: its grace poll sleeps.
-/// - `SessionStart`, `Report` and `SessionEnd` on a cluster: they are
-///   replicated before they are acknowledged, a synchronous peer round
-///   trip that a dark successor stretches to the link timeouts.
 /// - `DbQuery`, `Stats`, `TraceDump` and `Sensitivity`: their answers grow
 ///   with the database, the metrics registry, the trace buffer or the
 ///   prior.
 ///
-/// Inline: `Hello`, `Fetch`, the unreplicated session requests, and every
-/// `Peer*` receipt — a receipt only takes in-memory locks and never ships
-/// onward, so two members shipping to each other never wait on each
-/// other's loop. The match has no catch-all arm: a new request kind has
-/// to choose.
-pub(crate) fn may_wait(request: &Request, shared: &Shared) -> bool {
+/// Inline: `Hello`, `Fetch`, `SessionStart`, `Report`, `SessionEnd` —
+/// clustered or not: on a cluster what they replicate goes into the
+/// outbox, and the reactor's peer links wait for the answers, not the
+/// request — and every `Peer*` receipt, which only takes in-memory locks
+/// and never ships onward, so two members shipping to each other never
+/// wait on each other's loop. The match has no catch-all arm: a new
+/// request kind has to choose.
+pub(crate) fn may_wait(request: &Request) -> bool {
     match request {
         Request::Resume { .. } => true,
-        Request::SessionStart { .. } | Request::Report { .. } | Request::SessionEnd => {
-            shared.replicates()
-        }
         Request::DbQuery | Request::Stats | Request::TraceDump | Request::Sensitivity => true,
-        Request::Traced { request, .. } => may_wait(request, shared),
+        Request::Traced { request, .. } => may_wait(request),
         Request::Hello { .. }
+        | Request::SessionStart { .. }
+        | Request::Report { .. }
+        | Request::SessionEnd
         | Request::Fetch
         | Request::PeerHello { .. }
         | Request::PeerShipSession { .. }
@@ -1525,7 +1580,7 @@ fn handle_request(request: Request, conn: &mut ConnState, shared: &Shared) -> Re
                     sess.engine.training_iterations() as u64,
                 )
                 .emit();
-            ship_snapshot(shared, &sess);
+            ship_snapshot(shared, &sess, &mut conn.outbox);
             let response = Response::SessionStarted {
                 space: sess.record.space.clone(),
                 trained_from: sess.record.prior.as_ref().map(|r| r.label.clone()),
@@ -1651,9 +1706,10 @@ fn handle_request(request: Request, conn: &mut ConnState, shared: &Shared) -> Re
                         if seq.is_some() {
                             sess.record.next_seq += 1;
                         }
-                        // Replicate before acknowledging: the ack must
-                        // imply a failover cannot lose this observation.
-                        ship_step(shared, sess);
+                        // Replicate before acknowledging: the reactor
+                        // holds the ack until the replicas have it, so a
+                        // failover cannot lose this observation.
+                        ship_step(shared, sess, &mut conn.outbox);
                         Response::Reported
                     }
                     Err(message) => Response::Error { message },
@@ -1673,12 +1729,12 @@ fn handle_request(request: Request, conn: &mut ConnState, shared: &Shared) -> Re
             Some(sess) => {
                 crate::obs::sessions_completed_total().inc();
                 let token = sess.record.token.clone();
-                let summary = record_session(sess, shared);
+                let summary = record_session(sess, shared, &mut conn.outbox);
                 if let Some(token) = token {
                     shared
                         .registry
                         .cache_summary(token.clone(), summary.clone());
-                    shared.retire(&token);
+                    shared.retire(&token, &mut conn.outbox);
                 }
                 summary
             }
@@ -1891,9 +1947,13 @@ fn resolve_space(spec: SpaceSpec) -> Result<ParameterSpace, String> {
     }
 }
 
-/// Fold a finished (or abandoned) session into the shared database and
-/// answer with its summary.
-pub(crate) fn record_session(sess: ActiveSession, shared: &Shared) -> Response {
+/// Fold a finished (or abandoned) session into the shared database,
+/// queue its run for the cluster, and answer with its summary.
+pub(crate) fn record_session(
+    sess: ActiveSession,
+    shared: &Shared,
+    outbox: &mut Outbox,
+) -> Response {
     let ActiveSession { record, engine, .. } = sess;
     let (best, performance) = engine
         .best()
@@ -1917,7 +1977,7 @@ pub(crate) fn record_session(sess: ActiveSession, shared: &Shared) -> Response {
         for t in &record.trace {
             run.push(&t.config, t.performance);
         }
-        shared.record_run_and_replicate(Arc::new(run));
+        shared.record_run_and_replicate(Arc::new(run), outbox);
     }
     shared.completed.fetch_add(1, Ordering::SeqCst);
     summary
@@ -2879,20 +2939,13 @@ mod tests {
         handle.shutdown();
     }
 
-    /// The reactor's schedule over one sample of every request kind, on
-    /// a bare daemon and on a cluster: what waits on a peer, a clock or
-    /// the whole database leaves the loop thread, and the replicated
-    /// session requests are the only ones the cluster moves.
+    /// The reactor's schedule over one sample of every request kind: what
+    /// waits on a clock or the whole database leaves the loop thread, and
+    /// nothing else does — on a cluster too, where what the session
+    /// requests replicate goes out on the reactor's peer links instead of
+    /// holding a worker (`may_wait` does not even see the cluster).
     #[test]
     fn only_requests_that_can_wait_leave_the_loop_thread() {
-        let bare = daemon();
-        let clustered = TuningDaemon::start(
-            DaemonConfig::builder()
-                .cluster("127.0.0.1:9", vec!["127.0.0.2:9".into()], 1)
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
         let traced = |request| Request::Traced {
             trace_id: 1,
             parent_span: 2,
@@ -2903,7 +2956,7 @@ mod tests {
             performance: 1.0,
             seq: Some(0),
         };
-        // (request, waits on a bare daemon, waits on a cluster)
+        // (request, waits)
         let cases = [
             (
                 Request::Hello {
@@ -2912,7 +2965,6 @@ mod tests {
                     max_version: Some(3),
                     client: "test".into(),
                 },
-                false,
                 false,
             ),
             (
@@ -2924,30 +2976,27 @@ mod tests {
                     engine: None,
                 },
                 false,
-                true,
             ),
             (
                 Request::Resume {
                     token: "hs-1-1".into(),
                 },
                 true,
-                true,
             ),
-            (Request::Fetch, false, false),
-            (report(), false, true),
-            (Request::SessionEnd, false, true),
-            (Request::Sensitivity, true, true),
-            (Request::DbQuery, true, true),
-            (Request::Stats, true, true),
-            (traced(Request::Fetch), false, false),
-            (traced(report()), false, true),
-            (traced(Request::Stats), true, true),
-            (Request::TraceDump, true, true),
+            (Request::Fetch, false),
+            (report(), false),
+            (Request::SessionEnd, false),
+            (Request::Sensitivity, true),
+            (Request::DbQuery, true),
+            (Request::Stats, true),
+            (traced(Request::Fetch), false),
+            (traced(report()), false),
+            (traced(Request::Stats), true),
+            (Request::TraceDump, true),
             (
                 Request::PeerHello {
                     node: "127.0.0.2:9".into(),
                 },
-                false,
                 false,
             ),
             (
@@ -2956,14 +3005,12 @@ mod tests {
                     session: "{}".into(),
                 },
                 false,
-                false,
             ),
             (
                 Request::PeerDropSession {
                     origin: "127.0.0.2:9".into(),
                     token: "hs-1-1".into(),
                 },
-                false,
                 false,
             ),
             (
@@ -2975,7 +3022,6 @@ mod tests {
                     performance: 1.0,
                 },
                 false,
-                false,
             ),
             (
                 Request::PeerShipRun {
@@ -2984,20 +3030,11 @@ mod tests {
                     run: run_at("shipped", 0.5),
                 },
                 false,
-                false,
             ),
         ];
-        for (request, bare_waits, cluster_waits) in &cases {
-            let kind = request.kind();
-            assert_eq!(may_wait(request, &bare.shared), *bare_waits, "{kind}, bare");
-            assert_eq!(
-                may_wait(request, &clustered.shared),
-                *cluster_waits,
-                "{kind}, clustered"
-            );
+        for (request, waits) in &cases {
+            assert_eq!(may_wait(request), *waits, "{}", request.kind());
         }
-        bare.shutdown();
-        clustered.shutdown();
     }
 
     /// Two clustered daemons in this process, each the other's ring
@@ -3058,6 +3095,32 @@ mod tests {
         replicas
             .get(token)
             .map(|r| serde_json::to_string(r).unwrap())
+    }
+
+    /// What the reactor does with the outbox a request left in `conn`,
+    /// with `holder`'s receipt handler standing in for the peer link:
+    /// every ship is answered in order over one authorized peer
+    /// connection, runs draw their sequences as a link draws them, a
+    /// refused step is answered with the whole record `conn` holds, and
+    /// every answer is settled — and counted — as the reactor settles it.
+    fn deliver(conn: &mut ConnState, owner: &Shared, holder: &Shared) {
+        let mut link = crate::peer::PeerLink::new(String::new(), 0);
+        let mut inbound = ConnState::new();
+        inbound.peer = true;
+        for (_, mut request) in std::mem::take(&mut conn.outbox) {
+            if let Request::PeerShipRun { seq, .. } = &mut request {
+                *seq = link.next_run_seq();
+            }
+            let mut ship = crate::peer::Ship::new(request, None, None);
+            loop {
+                let answer = handle_request(ship.request().clone(), &mut inbound, holder);
+                if ship.settle(Some(&answer)) {
+                    break;
+                }
+                let record = resync_ship(owner, conn).expect("a stepped session has a record");
+                ship = ship.resync(record);
+            }
+        }
     }
 
     /// The step rule on the receiving side: the next entry is appended,
@@ -3165,6 +3228,7 @@ mod tests {
             Response::SessionStarted { session_token, .. } => session_token.unwrap(),
             other => panic!("expected SessionStarted, got {other:?}"),
         };
+        deliver(&mut conn, &owner.shared, &holder.shared);
         let mut seq = 0;
         let mut report = |conn: &mut ConnState| {
             let fetched = handle_request(Request::Fetch, conn, &owner.shared);
@@ -3178,6 +3242,7 @@ mod tests {
                 handle_request(report, conn, &owner.shared),
                 Response::Reported
             );
+            deliver(conn, &owner.shared, &holder.shared);
         };
         let in_step = |conn: &ConnState| {
             let owned = serde_json::to_string(&conn.active.as_ref().unwrap().record).unwrap();
@@ -3189,16 +3254,19 @@ mod tests {
         in_step(&conn);
         let failures = crate::obs::peer_ship_failures_total().get();
         let resyncs = crate::obs::peer_session_resyncs_total().get();
-        let sabotage: [&dyn Fn(); 3] = [
-            &|| {
+        let sabotage: [&dyn Fn(&mut ConnState); 3] = [
+            &|_| {
                 let mut replicas = holder.shared.replicas.lock().unwrap();
                 replicas.get_mut(&token).unwrap().trace.pop();
             },
-            &|| holder.shared.drop_replica(&token),
-            &|| owner.shared.retire(&token),
+            &|_| holder.shared.drop_replica(&token),
+            &|conn| {
+                owner.shared.retire(&token, &mut conn.outbox);
+                deliver(conn, &owner.shared, &holder.shared);
+            },
         ];
         for (i, put_out_of_step) in sabotage.iter().enumerate() {
-            put_out_of_step();
+            put_out_of_step(&mut conn);
             report(&mut conn);
             in_step(&conn);
             assert!(crate::obs::peer_session_resyncs_total().get() > resyncs + i as u64);
@@ -3574,6 +3642,7 @@ mod tests {
                     }
                     other => panic!("expected SessionStarted, got {other:?}"),
                 };
+                deliver(&mut conn, &owner.shared, &holder.shared);
                 for seq in 0.. {
                     let owned = serde_json::to_string(&conn.active.as_ref().unwrap().record).unwrap();
                     let replica = replica_text(&holder, &token);
@@ -3590,8 +3659,10 @@ mod tests {
                     let Some(values) = values else { break };
                     let report = Request::Report { performance: perf(&values), seq: Some(seq) };
                     prop_assert_eq!(handle_request(report, &mut conn, &owner.shared), Response::Reported);
+                    deliver(&mut conn, &owner.shared, &holder.shared);
                 }
                 handle_request(Request::SessionEnd, &mut conn, &owner.shared);
+                deliver(&mut conn, &owner.shared, &holder.shared);
                 prop_assert_eq!(replica_text(&holder, &token), None, "an ended session keeps no replica");
             }
             owner.shutdown();

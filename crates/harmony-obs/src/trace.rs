@@ -78,6 +78,9 @@ pub mod stage {
     pub const SIMPLEX_STEP: &str = "simplex.step";
     /// The root span of a whole tuning session.
     pub const SESSION: &str = "session";
+    /// One replicated message, from its send to its peer's answer
+    /// (detail = message kind).
+    pub const PEER_SHIP: &str = "peer.ship";
 }
 
 /// The two numbers that identify "where we are" in a trace: which

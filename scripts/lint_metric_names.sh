@@ -64,7 +64,7 @@ done
 # report and this lint agree on spelling.
 stage_file=crates/harmony-obs/src/trace.rs
 for required in net.read net.rpc serve queue.wait exec.run eval classify \
-    warm_start wal.append simplex.step session; do
+    warm_start wal.append simplex.step session peer.ship; do
     if ! grep -qE "pub const [A-Z_]+: &str = \"$required\";" "$stage_file"; then
         echo "FAIL: stage '$required' is not preregistered in $stage_file" >&2
         fail=1

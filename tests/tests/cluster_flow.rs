@@ -23,8 +23,8 @@ use harmony_net::protocol::{Request, Response, SpaceSpec, MIN_SUPPORTED_VERSION}
 use harmony_net::server::{DaemonConfig, DaemonHandle, TuningDaemon};
 use std::collections::HashSet;
 use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 const RSL: &str =
     "{ harmonyBundle cache { int {1 20 1} }}\n{ harmonyBundle threads { int {1 20 1} }}";
@@ -314,12 +314,43 @@ fn killed_owner_fails_over_bit_identically() {
 /// member at `addr` counts them (one registry per process: every member
 /// started here reports the same number).
 fn resyncs(addr: &str) -> u64 {
+    counter(addr, "harmony_net_peer_session_resyncs_total")
+}
+
+/// Peer ships that failed, counted like [`resyncs`].
+fn ship_failures(addr: &str) -> u64 {
+    counter(addr, "harmony_net_peer_ship_failures_total")
+}
+
+/// The value of the preregistered counter `name` on the member at `addr`.
+fn counter(addr: &str, name: &str) -> u64 {
     let stats = Client::connect(addr).unwrap().stats().unwrap();
     let line = stats
         .lines()
-        .find(|l| l.starts_with("harmony_net_peer_session_resyncs_total "))
-        .expect("the resync counter is preregistered");
+        .find(|l| l.split_once(' ').is_some_and(|(series, _)| series == name))
+        .unwrap_or_else(|| panic!("{name} is preregistered"));
     line.rsplit_once(' ').unwrap().1.parse().unwrap()
+}
+
+/// Run `body` in a process where no other test runs. The ship counters
+/// are process-global, and the failover tests in this file move them; a
+/// test that asserts exact counts therefore re-runs itself as the only
+/// test of a child process of this binary, and the child — started with
+/// `--exact` — runs the body.
+fn alone(test: &str, body: impl FnOnce()) {
+    if std::env::args().any(|arg| arg == "--exact") {
+        return body();
+    }
+    let child = std::process::Command::new(std::env::current_exe().unwrap())
+        .args([test, "--exact", "--nocapture"])
+        .output()
+        .expect("the test binary runs again");
+    let stdout = String::from_utf8_lossy(&child.stdout);
+    assert!(
+        child.status.success() && stdout.contains("1 passed"),
+        "{test}, run alone:\n{stdout}{}",
+        String::from_utf8_lossy(&child.stderr)
+    );
 }
 
 /// A successor that restarts mid-session comes back holding nothing. The
@@ -582,6 +613,157 @@ fn an_abandoned_session_ships_without_stalling_the_loop() {
     );
     drop(next);
     handle.shutdown();
+}
+
+/// A successor that accepts connections and never answers costs the
+/// requests that replicate to it a deadline — a tokened `Report` is
+/// answered only once its ship has failed — and nothing else: meanwhile
+/// a new connection's `Hello` + `Stats` and an unreplicated (v1)
+/// session's `Fetch` and `Report` are served at once, because no thread
+/// the loop needs is waiting on the peer.
+#[test]
+fn a_dark_successor_delays_only_what_replicates_to_it() {
+    alone("a_dark_successor_delays_only_what_replicates_to_it", || {
+        let daemon_addr = reserve_addrs(1).remove(0);
+        // The kernel completes the handshake of every dial; nothing ever
+        // reads, let alone answers.
+        let dark = TcpListener::bind("127.0.0.1:0").unwrap();
+        let config = DaemonConfig::builder()
+            .listen(daemon_addr.clone())
+            .cluster(
+                daemon_addr.clone(),
+                vec![dark.local_addr().unwrap().to_string()],
+                2,
+            )
+            .build()
+            .unwrap();
+        let handle = TuningDaemon::start(config).unwrap();
+
+        let mut tokened = Client::connect(daemon_addr.as_str()).unwrap();
+        tokened
+            .start_session(SpaceSpec::Rsl(RSL.into()), "dark", vec![0.5, 0.5], Some(40))
+            .unwrap();
+        let proposal = tokened.fetch().unwrap().expect("budget left");
+        let failures = ship_failures(&daemon_addr);
+        let report = std::thread::spawn(move || {
+            let sent = Instant::now();
+            tokened.report(perf(proposal.values.values())).unwrap();
+            sent.elapsed()
+        });
+        std::thread::sleep(Duration::from_millis(100));
+
+        let quick = |what: &str, request: &mut dyn FnMut()| {
+            let started = Instant::now();
+            request();
+            let took = started.elapsed();
+            assert!(
+                took < Duration::from_millis(100),
+                "{what} took {took:?} while a Report waited on a dark peer"
+            );
+        };
+        quick("connect + Hello + Stats", &mut || {
+            Client::connect(daemon_addr.as_str())
+                .unwrap()
+                .stats()
+                .unwrap();
+        });
+        let mut v1 = Client::builder(daemon_addr.as_str())
+            .max_protocol_version(1)
+            .connect()
+            .unwrap();
+        v1.start_session(SpaceSpec::Rsl(RSL.into()), "lit", vec![0.2, 0.8], None)
+            .unwrap();
+        for _ in 0..3 {
+            let mut proposal = None;
+            quick("v1 Fetch", &mut || proposal = v1.fetch().unwrap());
+            let y = perf(proposal.expect("budget left").values.values());
+            quick("v1 Report", &mut || v1.report(y).unwrap());
+        }
+
+        let waited = report.join().unwrap();
+        assert!(
+            waited >= Duration::from_millis(1500),
+            "the Report was acknowledged after {waited:?}, before its ship failed"
+        );
+        assert_eq!(ship_failures(&daemon_addr), failures + 1);
+        drop(v1);
+        handle.shutdown();
+    });
+}
+
+/// Two members at replication 2 are each other's successor, so with
+/// sessions running on both at once every member is an owner and a
+/// replica at the same time: its loop ships to the other while serving
+/// the other's ships. Neither may wait on the other's loop: every session
+/// finishes, no ship fails or is refused, and both members hold every
+/// run.
+#[test]
+fn members_shipping_to_each_other_never_wait_on_each_other() {
+    alone(
+        "members_shipping_to_each_other_never_wait_on_each_other",
+        || {
+            let addrs = reserve_addrs(2);
+            let daemons: Vec<DaemonHandle> = (0..2).map(|i| cluster_daemon(&addrs, i, 2)).collect();
+            let (failures, resynced) = (ship_failures(&addrs[0]), resyncs(&addrs[0]));
+            let start = Barrier::new(4);
+            std::thread::scope(|scope| {
+                for c in 0..4 {
+                    let (addr, start) = (addrs[c % 2].as_str(), &start);
+                    scope.spawn(move || {
+                        let mut client = Client::connect(addr).unwrap();
+                        start.wait();
+                        for s in 0..3 {
+                            let characteristics = vec![0.1 * c as f64, 0.1 * s as f64];
+                            drive_budget(&mut client, &format!("c{c}-s{s}"), characteristics, 20);
+                        }
+                    });
+                }
+            });
+            assert_eq!(ship_failures(&addrs[0]), failures, "a ship failed");
+            assert_eq!(resyncs(&addrs[0]), resynced, "a replica fell out of step");
+            for addr in &addrs {
+                assert_eq!(run_count(addr), 12, "{addr} is missing runs");
+            }
+            for d in daemons {
+                d.shutdown();
+            }
+        },
+    );
+}
+
+/// An idle link holds no stale connection. The successor restarts
+/// between two sessions; the owner's loop sees the old connection's EOF,
+/// and the next `SessionEnd`'s run reaches the new successor on a fresh
+/// dial, with no ship counted as failed.
+#[test]
+fn an_idle_link_redials_a_restarted_successor() {
+    alone("an_idle_link_redials_a_restarted_successor", || {
+        let addrs = reserve_addrs(2);
+        let owner = cluster_daemon(&addrs, 0, 2);
+        let successor = cluster_daemon(&addrs, 1, 2);
+        let mut client = Client::connect(addrs[0].as_str()).unwrap();
+        drive_budget(&mut client, "before", vec![0.4, 0.6], 10);
+        assert_eq!(run_count(&addrs[1]), 1);
+
+        successor.shutdown();
+        let successor = cluster_daemon(&addrs, 1, 2);
+        let failures = ship_failures(&addrs[0]);
+        // A v1 session replicates nothing before its end: the run is the
+        // first ship on the link since the restart.
+        let mut v1 = Client::builder(addrs[0].as_str())
+            .max_protocol_version(1)
+            .connect()
+            .unwrap();
+        drive_budget(&mut v1, "after", vec![0.4, 0.6], 10);
+        assert_eq!(
+            run_count(&addrs[1]),
+            1,
+            "the restarted successor never received the run"
+        );
+        assert_eq!(ship_failures(&addrs[0]), failures);
+        owner.shutdown();
+        successor.shutdown();
+    });
 }
 
 /// A raw protocol-v2 connection (JSON framing, no auto-redirects).

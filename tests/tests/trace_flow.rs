@@ -18,7 +18,7 @@ use harmony_net::protocol::{Request, Response, SpaceSpec, WireTrace};
 use harmony_net::server::{DaemonConfig, DaemonHandle, TuningDaemon};
 use harmony_obs::trace::stage;
 use std::collections::HashSet;
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
 const RSL: &str =
@@ -339,4 +339,58 @@ fn traced_session_survives_faults_without_perturbing_the_trajectory() {
     );
     assert!(!proxy.injected().is_empty(), "the plan must actually fire");
     faulted.shutdown();
+}
+
+/// On a ring every `Report` is answered only once its step has reached
+/// the successor, and that wait is a `peer.ship` span in the session's
+/// trace, under the `Report`'s serve span: one per `Report` of a traced
+/// session on a 2-member ring at replication 2.
+#[test]
+fn each_replicated_report_records_one_peer_ship_span() {
+    let reserved: Vec<TcpListener> = (0..2)
+        .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
+        .collect();
+    let addrs: Vec<String> = reserved
+        .iter()
+        .map(|l| l.local_addr().unwrap().to_string())
+        .collect();
+    drop(reserved);
+    let members: Vec<DaemonHandle> = (0..2)
+        .map(|i| {
+            let config = DaemonConfig::builder()
+                .listen(addrs[i].clone())
+                .cluster(addrs[i].clone(), vec![addrs[1 - i].clone()], 2)
+                .build()
+                .unwrap();
+            TuningDaemon::start(config).unwrap()
+        })
+        .collect();
+    let mut client = Client::builder(addrs[0].as_str())
+        .tracing(true)
+        .connect()
+        .unwrap();
+    let label = "trace-flow-ring";
+    let (trajectory, _) = drive(&mut client, label);
+
+    let dump = client.trace_dump().unwrap();
+    let t = session_trace(&dump, label).expect("session trace retained");
+    let serves: HashSet<u64> = t
+        .spans
+        .iter()
+        .filter(|s| s.stage == stage::SERVE)
+        .map(|s| s.id)
+        .collect();
+    let steps: Vec<_> = t
+        .spans
+        .iter()
+        .filter(|s| s.stage == stage::PEER_SHIP && s.detail == "PeerShipStep")
+        .collect();
+    assert_eq!(steps.len(), trajectory.len(), "one step ship per Report");
+    for s in steps {
+        assert!(serves.contains(&s.parent), "{s:?} hangs off no serve span");
+        assert!(!s.error, "{s:?} failed");
+    }
+    for m in members {
+        m.shutdown();
+    }
 }

@@ -20,8 +20,8 @@
 //!   members hold it, so killing any single daemon loses nothing at
 //!   `replication >= 2`.
 //!
-//! This module decides *who* holds what ([`ClusterState::session_targets`],
-//! [`ClusterState::run_targets`]) and keeps the receiving side's
+//! This module decides *who* holds what (`ClusterState::session_targets`,
+//! `ClusterState::run_targets`) and keeps the receiving side's
 //! `(origin, seq)` bookkeeping; the reactor's peer links (`peer.rs`) do
 //! the shipping. A link dials the target's one listener, negotiates
 //! `Hello` like any client (binary framing on v3), then authorizes

@@ -49,6 +49,7 @@
 //! the same registry and are preregistered here too, so a `Stats`
 //! request sees the whole experience-path set from startup.
 
+use crate::protocol::Request;
 use harmony_obs::metrics::{global, Counter, Gauge, Histogram, LATENCY_SECONDS};
 use std::sync::{Arc, OnceLock};
 
@@ -373,32 +374,13 @@ pub(crate) struct RequestMetrics {
     pub seconds: Arc<Histogram>,
 }
 
-/// Every message type the protocol knows, in one place so the metric
-/// series exist before the first request of each kind arrives.
-pub(crate) const REQUEST_KINDS: &[&str] = &[
-    "Hello",
-    "SessionStart",
-    "Resume",
-    "Fetch",
-    "Report",
-    "SessionEnd",
-    "Sensitivity",
-    "DbQuery",
-    "Stats",
-    "TraceDump",
-    "PeerHello",
-    "PeerShipSession",
-    "PeerDropSession",
-    "PeerShipStep",
-    "PeerShipRun",
-];
-
+/// One counter and histogram per [`Request::kinds`], all built on first
+/// use so every series exists before the first request of its kind.
 pub(crate) fn request_metrics(kind: &'static str) -> &'static RequestMetrics {
     static H: OnceLock<Vec<(&'static str, RequestMetrics)>> = OnceLock::new();
     let all = H.get_or_init(|| {
-        REQUEST_KINDS
-            .iter()
-            .map(|&k| {
+        Request::kinds()
+            .map(|k| {
                 (
                     k,
                     RequestMetrics {
@@ -470,7 +452,7 @@ pub(crate) fn preregister() {
     shard_adoptions_total();
     shard_redirects_total();
     shard_replica_sessions_entries();
-    for kind in REQUEST_KINDS {
+    for kind in Request::kinds() {
         request_metrics(kind);
     }
 }

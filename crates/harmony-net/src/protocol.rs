@@ -20,6 +20,12 @@
 //!   SessionEnd       ──────────▶           record run into the db
 //!                    ◀──────────   SessionSummary { best, … }
 //! ```
+//!
+//! Adding a message is one variant here, whose serde shape is its JSON
+//! form, plus one row in [`crate::wire`]'s table: the next unused tag
+//! and the fields in binary order. The build fails until the row exists;
+//! [`Request::kind`], the per-kind metrics and
+//! [`crate::wire::response_wire_kind`] follow from it.
 
 use harmony::history::RunHistory;
 use serde::{Deserialize, Serialize};
@@ -147,7 +153,7 @@ pub enum Request {
         /// when nothing finished in between; always present on the
         /// wire — serde cannot default fields of an enum variant).
         spans: Vec<WireSpan>,
-        /// The request being carried.
+        /// The request being carried; never itself `Traced`.
         request: Box<Request>,
     },
     /// Ask for the daemon's flight recorder contents (additive,
@@ -224,25 +230,20 @@ impl Request {
     /// daemon's per-request metrics.
     pub fn kind(&self) -> &'static str {
         match self {
-            Request::Hello { .. } => "Hello",
-            Request::SessionStart { .. } => "SessionStart",
-            Request::Resume { .. } => "Resume",
-            Request::Fetch => "Fetch",
-            Request::Report { .. } => "Report",
-            Request::SessionEnd => "SessionEnd",
-            Request::Sensitivity => "Sensitivity",
-            Request::DbQuery => "DbQuery",
-            Request::Stats => "Stats",
             // Metrics attribute to the request being carried, so a
             // traced Fetch and a bare Fetch land in the same series.
             Request::Traced { request, .. } => request.kind(),
-            Request::TraceDump => "TraceDump",
-            Request::PeerHello { .. } => "PeerHello",
-            Request::PeerShipSession { .. } => "PeerShipSession",
-            Request::PeerDropSession { .. } => "PeerDropSession",
-            Request::PeerShipStep { .. } => "PeerShipStep",
-            Request::PeerShipRun { .. } => "PeerShipRun",
+            other => other.variant(),
         }
+    }
+
+    /// Every value [`Request::kind`] can return: each variant's name
+    /// but the `Traced` wrapper's, in binary tag order.
+    pub fn kinds() -> impl Iterator<Item = &'static str> {
+        Request::VARIANTS
+            .iter()
+            .copied()
+            .filter(|&kind| kind != "Traced")
     }
 }
 

@@ -11,7 +11,7 @@
 //! decides — go to a small worker pool (a [`harmony_exec::TaskPool`]),
 //! and requests pipelined behind them are parsed while they execute. On
 //! a cluster a request that replicates is served inline too: it leaves
-//! its `Peer*` messages in the connection's [`Outbox`], and the reactor
+//! its `Peer*` messages in the connection's `Outbox`, and the reactor
 //! sends them on its peer links and holds the response until every
 //! peer has answered. Connections over
 //! [`DaemonConfig::max_connections`] are refused with an in-protocol
@@ -1782,9 +1782,11 @@ fn handle_request(request: Request, conn: &mut ConnState, shared: &Shared) -> Re
         Request::Stats => Response::Stats {
             text: harmony_obs::metrics::global().encode(),
         },
-        // The envelope is unwrapped in `serve_request`; a nested one
-        // (malformed but harmless) just handles its inner request.
-        Request::Traced { request, .. } => handle_request(*request, conn, shared),
+        // `serve_request` unwraps the one envelope a request may carry;
+        // serving a nested one would recurse once per level.
+        Request::Traced { .. } => Response::Error {
+            message: "Traced may not wrap Traced".into(),
+        },
         Request::TraceDump => Response::TraceDump {
             traces: trace::dump().into_iter().map(Into::into).collect(),
         },
@@ -2138,7 +2140,7 @@ mod tests {
         ] {
             assert!(text.contains(name), "missing {name} in:\n{text}");
         }
-        for kind in crate::obs::REQUEST_KINDS {
+        for kind in Request::kinds() {
             assert!(
                 text.contains(&format!("type=\"{kind}\"")),
                 "missing per-type series for {kind}"

@@ -26,16 +26,25 @@
 //! fields in declaration order with no framing (the schema is the code,
 //! mirrored exactly by the serde shapes that define the JSON wire form).
 //!
-//! # Traits
+//! # Tables
 //!
-//! [`WireEncode`]/[`WireDecode`] are implemented by hand for every
-//! `Request`/`Response` variant and everything nested in them — no
-//! derive, no schema compiler, no reflection. Encoding writes into a
+//! Every message and plain wire struct is one row in a table here: its
+//! tag and its fields in wire order. `wire_enum!`/`wire_structs!` turn
+//! the rows into [`WireEncode`]/[`WireDecode`] and the variant-name
+//! lookups, and the compiler refuses a variant without a row, a row
+//! missing or inventing a field, and a reused tag. Only the primitives,
+//! the containers and the harmony-space types, whose decoders validate
+//! through constructors, are written by hand. Encoding writes into a
 //! caller-supplied `Vec<u8>` (the codec's pooled frame buffers);
 //! decoding reads from a borrowed [`Reader`] and is total: every error
 //! is a [`NetError::Protocol`], never a panic, however hostile the
 //! bytes. Decoded lengths are bounded by the bytes actually present, so
 //! a forged count cannot balloon memory.
+//!
+//! Decoding is canonical: bytes that decode re-encode to exactly
+//! themselves, so a padded varint or an explicit `None` for a trailing
+//! field is refused. `Traced` may not wrap `Traced`; the inner tag is
+//! checked before decoding recurses.
 //!
 //! Negotiation lives in [`crate::protocol`]: a connection speaks JSON
 //! until `Hello` lands on version ≥ 3, then both sides switch. See
@@ -120,6 +129,10 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
+    fn peek(&self) -> Option<u8> {
+        self.buf.get(self.pos).copied()
+    }
+
     fn u8(&mut self) -> Result<u8, NetError> {
         Ok(self.take(1)?[0])
     }
@@ -135,6 +148,12 @@ impl<'a> Reader<'a> {
                 // wider overflowed.
                 if shift == 63 && byte > 1 {
                     return Err(bad("varint overflows u64"));
+                }
+                // A zero last group is padding (`[0x80, 0x00]` reads as
+                // 0, which encodes as `[0x00]`): every value has one
+                // encoding.
+                if byte == 0 && shift > 0 {
+                    return Err(bad("varint has a redundant zero group"));
                 }
                 return Ok(v);
             }
@@ -377,346 +396,179 @@ impl<T: WireDecode> WireDecode for Arc<T> {
 }
 
 // ---------------------------------------------------------------------
-// Protocol messages. Tags are append-only and never reused: a retired
-// variant's number stays unassigned.
+// Protocol messages, declared once. Each row names one variant, its tag
+// and its fields in wire order; `wire_enum!` generates the codec and
+// the variant-name lookups from the rows. The generated matches are
+// exhaustive and their field patterns have no `..`, so a variant
+// without a row, or a row missing or inventing a field, does not
+// compile; neither does a reused tag (the decode match denies
+// unreachable patterns). Tags are append-only and never reused: a
+// retired variant's number stays unassigned.
 
-impl WireEncode for Request {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Request::Hello {
-                version,
-                min_version,
-                max_version,
-                client,
-            } => {
-                out.push(0);
-                version.encode(out);
-                min_version.encode(out);
-                max_version.encode(out);
-                client.encode(out);
-            }
-            Request::SessionStart {
-                space,
-                label,
-                characteristics,
-                max_iterations,
-                engine,
-            } => {
-                out.push(1);
-                space.encode(out);
-                label.encode(out);
-                characteristics.encode(out);
-                max_iterations.encode(out);
-                // Trailing optional field, added after v3 shipped: a
-                // default (`None`) encodes as nothing at all, so these
-                // bytes are identical to what pre-engine encoders
-                // produced and old decoders never see the field.
-                if engine.is_some() {
-                    engine.encode(out);
-                }
-            }
-            Request::Resume { token } => {
-                out.push(2);
-                token.encode(out);
-            }
-            Request::Fetch => out.push(3),
-            Request::Report { performance, seq } => {
-                out.push(4);
-                performance.encode(out);
-                seq.encode(out);
-            }
-            Request::SessionEnd => out.push(5),
-            Request::Sensitivity => out.push(6),
-            Request::DbQuery => out.push(7),
-            Request::Stats => out.push(8),
-            Request::Traced {
-                trace_id,
-                parent_span,
-                spans,
-                request,
-            } => {
-                out.push(9);
-                trace_id.encode(out);
-                parent_span.encode(out);
-                spans.encode(out);
-                request.encode(out);
-            }
-            Request::TraceDump => out.push(10),
-            Request::PeerHello { node } => {
-                out.push(11);
-                node.encode(out);
-            }
-            // Tag 12 is retired: it carried a run as a JSON line.
-            Request::PeerShipSession { origin, session } => {
-                out.push(13);
-                origin.encode(out);
-                session.encode(out);
-            }
-            Request::PeerDropSession { origin, token } => {
-                out.push(14);
-                origin.encode(out);
-                token.encode(out);
-            }
-            Request::PeerShipStep {
-                token,
-                iteration,
-                next_seq,
-                values,
-                performance,
-            } => {
-                out.push(15);
-                token.encode(out);
-                iteration.encode(out);
-                next_seq.encode(out);
-                values.encode(out);
-                performance.encode(out);
-            }
-            Request::PeerShipRun { origin, seq, run } => {
-                out.push(16);
-                origin.encode(out);
-                seq.encode(out);
-                run.encode(out);
-            }
+/// How one field of a table row travels. A row names the codec after
+/// `as`; a field that names none gets `()`, the field type's own
+/// [`WireEncode`]/[`WireDecode`].
+trait FieldCodec<T> {
+    fn put(value: &T, out: &mut Vec<u8>);
+    fn get(r: &mut Reader<'_>) -> Result<T, NetError>;
+}
+
+impl<T: WireEncode + WireDecode> FieldCodec<T> for () {
+    fn put(value: &T, out: &mut Vec<u8>) {
+        value.encode(out);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<T, NetError> {
+        T::decode(r)
+    }
+}
+
+/// An optional field appended after v3 shipped, last in its row
+/// (`SessionStart.engine`): `None` is no bytes at all, so those frames
+/// are byte-identical to what encoders predating the field wrote, and a
+/// payload that ends before the field decodes as `None`. `Some` is the
+/// usual presence byte 1 and the value. A presence byte 0 is refused: it
+/// would re-encode as nothing, and every payload has one encoding.
+struct Trailing;
+
+impl<T: WireEncode + WireDecode> FieldCodec<Option<T>> for Trailing {
+    fn put(value: &Option<T>, out: &mut Vec<u8>) {
+        if value.is_some() {
+            value.encode(out);
+        }
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Option<T>, NetError> {
+        if r.remaining() == 0 {
+            return Ok(None);
+        }
+        match r.u8()? {
+            1 => Ok(Some(T::decode(r)?)),
+            other => Err(bad(format!("trailing option byte {other}"))),
         }
     }
 }
 
-impl WireDecode for Request {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, NetError> {
-        Ok(match r.u8()? {
-            0 => Request::Hello {
-                version: Option::decode(r)?,
-                min_version: Option::decode(r)?,
-                max_version: Option::decode(r)?,
-                client: r.string()?,
-            },
-            1 => {
-                let space = SpaceSpec::decode(r)?;
-                let label = r.string()?;
-                let characteristics = Vec::decode(r)?;
-                let max_iterations = Option::decode(r)?;
-                // Trailing optional: absent entirely on frames from
-                // pre-engine encoders.
-                let engine = if r.remaining() == 0 {
-                    None
-                } else {
-                    Option::decode(r)?
-                };
-                Request::SessionStart {
-                    space,
-                    label,
-                    characteristics,
-                    max_iterations,
-                    engine,
-                }
-            }
-            2 => Request::Resume { token: r.string()? },
-            3 => Request::Fetch,
-            4 => Request::Report {
-                performance: r.f64()?,
-                seq: Option::decode(r)?,
-            },
-            5 => Request::SessionEnd,
-            6 => Request::Sensitivity,
-            7 => Request::DbQuery,
-            8 => Request::Stats,
-            9 => {
-                let trace_id = r.varint()?;
-                let parent_span = r.varint()?;
-                let spans = Vec::decode(r)?;
-                // The wrapper is not nestable: the inner request must be
-                // a bare one, exactly as the server enforces for JSON.
-                let request: Box<Request> = Box::decode(r)?;
-                Request::Traced {
-                    trace_id,
-                    parent_span,
-                    spans,
-                    request,
-                }
-            }
-            10 => Request::TraceDump,
-            11 => Request::PeerHello { node: r.string()? },
-            // 12 is retired and falls through to the unknown-tag error.
-            13 => Request::PeerShipSession {
-                origin: r.string()?,
-                session: r.string()?,
-            },
-            14 => Request::PeerDropSession {
-                origin: r.string()?,
-                token: r.string()?,
-            },
-            15 => Request::PeerShipStep {
-                token: r.string()?,
-                iteration: r.usize()?,
-                next_seq: r.varint()?,
-                values: Vec::decode(r)?,
-                performance: r.f64()?,
-            },
-            16 => Request::PeerShipRun {
-                origin: r.string()?,
-                seq: r.varint()?,
-                run: Arc::decode(r)?,
-            },
-            tag => return Err(bad(format!("request tag {tag}"))),
-        })
+/// `Traced`'s inner request, which must be a bare one. The tag is checked
+/// before decoding recurses, so a frame of nested wrappers costs one
+/// level of stack, not one per wrapper.
+struct Bare;
+
+impl FieldCodec<Box<Request>> for Bare {
+    fn put(value: &Box<Request>, out: &mut Vec<u8>) {
+        value.encode(out);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Box<Request>, NetError> {
+        if r.peek().and_then(Request::variant_of_tag) == Some("Traced") {
+            return Err(bad("Traced may not wrap Traced"));
+        }
+        Box::decode(r)
     }
 }
 
-/// Response variant tags, shared with [`response_wire_kind`] so a
-/// reader that only needs the message kind can stop after one byte.
-const RESPONSE_KINDS: &[&str] = &[
-    "Hello",
-    "SessionStarted",
-    "Resumed",
-    "Draining",
-    "Config",
-    "Done",
-    "Reported",
-    "SessionSummary",
-    "Sensitivity",
-    "Runs",
-    "Stats",
-    "TraceDump",
-    "Error",
-    "NotMine",
-    "PeerOk",
-];
+/// One table: `wire_enum!(Type { tag => Variant { field, … }, … })`.
+/// A field is `name` or `name as Codec`; a unit variant has no braces.
+/// A field's codec is spelled `($($codec)?)`: `()` or `(Codec)`, hence
+/// the allowed parentheses.
+macro_rules! wire_enum {
+    ($ty:ident {
+        $($tag:literal => $variant:ident $({ $($field:ident $(as $codec:ident)?),* $(,)? })?),* $(,)?
+    }) => {
+        impl WireEncode for $ty {
+            #[allow(unused_parens)]
+            fn encode(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($ty::$variant { $($($field),*)? } => {
+                        out.push($tag);
+                        $($(<($($codec)?) as FieldCodec<_>>::put($field, out);)*)?
+                    })*
+                }
+            }
+        }
+
+        impl WireDecode for $ty {
+            #[allow(unused_parens)]
+            #[deny(unreachable_patterns)]
+            fn decode(r: &mut Reader<'_>) -> Result<Self, NetError> {
+                Ok(match r.u8()? {
+                    $($tag => $ty::$variant {
+                        $($($field: <($($codec)?) as FieldCodec<_>>::get(r)?),*)?
+                    },)*
+                    tag => {
+                        let what = stringify!($ty).to_lowercase();
+                        return Err(bad(format!("{what} tag {tag}")));
+                    }
+                })
+            }
+        }
+
+        impl $ty {
+            /// Every variant's name, in binary tag order.
+            pub const VARIANTS: &'static [&'static str] = &[$(stringify!($variant)),*];
+
+            /// This message's variant name.
+            pub fn variant(&self) -> &'static str {
+                match self {
+                    $($ty::$variant { .. } => stringify!($variant),)*
+                }
+            }
+
+            /// The variant name a binary tag byte selects; `None` for an
+            /// unassigned tag.
+            pub fn variant_of_tag(tag: u8) -> Option<&'static str> {
+                match tag {
+                    $($tag => Some(stringify!($variant)),)*
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+wire_enum!(Request {
+    0 => Hello { version, min_version, max_version, client },
+    1 => SessionStart { space, label, characteristics, max_iterations, engine as Trailing },
+    2 => Resume { token },
+    3 => Fetch,
+    4 => Report { performance, seq },
+    5 => SessionEnd,
+    6 => Sensitivity,
+    7 => DbQuery,
+    8 => Stats,
+    9 => Traced { trace_id, parent_span, spans, request as Bare },
+    10 => TraceDump,
+    11 => PeerHello { node },
+    // 12 is retired: it carried a run as a JSON line.
+    13 => PeerShipSession { origin, session },
+    14 => PeerDropSession { origin, token },
+    15 => PeerShipStep { token, iteration, next_seq, values, performance },
+    16 => PeerShipRun { origin, seq, run },
+});
+
+wire_enum!(Response {
+    0 => Hello { version, server },
+    1 => SessionStarted { space, trained_from, training_iterations, session_token },
+    2 => Resumed { iteration, next_seq, done },
+    3 => Draining,
+    4 => Config { values, iteration },
+    5 => Done,
+    6 => Reported,
+    7 => SessionSummary { values, performance, iterations, converged },
+    8 => Sensitivity { entries },
+    9 => Runs { runs },
+    10 => Stats { text },
+    11 => TraceDump { traces },
+    12 => Error { message },
+    13 => NotMine { owner },
+    14 => PeerOk,
+});
 
 /// The variant name of a binary-encoded [`Response`] payload, read from
 /// its tag byte alone — the binary analogue of scanning JSON for the
 /// externally-tagged variant name. `None` for an empty or unknown tag.
 pub fn response_wire_kind(payload: &[u8]) -> Option<&'static str> {
-    RESPONSE_KINDS.get(usize::from(*payload.first()?)).copied()
-}
-
-impl WireEncode for Response {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Response::Hello { version, server } => {
-                out.push(0);
-                version.encode(out);
-                server.encode(out);
-            }
-            Response::SessionStarted {
-                space,
-                trained_from,
-                training_iterations,
-                session_token,
-            } => {
-                out.push(1);
-                space.encode(out);
-                trained_from.encode(out);
-                training_iterations.encode(out);
-                session_token.encode(out);
-            }
-            Response::Resumed {
-                iteration,
-                next_seq,
-                done,
-            } => {
-                out.push(2);
-                iteration.encode(out);
-                next_seq.encode(out);
-                done.encode(out);
-            }
-            Response::Draining => out.push(3),
-            Response::Config { values, iteration } => {
-                out.push(4);
-                values.encode(out);
-                iteration.encode(out);
-            }
-            Response::Done => out.push(5),
-            Response::Reported => out.push(6),
-            Response::SessionSummary {
-                values,
-                performance,
-                iterations,
-                converged,
-            } => {
-                out.push(7);
-                values.encode(out);
-                performance.encode(out);
-                iterations.encode(out);
-                converged.encode(out);
-            }
-            Response::Sensitivity { entries } => {
-                out.push(8);
-                entries.encode(out);
-            }
-            Response::Runs { runs } => {
-                out.push(9);
-                runs.encode(out);
-            }
-            Response::Stats { text } => {
-                out.push(10);
-                text.encode(out);
-            }
-            Response::TraceDump { traces } => {
-                out.push(11);
-                traces.encode(out);
-            }
-            Response::Error { message } => {
-                out.push(12);
-                message.encode(out);
-            }
-            Response::NotMine { owner } => {
-                out.push(13);
-                owner.encode(out);
-            }
-            Response::PeerOk => out.push(14),
-        }
-    }
-}
-
-impl WireDecode for Response {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, NetError> {
-        Ok(match r.u8()? {
-            0 => Response::Hello {
-                version: u32::decode(r)?,
-                server: r.string()?,
-            },
-            1 => Response::SessionStarted {
-                space: ParameterSpace::decode(r)?,
-                trained_from: Option::decode(r)?,
-                training_iterations: r.usize()?,
-                session_token: Option::decode(r)?,
-            },
-            2 => Response::Resumed {
-                iteration: r.usize()?,
-                next_seq: r.varint()?,
-                done: r.bool()?,
-            },
-            3 => Response::Draining,
-            4 => Response::Config {
-                values: Vec::decode(r)?,
-                iteration: r.usize()?,
-            },
-            5 => Response::Done,
-            6 => Response::Reported,
-            7 => Response::SessionSummary {
-                values: Vec::decode(r)?,
-                performance: r.f64()?,
-                iterations: r.usize()?,
-                converged: r.bool()?,
-            },
-            8 => Response::Sensitivity {
-                entries: Vec::decode(r)?,
-            },
-            9 => Response::Runs {
-                runs: Vec::decode(r)?,
-            },
-            10 => Response::Stats { text: r.string()? },
-            11 => Response::TraceDump {
-                traces: Vec::decode(r)?,
-            },
-            12 => Response::Error {
-                message: r.string()?,
-            },
-            13 => Response::NotMine { owner: r.string()? },
-            14 => Response::PeerOk,
-            tag => return Err(bad(format!("response tag {tag}"))),
-        })
-    }
+    Response::variant_of_tag(*payload.first()?)
 }
 
 impl WireEncode for SpaceSpec {
@@ -901,124 +753,34 @@ fn decode_expr(r: &mut Reader<'_>, depth: usize) -> Result<Expr, NetError> {
 }
 
 // ---------------------------------------------------------------------
-// Wire structs.
+// Wire structs: their fields in declaration order, one row each.
 
-impl WireEncode for WireSpan {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.id.encode(out);
-        self.parent.encode(out);
-        self.stage.encode(out);
-        self.detail.encode(out);
-        self.start_us.encode(out);
-        self.end_us.encode(out);
-        self.error.encode(out);
-    }
+/// `wire_structs! { Type { field, … } … }`: fields in wire order, every
+/// field named (the patterns have no `..`).
+macro_rules! wire_structs {
+    ($($ty:ident { $($field:ident),* $(,)? })*) => {$(
+        impl WireEncode for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                let $ty { $($field),* } = self;
+                $($field.encode(out);)*
+            }
+        }
+
+        impl WireDecode for $ty {
+            fn decode(r: &mut Reader<'_>) -> Result<Self, NetError> {
+                Ok($ty { $($field: WireDecode::decode(r)?),* })
+            }
+        }
+    )*};
 }
 
-impl WireDecode for WireSpan {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, NetError> {
-        Ok(WireSpan {
-            id: r.varint()?,
-            parent: r.varint()?,
-            stage: r.string()?,
-            detail: r.string()?,
-            start_us: r.varint()?,
-            end_us: r.varint()?,
-            error: r.bool()?,
-        })
-    }
-}
-
-impl WireEncode for WireTrace {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.trace_id.encode(out);
-        self.complete.encode(out);
-        self.spans.encode(out);
-    }
-}
-
-impl WireDecode for WireTrace {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, NetError> {
-        Ok(WireTrace {
-            trace_id: r.varint()?,
-            complete: r.bool()?,
-            spans: Vec::decode(r)?,
-        })
-    }
-}
-
-impl WireEncode for RunSummary {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.label.encode(out);
-        self.characteristics.encode(out);
-        self.records.encode(out);
-        self.best_performance.encode(out);
-    }
-}
-
-impl WireDecode for RunSummary {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, NetError> {
-        Ok(RunSummary {
-            label: r.string()?,
-            characteristics: Vec::decode(r)?,
-            records: r.usize()?,
-            best_performance: Option::decode(r)?,
-        })
-    }
-}
-
-impl WireEncode for RunHistory {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.label.encode(out);
-        self.characteristics.encode(out);
-        self.records.encode(out);
-    }
-}
-
-impl WireDecode for RunHistory {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, NetError> {
-        Ok(RunHistory {
-            label: r.string()?,
-            characteristics: Vec::decode(r)?,
-            records: Vec::decode(r)?,
-        })
-    }
-}
-
-impl WireEncode for TuningRecord {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.values.encode(out);
-        self.performance.encode(out);
-    }
-}
-
-impl WireDecode for TuningRecord {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, NetError> {
-        Ok(TuningRecord {
-            values: Vec::decode(r)?,
-            performance: r.f64()?,
-        })
-    }
-}
-
-impl WireEncode for SensitivityEntry {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.index.encode(out);
-        self.name.encode(out);
-        self.sensitivity.encode(out);
-        self.best_value.encode(out);
-    }
-}
-
-impl WireDecode for SensitivityEntry {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, NetError> {
-        Ok(SensitivityEntry {
-            index: r.usize()?,
-            name: r.string()?,
-            sensitivity: r.f64()?,
-            best_value: r.zigzag()?,
-        })
-    }
+wire_structs! {
+    WireSpan { id, parent, stage, detail, start_us, end_us, error }
+    WireTrace { trace_id, complete, spans }
+    RunSummary { label, characteristics, records, best_performance }
+    RunHistory { label, characteristics, records }
+    TuningRecord { values, performance }
+    SensitivityEntry { index, name, sensitivity, best_value }
 }
 
 #[cfg(test)]
@@ -1070,6 +832,244 @@ mod tests {
             origin: "127.0.0.1:7701".into(),
             seq: 42,
             run: Arc::new(run),
+        }
+    }
+
+    /// One message per `Request` variant (both `SessionStart` shapes),
+    /// each with the bytes the codec produced when it was written by
+    /// hand. Tags and field order are frozen once shipped: any change
+    /// here is a wire break, not a refactor.
+    fn golden_requests() -> Vec<(Request, &'static str)> {
+        let span = WireSpan {
+            id: 9,
+            parent: 7,
+            stage: "eval".into(),
+            detail: "round 3".into(),
+            start_us: 100,
+            end_us: 250,
+            error: true,
+        };
+        let session_start = |engine| Request::SessionStart {
+            space: SpaceSpec::Explicit(space()),
+            label: "w".into(),
+            characteristics: vec![0.25, -0.75],
+            max_iterations: Some(40),
+            engine,
+        };
+        vec![
+            (
+                Request::Hello {
+                    version: None,
+                    min_version: Some(1),
+                    max_version: Some(3),
+                    client: "c".into(),
+                },
+                "0000010101030163",
+            ),
+            (
+                session_start(None),
+                concat!(
+                    "0101030005636163686500020080011002028001000143000208000203001201",
+                    "056361636865020402120104616c676f02046865617005717569636b01017702",
+                    "000000000000d03f000000000000e8bf0128",
+                ),
+            ),
+            (
+                session_start(Some("tuneful".into())),
+                concat!(
+                    "0101030005636163686500020080011002028001000143000208000203001201",
+                    "056361636865020402120104616c676f02046865617005717569636b01017702",
+                    "000000000000d03f000000000000e8bf0128010774756e6566756c",
+                ),
+            ),
+            (
+                Request::Resume {
+                    token: "s-42".into(),
+                },
+                "0204732d3432",
+            ),
+            (Request::Fetch, "03"),
+            (
+                Request::Report {
+                    performance: -3.5,
+                    seq: Some(300),
+                },
+                "040000000000000cc001ac02",
+            ),
+            (Request::SessionEnd, "05"),
+            (Request::Sensitivity, "06"),
+            (Request::DbQuery, "07"),
+            (Request::Stats, "08"),
+            (
+                Request::Traced {
+                    trace_id: u64::MAX,
+                    parent_span: 7,
+                    spans: vec![span],
+                    request: Box::new(Request::Report {
+                        performance: 1.5,
+                        seq: None,
+                    }),
+                },
+                concat!(
+                    "09ffffffffffffffffff0107010907046576616c07726f756e64203364fa0101",
+                    "04000000000000f83f00",
+                ),
+            ),
+            (Request::TraceDump, "0a"),
+            (Request::PeerHello { node: "n1".into() }, "0b026e31"),
+            (
+                Request::PeerShipSession {
+                    origin: "n1".into(),
+                    session: "{}".into(),
+                },
+                "0d026e31027b7d",
+            ),
+            (
+                Request::PeerDropSession {
+                    origin: "n1".into(),
+                    token: "t".into(),
+                },
+                "0e026e310174",
+            ),
+            (
+                peer_step(),
+                "0f0668732d312d310708031c0bffffffffffffffffff019a9999999999b9bf",
+            ),
+            (
+                peer_run(),
+                concat!(
+                    "100e3132372e302e302e313a373730312a017702000000000000d03f00000000",
+                    "0000e8bf02021c0c0000000000006940020500343333333333d33f",
+                ),
+            ),
+        ]
+    }
+
+    /// The `Response` twin of [`golden_requests`].
+    fn golden_responses() -> Vec<(Response, &'static str)> {
+        vec![
+            (
+                Response::Hello {
+                    version: 3,
+                    server: "h".into(),
+                },
+                "00030168",
+            ),
+            (
+                Response::SessionStarted {
+                    space: space(),
+                    trained_from: Some("monday".into()),
+                    training_iterations: 17,
+                    session_token: Some("hs-1-1".into()),
+                },
+                concat!(
+                    "0103000563616368650002008001100202800100014300020800020300120105",
+                    "6361636865020402120104616c676f02046865617005717569636b0101066d6f",
+                    "6e64617911010668732d312d31",
+                ),
+            ),
+            (
+                Response::Resumed {
+                    iteration: 7,
+                    next_seq: 9,
+                    done: true,
+                },
+                "02070901",
+            ),
+            (Response::Draining, "03"),
+            (
+                Response::Config {
+                    values: vec![3, -1, 4],
+                    iteration: 2,
+                },
+                "040306010802",
+            ),
+            (Response::Done, "05"),
+            (Response::Reported, "06"),
+            (
+                Response::SessionSummary {
+                    values: vec![-2, 5],
+                    performance: 15.9,
+                    iterations: 26,
+                    converged: true,
+                },
+                "0702030acdcccccccccc2f401a01",
+            ),
+            (
+                Response::Sensitivity {
+                    entries: vec![SensitivityEntry {
+                        index: 1,
+                        name: "C".into(),
+                        sensitivity: 0.25,
+                        best_value: -7,
+                    }],
+                },
+                "0801010143000000000000d03f0d",
+            ),
+            (
+                Response::Runs {
+                    runs: vec![RunSummary {
+                        label: "r".into(),
+                        characteristics: vec![1.0],
+                        records: 3,
+                        best_performance: Some(2.0),
+                    }],
+                },
+                "0901017201000000000000f03f03010000000000000040",
+            ),
+            (
+                Response::Stats {
+                    text: "x 1\n".into(),
+                },
+                "0a047820310a",
+            ),
+            (
+                Response::TraceDump {
+                    traces: vec![WireTrace {
+                        trace_id: 3,
+                        complete: false,
+                        spans: vec![WireSpan {
+                            id: 1,
+                            parent: 0,
+                            stage: "session".into(),
+                            detail: String::new(),
+                            start_us: 0,
+                            end_us: 10,
+                            error: false,
+                        }],
+                    }],
+                },
+                "0b0103000101000773657373696f6e00000a00",
+            ),
+            (
+                Response::Error {
+                    message: "no".into(),
+                },
+                "0c026e6f",
+            ),
+            (Response::NotMine { owner: "n2".into() }, "0d026e32"),
+            (Response::PeerOk, "0e"),
+        ]
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Every variant and every wire struct, byte for byte: both halves
+    /// of the codec are checked against the pinned bytes, not only
+    /// against each other.
+    #[test]
+    fn every_variant_encodes_to_its_pinned_bytes() {
+        for (msg, golden) in golden_requests() {
+            let bytes = to_bytes(&msg);
+            assert_eq!(hex(&bytes), golden, "{msg:?}");
+            assert_eq!(from_bytes::<Request>(&bytes).unwrap(), msg);
+        }
+        for (msg, golden) in golden_responses() {
+            let bytes = to_bytes(&msg);
+            assert_eq!(hex(&bytes), golden, "{msg:?}");
+            assert_eq!(from_bytes::<Response>(&bytes).unwrap(), msg);
         }
     }
 
@@ -1353,15 +1353,33 @@ mod tests {
     #[test]
     fn hostile_payloads_error_instead_of_panicking() {
         // Truncated, forged counts, bad tags, bad UTF-8, non-canonical
-        // bools, trailing garbage: all must come back as Protocol errors.
+        // bools, varints and options, nested `Traced`, trailing garbage:
+        // all must come back as Protocol errors.
+        let mut engine_none = to_bytes(&Request::SessionStart {
+            space: SpaceSpec::Rsl("{ harmonyBundle x { int {0 9 1} }}".into()),
+            label: "w".into(),
+            characteristics: vec![],
+            max_iterations: None,
+            engine: None,
+        });
+        engine_none.push(0); // an explicit `None` re-encodes as nothing
+        let nested = |depth: usize| {
+            let mut bytes = [9u8, 0, 0, 0].repeat(depth);
+            bytes.push(3);
+            bytes
+        };
         let cases: Vec<Vec<u8>> = vec![
             vec![],
-            vec![99],                           // unknown request tag
-            vec![0, 2],                         // Hello with a bad option byte
-            vec![1, 0, 255, 255, 255, 1],       // SessionStart, huge RSL length
-            vec![2, 3, 0xff, 0xfe, 0xfd],       // Resume with invalid UTF-8
+            vec![99],                                       // unknown request tag
+            vec![0, 2],                                     // Hello with a bad option byte
+            vec![1, 0, 255, 255, 255, 1],                   // SessionStart, huge RSL length
+            vec![2, 3, 0xff, 0xfe, 0xfd],                   // Resume with invalid UTF-8
             vec![4, 0, 0, 0, 0, 0, 0, 0, 0, 7], // Report with bool byte 7 for the Option
             vec![3, 0],                         // Fetch with a trailing byte
+            vec![4, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0x85, 0x00], // Report, seq 5 padded
+            engine_none,
+            nested(2),
+            nested(100_000), // refused before decoding recurses
         ];
         for bytes in cases {
             let err = from_bytes::<Request>(&bytes).unwrap_err();
@@ -1442,6 +1460,47 @@ mod tests {
         put_zigzag(&mut bytes, 1);
         let err = from_bytes::<Expr>(&bytes).unwrap_err();
         assert!(err.to_string().contains("nests deeper"), "{err}");
+    }
+
+    /// The deepest expression the binary decoder accepts still fits in a
+    /// JSON frame under the parser's nesting cap, inside the deepest
+    /// message that carries a space: a traced `SessionStart`.
+    #[test]
+    fn the_deepest_expression_fits_the_json_nesting_cap() {
+        let mut deep = Expr::constant(1);
+        for _ in 1..MAX_EXPR_DEPTH {
+            deep = Expr::Add(Box::new(deep), Box::new(Expr::constant(1)));
+        }
+        let space = ParameterSpace::builder()
+            .param(ParamDef::restricted(
+                "deep",
+                Expr::constant(1),
+                deep,
+                1,
+                1,
+                1,
+                99,
+            ))
+            .build()
+            .unwrap();
+        round_trip(&space);
+        let msg = Request::Traced {
+            trace_id: 1,
+            parent_span: 2,
+            spans: vec![],
+            request: Box::new(Request::SessionStart {
+                space: SpaceSpec::Explicit(space),
+                label: "deep".into(),
+                characteristics: vec![],
+                max_iterations: None,
+                engine: Some("simplex".into()),
+            }),
+        };
+        // JSON skips the space's name index, so compare re-encoded text.
+        let json = serde_json::to_string(&msg).unwrap();
+        let back: Request = serde_json::from_str(&json).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        round_trip(&msg);
     }
 
     #[test]

@@ -21,6 +21,7 @@ use harmony_net::cluster::{ring_hash, HashRing};
 use harmony_net::codec::{read_frame, write_frame};
 use harmony_net::protocol::{Request, Response, SpaceSpec, MIN_SUPPORTED_VERSION};
 use harmony_net::server::{DaemonConfig, DaemonHandle, TuningDaemon};
+use harmony_net::NetError;
 use std::collections::HashSet;
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Barrier};
@@ -73,7 +74,20 @@ fn cluster_daemon_with_ttl(
         .session_ttl(session_ttl)
         .build()
         .expect("valid cluster config");
-    TuningDaemon::start(config).expect("cluster daemon starts")
+    // A restart rebinds its predecessor's address. A child process that
+    // `alone` is spawning holds a copy of the old listener until its exec
+    // closes it, a few milliseconds, so a refused bind is retried.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        match TuningDaemon::start(config.clone()) {
+            Err(NetError::Io(e))
+                if e.kind() == std::io::ErrorKind::AddrInUse && Instant::now() < deadline =>
+            {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            started => return started.expect("cluster daemon starts"),
+        }
+    }
 }
 
 /// A resilient client that knows every ring member's address.

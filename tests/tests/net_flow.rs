@@ -12,6 +12,7 @@ use harmony_net::client::Client;
 use harmony_net::fault::{FaultKind, FaultPlan, FaultProxy};
 use harmony_net::protocol::{Request, SpaceSpec};
 use harmony_net::server::{DaemonConfig, TuningDaemon};
+use harmony_net::wire::response_wire_kind;
 use harmony_net::NetError;
 use harmony_space::{Configuration, ParamDef, ParameterSpace};
 use std::collections::HashMap;
@@ -515,15 +516,20 @@ fn raw_frame(req: &Request) -> Vec<u8> {
     buf
 }
 
-/// Read one response frame, returning its externally-tagged enum tag
-/// (`"Config"`, `"SessionSummary"`, …) plus the raw JSON payload.
-fn read_raw_response(stream: &mut TcpStream) -> (String, String) {
+/// Read one response frame's payload, in whatever format it travels.
+fn read_raw_payload(stream: &mut TcpStream) -> Vec<u8> {
     let mut header = [0u8; 4];
     stream.read_exact(&mut header).unwrap();
     let len = u32::from_be_bytes(header) as usize;
     let mut payload = vec![0u8; len];
     stream.read_exact(&mut payload).unwrap();
-    let text = String::from_utf8(payload).unwrap();
+    payload
+}
+
+/// Read one response frame, returning its externally-tagged enum tag
+/// (`"Config"`, `"SessionSummary"`, …) plus the raw JSON payload.
+fn read_raw_response(stream: &mut TcpStream) -> (String, String) {
+    let text = String::from_utf8(read_raw_payload(stream)).unwrap();
     let tag = text.split('"').nth(1).unwrap_or("").to_string();
     (tag, text)
 }
@@ -780,6 +786,66 @@ fn raw_v1_client_tunes_end_to_end() {
 
     assert_eq!(handle.completed_sessions(), 1);
     assert_eq!(handle.db_runs(), 1, "the v1 session's run is recorded");
+    handle.shutdown();
+}
+
+/// Length-prefix an already-encoded payload.
+fn framed(payload: &[u8]) -> Vec<u8> {
+    let mut buf = (payload.len() as u32).to_be_bytes().to_vec();
+    buf.extend_from_slice(payload);
+    buf
+}
+
+/// `Traced` wrapping `Traced` 10,000 deep, in either format, is one small
+/// frame that used to overflow the decoding thread's stack and abort the
+/// whole daemon. Each is now answered with an `Error`, and the daemon goes
+/// on to serve a full session.
+#[test]
+fn deeply_nested_traced_frames_are_refused_not_fatal() {
+    const DEPTH: usize = 10_000;
+    let handle = TuningDaemon::start(daemon_config(None)).unwrap();
+    let connect = || {
+        let stream = TcpStream::connect(handle.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+            .unwrap();
+        stream
+    };
+
+    // JSON, on a fresh connection with no Hello: too deep for the
+    // parser, and as deep as it accepts (each wrapper is two levels,
+    // and the innermost `spans` one more).
+    let open = r#"{"Traced":{"trace_id":1,"parent_span":0,"spans":[],"request":"#;
+    for (depth, why) in [(DEPTH, "recursion limit"), (127, "may not wrap")] {
+        let json = format!("{}\"Fetch\"{}", open.repeat(depth), "}}".repeat(depth));
+        let mut stream = connect();
+        stream.write_all(&framed(json.as_bytes())).unwrap();
+        let (tag, payload) = read_raw_response(&mut stream);
+        assert_eq!(tag, "Error", "{payload}");
+        assert!(payload.contains(why), "{payload}");
+    }
+
+    // Binary, after a v3 Hello: tag 9 with trace_id 0, parent_span 0 and
+    // no spans, nested, around a bare Fetch (tag 3).
+    let mut stream = connect();
+    stream
+        .write_all(&raw_frame(&Request::Hello {
+            version: None,
+            min_version: Some(3),
+            max_version: Some(3),
+            client: "nester".into(),
+        }))
+        .unwrap();
+    let (tag, _) = read_raw_response(&mut stream);
+    assert_eq!(tag, "Hello");
+    let mut binary = [9u8, 0, 0, 0].repeat(DEPTH);
+    binary.push(3);
+    stream.write_all(&framed(&binary)).unwrap();
+    let payload = read_raw_payload(&mut stream);
+    assert_eq!(response_wire_kind(&payload), Some("Error"));
+
+    let (_, summary) = run_session(handle.addr(), "after-nesting", vec![0.5, 0.5]);
+    assert!(summary.iterations > 0);
     handle.shutdown();
 }
 
@@ -1080,9 +1146,60 @@ mod wire_equivalence {
         fn hostile_request_bytes_never_panic(bytes in prop::collection::vec(0u8..=255, 0..200)) {
             // Decoding arbitrary garbage must always return, never
             // panic or loop: Ok on the rare valid encoding, a protocol
-            // error otherwise.
-            let _ = from_bytes::<Request>(&bytes);
-            let _ = from_bytes::<Response>(&bytes);
+            // error otherwise. What decodes is canonical: it encodes
+            // back to exactly the bytes it came from.
+            if let Ok(request) = from_bytes::<Request>(&bytes) {
+                prop_assert_eq!(to_bytes(&request), bytes.clone());
+            }
+            if let Ok(response) = from_bytes::<Response>(&bytes) {
+                prop_assert_eq!(to_bytes(&response), bytes);
+            }
+        }
+    }
+
+    /// One edit of a valid encoding: overwrite a byte, or insert one
+    /// (at the end, too). Near-misses reach far deeper into the decoder
+    /// than uniform garbage does, and the bytes that mean something to
+    /// it (zero, one, a varint continuation, the `Traced` tag) come up
+    /// often.
+    fn arb_edit() -> impl Strategy<Value = (bool, usize, u8)> {
+        let byte = prop_oneof![Just(0u8), Just(1), Just(0x80), Just(9), 0u8..=255];
+        (arb_bool(), 0usize..4096, byte)
+    }
+
+    fn edit(mut bytes: Vec<u8>, (insert, at, byte): (bool, usize, u8)) -> Vec<u8> {
+        if insert || bytes.is_empty() {
+            bytes.insert(at % (bytes.len() + 1), byte);
+        } else {
+            let at = at % bytes.len();
+            bytes[at] = byte;
+        }
+        bytes
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn edited_requests_decode_canonically_or_not_at_all(
+            request in arb_request(),
+            change in arb_edit(),
+        ) {
+            let bytes = edit(to_bytes(&request), change);
+            if let Ok(decoded) = from_bytes::<Request>(&bytes) {
+                prop_assert_eq!(to_bytes(&decoded), bytes);
+            }
+        }
+
+        #[test]
+        fn edited_responses_decode_canonically_or_not_at_all(
+            response in arb_response(),
+            change in arb_edit(),
+        ) {
+            let bytes = edit(to_bytes(&response), change);
+            if let Ok(decoded) = from_bytes::<Response>(&bytes) {
+                prop_assert_eq!(to_bytes(&decoded), bytes);
+            }
         }
     }
 }

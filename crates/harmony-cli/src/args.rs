@@ -1,6 +1,15 @@
-//! Hand-rolled argument parsing (no external dependencies).
+//! Argument parsing driven by one table per subcommand (no external
+//! dependencies).
+//!
+//! Each subcommand's flags are the rows of one table: a flag's spellings,
+//! the placeholder its value takes (none for a switch) and the least
+//! number it accepts. One loop reads argv against a spec, the same specs
+//! generate the synopsis lines of [`usage`], and typed getters convert the
+//! values while a subcommand's struct is filled in. The rules that relate
+//! two flags follow the struct, by hand.
 
 use std::fmt;
+use std::str::FromStr;
 
 /// A parsed invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -18,104 +27,14 @@ pub enum Command {
         rsl: String,
     },
     /// Run the parameter prioritizing tool against a measurement command.
-    Sensitivity {
-        /// Path to the RSL file.
-        rsl: String,
-        /// Cap on sampled values per parameter.
-        samples: Option<usize>,
-        /// Measurements averaged per value.
-        repeats: usize,
-        /// Worker threads measuring concurrently (1 = sequential).
-        jobs: usize,
-        /// The external measurement command and its arguments.
-        measure: Vec<String>,
-    },
+    Sensitivity(SensitivityArgs),
     /// Tune against a measurement command.
-    Tune {
-        /// Path to the RSL file.
-        rsl: String,
-        /// Live iteration budget.
-        iterations: usize,
-        /// Use the original extreme-corner initial simplex instead of the
-        /// improved evenly-spread one.
-        original: bool,
-        /// Search engine from the `harmony-engines` registry (`simplex`
-        /// when unset; naming it only adds the report's `engine:` line).
-        engine: Option<String>,
-        /// Experience-database path (loaded if present, updated after).
-        db: Option<String>,
-        /// Label recorded for this run in the database.
-        label: String,
-        /// Workload characteristics for classification, comma-separated.
-        characteristics: Vec<f64>,
-        /// Drive a remote tuning daemon at this address instead of the
-        /// in-process kernel.
-        remote: Option<String>,
-        /// Retries per request against the remote daemon (needs --remote).
-        retry: Option<u32>,
-        /// Per-request deadline in milliseconds (needs --remote).
-        deadline_ms: Option<u64>,
-        /// Participate in distributed tracing (needs --remote): the
-        /// session becomes one trace in the daemon's flight recorder.
-        trace: bool,
-        /// Wire encoding against the daemon (needs --remote): `None`
-        /// negotiates the newest protocol (binary framing on a v3
-        /// daemon), `Some(Json)` pins the client at protocol v2 JSON.
-        wire: Option<WireChoice>,
-        /// Worker threads measuring concurrently (1 = sequential).
-        jobs: usize,
-        /// The external measurement command and its arguments.
-        measure: Vec<String>,
-    },
+    Tune(TuneArgs),
     /// Run the tuning daemon.
-    Serve {
-        /// Path to the RSL file describing the space the daemon serves.
-        rsl: String,
-        /// Experience-database snapshot path, persisted across restarts.
-        db: Option<String>,
-        /// Write-ahead journal path (defaults to the db path + ".wal").
-        wal: Option<String>,
-        /// Fold journal into snapshot after this many appends.
-        compact_every: Option<usize>,
-        /// Address to bind.
-        listen: String,
-        /// Other cluster members' advertised addresses (repeat `--peer`
-        /// or comma-separate). The daemon joins their consistent-hash
-        /// ring, advertising its own `--listen` address.
-        peers: Vec<String>,
-        /// Ring members holding each run and replicated session,
-        /// counting the owner (needs `--peer`).
-        replicate: Option<usize>,
-        /// Default live-iteration budget for sessions.
-        iterations: Option<usize>,
-        /// Concurrent-connection cap.
-        max_connections: Option<usize>,
-        /// Append structured JSONL events to this file.
-        log_json: Option<String>,
-        /// Rotate the --log-json file when it reaches this many bytes.
-        log_rotate_bytes: Option<u64>,
-        /// Rotated files kept (events.jsonl.1 … .N); needs
-        /// --log-rotate-bytes.
-        log_keep: Option<usize>,
-        /// Do not enable the distributed-tracing flight recorder.
-        no_trace: bool,
-    },
+    Serve(ServeArgs),
     /// Race every registered engine (and its hyperparameters) across
     /// websim workload mixes; write the deterministic leaderboard.
-    Tournament {
-        /// Measurement budget per engine run.
-        budget: usize,
-        /// Hyperparameter candidates per race (defaults included).
-        candidates: usize,
-        /// Seed for candidate draws and engine randomness.
-        seed: u64,
-        /// Worker threads scoring candidates concurrently.
-        jobs: usize,
-        /// Workload mixes to race on (`browsing`, `shopping`, `ordering`).
-        mixes: Vec<String>,
-        /// Leaderboard output path.
-        out: String,
-    },
+    Tournament(TournamentArgs),
     /// Fetch live metrics from a running daemon.
     Stats {
         /// Daemon address (`host:port`).
@@ -134,6 +53,112 @@ pub enum Command {
     },
     /// Print usage.
     Help,
+}
+
+/// `sensitivity`'s arguments.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SensitivityArgs {
+    /// Path to the RSL file.
+    pub rsl: String,
+    /// Cap on sampled values per parameter.
+    pub samples: Option<usize>,
+    /// Measurements averaged per value.
+    pub repeats: usize,
+    /// Worker threads measuring concurrently (1 = sequential).
+    pub jobs: usize,
+    /// The external measurement command and its arguments.
+    pub measure: Vec<String>,
+}
+
+/// `tune`'s arguments.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TuneArgs {
+    /// Path to the RSL file.
+    pub rsl: String,
+    /// Live iteration budget.
+    pub iterations: usize,
+    /// Use the original extreme-corner initial simplex instead of the
+    /// improved evenly-spread one.
+    pub original: bool,
+    /// Search engine from the `harmony-engines` registry (`simplex`
+    /// when unset; naming it only adds the report's `engine:` line).
+    pub engine: Option<String>,
+    /// Experience-database path (loaded if present, updated after).
+    pub db: Option<String>,
+    /// Label recorded for this run in the database.
+    pub label: String,
+    /// Workload characteristics for classification, comma-separated.
+    pub characteristics: Vec<f64>,
+    /// Drive a remote tuning daemon at this address instead of the
+    /// in-process kernel.
+    pub remote: Option<String>,
+    /// Retries per request against the remote daemon (needs --remote).
+    pub retry: Option<u32>,
+    /// Per-request deadline in milliseconds (needs --remote).
+    pub deadline_ms: Option<u64>,
+    /// Participate in distributed tracing (needs --remote): the
+    /// session becomes one trace in the daemon's flight recorder.
+    pub trace: bool,
+    /// Wire encoding against the daemon (needs --remote): `None`
+    /// negotiates the newest protocol (binary framing on a v3
+    /// daemon), `Some(Json)` pins the client at protocol v2 JSON.
+    pub wire: Option<WireChoice>,
+    /// Worker threads measuring concurrently (1 = sequential).
+    pub jobs: usize,
+    /// The external measurement command and its arguments.
+    pub measure: Vec<String>,
+}
+
+/// `serve`'s arguments.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ServeArgs {
+    /// Path to the RSL file describing the space the daemon serves.
+    pub rsl: String,
+    /// Experience-database snapshot path, persisted across restarts.
+    pub db: Option<String>,
+    /// Write-ahead journal path (defaults to the db path + ".wal").
+    pub wal: Option<String>,
+    /// Fold journal into snapshot after this many appends.
+    pub compact_every: Option<usize>,
+    /// Address to bind.
+    pub listen: String,
+    /// Other cluster members' advertised addresses (repeat `--peer`
+    /// or comma-separate). The daemon joins their consistent-hash
+    /// ring, advertising its own `--listen` address.
+    pub peers: Vec<String>,
+    /// Ring members holding each run and replicated session,
+    /// counting the owner (needs `--peer`).
+    pub replicate: Option<usize>,
+    /// Default live-iteration budget for sessions.
+    pub iterations: Option<usize>,
+    /// Concurrent-connection cap.
+    pub max_connections: Option<usize>,
+    /// Append structured JSONL events to this file.
+    pub log_json: Option<String>,
+    /// Rotate the --log-json file when it reaches this many bytes.
+    pub log_rotate_bytes: Option<u64>,
+    /// Rotated files kept (events.jsonl.1 … .N); needs
+    /// --log-rotate-bytes.
+    pub log_keep: Option<usize>,
+    /// Do not enable the distributed-tracing flight recorder.
+    pub no_trace: bool,
+}
+
+/// `tournament`'s arguments.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TournamentArgs {
+    /// Measurement budget per engine run.
+    pub budget: usize,
+    /// Hyperparameter candidates per race (defaults included).
+    pub candidates: usize,
+    /// Seed for candidate draws and engine randomness.
+    pub seed: u64,
+    /// Worker threads scoring candidates concurrently.
+    pub jobs: usize,
+    /// Workload mixes to race on (`browsing`, `shopping`, `ordering`).
+    pub mixes: Vec<String>,
+    /// Leaderboard output path.
+    pub out: String,
 }
 
 /// The `--wire` choice for remote tuning.
@@ -163,31 +188,218 @@ fn err(msg: impl Into<String>) -> CliError {
     CliError(msg.into())
 }
 
-/// Usage text.
-pub const USAGE: &str = "\
-harmony-cli — Active Harmony automated tuning
+/// One row of a subcommand's table.
+struct Flag {
+    /// The spelling errors and the synopsis use.
+    name: &'static str,
+    /// A second accepted spelling.
+    alias: Option<&'static str>,
+    /// The value's placeholder in the synopsis; `None` for a switch.
+    metavar: Option<&'static str>,
+    /// The least number a numeric value may be.
+    min: u8,
+    /// The refusal of a number below `min`, when it is not
+    /// "must be at least `min`".
+    below_min: Option<&'static str>,
+}
 
-USAGE:
-  harmony-cli space <params.rsl>
-  harmony-cli sensitivity <params.rsl> [--samples N] [--repeats R] [--jobs N]
-              -- <measure-cmd> [args…]
-  harmony-cli tune <params.rsl> [--iterations N] [--original] [--jobs N]
-              [--engine <name>] [--db <experience.json>] [--label <name>]
-              [--characteristics a,b,c] [--remote <host:port>]
-              [--retry N] [--deadline MS] [--trace] [--wire json|binary]
-              -- <measure-cmd> [args…]
-  harmony-cli tournament [--budget N] [--candidates N] [--seed N] [--jobs N]
-              [--mixes browsing,shopping,ordering] [--out <leaderboard.txt>]
-  harmony-cli serve <params.rsl> [--listen <host:port>] [--db <experience.json>]
-              [--wal <journal.wal>] [--compact-every N]
-              [--peer <host:port>[,<host:port>…]] [--replicate N]
-              [--iterations N] [--max-connections N]
-              [--log-json <events.jsonl>]
-              [--log-rotate-bytes N] [--log-keep N] [--no-trace]
-  harmony-cli stats <host:port>
-  harmony-cli trace <host:port>
-  harmony-cli db <experience.json>
+impl Flag {
+    const fn switch(name: &'static str) -> Flag {
+        Flag {
+            name,
+            alias: None,
+            metavar: None,
+            min: 0,
+            below_min: None,
+        }
+    }
 
+    const fn value(name: &'static str, metavar: &'static str) -> Flag {
+        Flag {
+            metavar: Some(metavar),
+            ..Flag::switch(name)
+        }
+    }
+
+    const fn at_least(self, min: u8) -> Flag {
+        Flag { min, ..self }
+    }
+
+    const fn refusing(self, below_min: &'static str) -> Flag {
+        Flag {
+            below_min: Some(below_min),
+            ..self
+        }
+    }
+
+    const fn alias(self, alias: &'static str) -> Flag {
+        Flag {
+            alias: Some(alias),
+            ..self
+        }
+    }
+}
+
+/// One subcommand's grammar: an optional leading positional argument,
+/// then its flags in any order, then (if it runs one) `--` and the
+/// measure command.
+struct Spec {
+    name: &'static str,
+    /// The positional argument's placeholder, and what it is (for the
+    /// error when it is missing).
+    positional: Option<(&'static str, &'static str)>,
+    /// One row per flag, in synopsis order.
+    flags: &'static [Flag],
+    /// `--` ends the flags and starts the measure command.
+    measure: bool,
+}
+
+impl Spec {
+    /// A subcommand that takes its positional argument and nothing else.
+    const fn bare(name: &'static str, positional: (&'static str, &'static str)) -> Spec {
+        Spec {
+            name,
+            positional: Some(positional),
+            flags: &[],
+            measure: false,
+        }
+    }
+}
+
+const RSL: (&str, &str) = ("<params.rsl>", "RSL file");
+const DAEMON: (&str, &str) = ("<host:port>", "daemon address");
+const JOBS: Flag = Flag::value("--jobs", "N").at_least(1);
+
+const SPACE: Spec = Spec::bare("space", RSL);
+const STATS: Spec = Spec::bare("stats", DAEMON);
+const TRACE: Spec = Spec::bare("trace", DAEMON);
+const DB: Spec = Spec::bare("db", ("<experience.json>", "database path"));
+
+const SENSITIVITY: Spec = Spec {
+    name: "sensitivity",
+    positional: Some(RSL),
+    flags: &[
+        Flag::value("--samples", "N").at_least(2),
+        Flag::value("--repeats", "R").at_least(1),
+        JOBS,
+    ],
+    measure: true,
+};
+
+const TUNE: Spec = Spec {
+    name: "tune",
+    positional: Some(RSL),
+    flags: &[
+        Flag::value("--iterations", "N").at_least(1),
+        Flag::switch("--original"),
+        JOBS,
+        Flag::value("--engine", "<name>"),
+        Flag::value("--db", "<experience.json>"),
+        Flag::value("--label", "<name>"),
+        Flag::value("--characteristics", "a,b,c"),
+        Flag::value("--remote", "<host:port>"),
+        Flag::value("--retry", "N"),
+        Flag::value("--deadline", "MS")
+            .at_least(1)
+            .refusing("must be at least 1 millisecond"),
+        Flag::switch("--trace"),
+        Flag::value("--wire", "json|binary"),
+    ],
+    measure: true,
+};
+
+/// The websim workload mixes `tournament` can race on.
+const MIXES: [&str; 3] = ["browsing", "shopping", "ordering"];
+
+const TOURNAMENT: Spec = Spec {
+    name: "tournament",
+    positional: None,
+    flags: &[
+        Flag::value("--budget", "N").at_least(1),
+        Flag::value("--candidates", "N").at_least(1),
+        Flag::value("--seed", "N"),
+        JOBS,
+        Flag::value("--mixes", "browsing,shopping,ordering"),
+        Flag::value("--out", "<leaderboard.txt>"),
+    ],
+    measure: false,
+};
+
+const SERVE: Spec = Spec {
+    name: "serve",
+    positional: Some(RSL),
+    flags: &[
+        Flag::value("--listen", "<host:port>"),
+        Flag::value("--db", "<experience.json>"),
+        Flag::value("--wal", "<journal.wal>"),
+        Flag::value("--compact-every", "N"),
+        Flag::value("--peer", "<host:port>[,<host:port>…]"),
+        Flag::value("--replicate", "N"),
+        Flag::value("--iterations", "N").at_least(1),
+        Flag::value("--max-connections", "N").alias("--max-conns"),
+        Flag::value("--log-json", "<events.jsonl>"),
+        Flag::value("--log-rotate-bytes", "N").at_least(1),
+        Flag::value("--log-keep", "N")
+            .at_least(1)
+            .refusing("must keep at least 1 rotated file"),
+        Flag::switch("--no-trace"),
+    ],
+    measure: false,
+};
+
+/// Every subcommand, in synopsis order.
+const SPECS: [&Spec; 8] = [
+    &SPACE,
+    &SENSITIVITY,
+    &TUNE,
+    &TOURNAMENT,
+    &SERVE,
+    &STATS,
+    &TRACE,
+    &DB,
+];
+
+/// Synopsis lines are at most this many columns wide.
+const SYNOPSIS_WIDTH: usize = 80;
+/// Continuation lines of a synopsis start here.
+const SYNOPSIS_INDENT: &str = "              ";
+
+/// One subcommand's synopsis, generated from its table.
+fn synopsis(spec: &Spec) -> String {
+    let words = spec
+        .positional
+        .map(|(p, _)| p.to_string())
+        .into_iter()
+        .chain(spec.flags.iter().map(|f| match f.metavar {
+            Some(metavar) => format!("[{} {metavar}]", f.name),
+            None => format!("[{}]", f.name),
+        }));
+    let mut lines = vec![format!("  harmony-cli {}", spec.name)];
+    for word in words {
+        let line = lines.last_mut().expect("lines starts non-empty");
+        if line.chars().count() + 1 + word.chars().count() > SYNOPSIS_WIDTH {
+            lines.push(format!("{SYNOPSIS_INDENT}{word}"));
+        } else {
+            line.push(' ');
+            line.push_str(&word);
+        }
+    }
+    if spec.measure {
+        lines.push(format!("{SYNOPSIS_INDENT}-- <measure-cmd> [args…]"));
+    }
+    lines.join("\n")
+}
+
+/// Usage text: the synopsis of every subcommand, then how they behave.
+pub fn usage() -> String {
+    format!(
+        "harmony-cli — Active Harmony automated tuning\n\nUSAGE:\n{}\n\n{USAGE_NOTES}",
+        SPECS.map(synopsis).join("\n")
+    )
+}
+
+/// The prose under the synopsis.
+const USAGE_NOTES: &str = "\
 The measure command is executed once per exploration with one environment
 variable per parameter (HARMONY_<NAME>=<value>); its last non-empty stdout
 line must be the performance (higher is better).
@@ -261,415 +473,298 @@ surviving replica the client's reconnect is redirected to.";
 
 /// Parse a full argument vector (excluding the program name).
 pub fn parse_args(args: &[String]) -> Result<Cli, CliError> {
-    let mut it = args.iter().peekable();
-    let sub = match it.next() {
-        None => {
-            return Ok(Cli {
-                command: Command::Help,
-            })
-        }
-        Some(s) => s.as_str(),
-    };
-    match sub {
-        "help" | "--help" | "-h" => Ok(Cli {
+    let Some((sub, rest)) = args.split_first() else {
+        return Ok(Cli {
             command: Command::Help,
-        }),
-        "space" => {
-            let rsl = it
+        });
+    };
+    let command = match sub.as_str() {
+        "help" | "--help" | "-h" => Command::Help,
+        "space" => Command::Space {
+            rsl: SPACE.parse(rest)?.positional,
+        },
+        "db" => Command::Db {
+            path: DB.parse(rest)?.positional,
+        },
+        "stats" => Command::Stats {
+            addr: STATS.parse(rest)?.positional,
+        },
+        "trace" => Command::Trace {
+            addr: TRACE.parse(rest)?.positional,
+        },
+        "sensitivity" => Command::Sensitivity(sensitivity(SENSITIVITY.parse(rest)?)?),
+        "tune" => Command::Tune(tune(TUNE.parse(rest)?)?),
+        "serve" => Command::Serve(serve(SERVE.parse(rest)?)?),
+        "tournament" => Command::Tournament(tournament(TOURNAMENT.parse(rest)?)?),
+        other => {
+            return Err(err(format!(
+                "unknown subcommand {other:?} (try 'harmony-cli help')"
+            )))
+        }
+    };
+    Ok(Cli { command })
+}
+
+/// What [`Spec::parse`] read from argv.
+struct Matches<'a> {
+    spec: &'static Spec,
+    /// The positional argument (empty when the spec takes none).
+    positional: String,
+    /// Each flag given, by its table name, with its value (`None` for a
+    /// switch), in argv order.
+    given: Vec<(&'static str, Option<&'a str>)>,
+    /// Everything after `--`.
+    measure: &'a [String],
+}
+
+impl Spec {
+    /// The one parse loop: read `args` against this table.
+    fn parse<'a>(&'static self, args: &'a [String]) -> Result<Matches<'a>, CliError> {
+        let mut rest = args.iter();
+        let positional = match self.positional {
+            Some((_, what)) => rest
                 .next()
-                .ok_or_else(|| err("space: missing RSL file"))?
-                .clone();
-            expect_end(&mut it, "space")?;
-            Ok(Cli {
-                command: Command::Space { rsl },
-            })
+                .ok_or_else(|| err(format!("{}: missing {what}", self.name)))?
+                .clone(),
+            None => String::new(),
+        };
+        let mut m = Matches {
+            spec: self,
+            positional,
+            given: Vec::new(),
+            measure: &[],
+        };
+        while let Some(arg) = rest.next() {
+            if self.measure && arg == "--" {
+                m.measure = rest.as_slice();
+                break;
+            }
+            let flag = self
+                .flags
+                .iter()
+                .find(|f| f.name == arg || f.alias == Some(arg.as_str()))
+                .ok_or_else(|| err(format!("{}: unexpected argument {arg:?}", self.name)))?;
+            let value = match flag.metavar {
+                None => None,
+                Some(_) => Some(
+                    rest.next()
+                        .ok_or_else(|| err(format!("{}: missing value", flag.name)))?
+                        .as_str(),
+                ),
+            };
+            m.given.push((flag.name, value));
         }
-        "db" => {
-            let path = it
-                .next()
-                .ok_or_else(|| err("db: missing database path"))?
-                .clone();
-            expect_end(&mut it, "db")?;
-            Ok(Cli {
-                command: Command::Db { path },
-            })
-        }
-        "sensitivity" => {
-            let rsl = it
-                .next()
-                .ok_or_else(|| err("sensitivity: missing RSL file"))?
-                .clone();
-            let mut samples = None;
-            let mut repeats = 1usize;
-            let mut jobs = 1usize;
-            let mut measure = Vec::new();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--samples" => samples = Some(parse_value(&mut it, "--samples")?),
-                    "--repeats" => repeats = parse_value(&mut it, "--repeats")?,
-                    "--jobs" => jobs = parse_jobs(&mut it)?,
-                    "--" => {
-                        measure = it.cloned().collect();
-                        break;
-                    }
-                    other => {
-                        return Err(err(format!("sensitivity: unexpected argument {other:?}")))
-                    }
-                }
-            }
-            if measure.is_empty() {
-                return Err(err("sensitivity: missing '-- <measure-cmd>'"));
-            }
-            Ok(Cli {
-                command: Command::Sensitivity {
-                    rsl,
-                    samples,
-                    repeats,
-                    jobs,
-                    measure,
-                },
-            })
-        }
-        "tune" => {
-            let rsl = it
-                .next()
-                .ok_or_else(|| err("tune: missing RSL file"))?
-                .clone();
-            let mut iterations = 100usize;
-            let mut original = false;
-            let mut engine = None;
-            let mut db = None;
-            let mut label = "run".to_string();
-            let mut characteristics = Vec::new();
-            let mut remote = None;
-            let mut retry = None;
-            let mut deadline_ms = None;
-            let mut trace = false;
-            let mut wire = None;
-            let mut jobs = 1usize;
-            let mut measure = Vec::new();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--iterations" => iterations = parse_value(&mut it, "--iterations")?,
-                    "--original" => original = true,
-                    "--engine" => {
-                        let name = next_str(&mut it, "--engine")?;
-                        // Validate against the registry here so a typo
-                        // fails with the list of real engines instead of
-                        // a generic parse failure downstream.
-                        harmony_engines::registry::lookup(&name)
-                            .map_err(|e| err(format!("--engine: {e}")))?;
-                        engine = Some(name);
-                    }
-                    "--jobs" => jobs = parse_jobs(&mut it)?,
-                    "--db" => db = Some(next_str(&mut it, "--db")?),
-                    "--remote" => remote = Some(next_str(&mut it, "--remote")?),
-                    "--retry" => retry = Some(parse_value(&mut it, "--retry")?),
-                    "--deadline" => {
-                        let ms: u64 = parse_value(&mut it, "--deadline")?;
-                        if ms == 0 {
-                            return Err(err("--deadline: must be at least 1 millisecond"));
-                        }
-                        deadline_ms = Some(ms);
-                    }
-                    "--trace" => trace = true,
-                    "--wire" => {
-                        let raw = next_str(&mut it, "--wire")?;
-                        wire = Some(match raw.as_str() {
-                            "json" => WireChoice::Json,
-                            "binary" => WireChoice::Binary,
-                            other => {
-                                return Err(err(format!(
-                                    "--wire: unknown format {other:?} (json or binary)"
-                                )))
-                            }
-                        });
-                    }
-                    "--label" => label = next_str(&mut it, "--label")?,
-                    "--characteristics" => {
-                        let raw = next_str(&mut it, "--characteristics")?;
-                        characteristics = raw
-                            .split(',')
-                            .map(|s| {
-                                s.trim().parse::<f64>().map_err(|_| {
-                                    err(format!("--characteristics: bad number {s:?}"))
-                                })
-                            })
-                            .collect::<Result<Vec<f64>, CliError>>()?;
-                    }
-                    "--" => {
-                        measure = it.cloned().collect();
-                        break;
-                    }
-                    other => return Err(err(format!("tune: unexpected argument {other:?}"))),
-                }
-            }
-            if measure.is_empty() {
-                return Err(err("tune: missing '-- <measure-cmd>'"));
-            }
-            if remote.is_some() && (db.is_some() || original) {
-                return Err(err(
-                    "tune: --remote cannot be combined with --db or --original \
-                     (the daemon owns the experience database and search strategy)",
-                ));
-            }
-            if remote.is_some() && jobs > 1 {
-                return Err(err("tune: --jobs applies to local tuning only \
-                     (a remote daemon proposes configurations one at a time)"));
-            }
-            if original && engine.as_deref().is_some_and(|e| e != "simplex") {
-                return Err(err(
-                    "tune: --original configures the simplex engine's initial \
-                     simplex and cannot be combined with another --engine",
-                ));
-            }
-            if remote.is_none() && (retry.is_some() || deadline_ms.is_some()) {
-                return Err(err(
-                    "tune: --retry and --deadline apply to --remote tuning only",
-                ));
-            }
-            if remote.is_none() && trace {
-                return Err(err("tune: --trace applies to --remote tuning only \
-                     (the daemon hosts the flight recorder)"));
-            }
-            if remote.is_none() && wire.is_some() {
-                return Err(err("tune: --wire applies to --remote tuning only \
-                     (local tuning has no wire)"));
-            }
-            Ok(Cli {
-                command: Command::Tune {
-                    rsl,
-                    iterations,
-                    original,
-                    engine,
-                    db,
-                    label,
-                    characteristics,
-                    remote,
-                    retry,
-                    deadline_ms,
-                    trace,
-                    wire,
-                    jobs,
-                    measure,
-                },
-            })
-        }
-        "serve" => {
-            let rsl = it
-                .next()
-                .ok_or_else(|| err("serve: missing RSL file"))?
-                .clone();
-            let mut db = None;
-            let mut wal = None;
-            let mut compact_every = None;
-            let mut listen = "127.0.0.1:1977".to_string();
-            let mut peers: Vec<String> = Vec::new();
-            let mut replicate = None;
-            let mut iterations = None;
-            let mut max_connections = None;
-            let mut log_json = None;
-            let mut log_rotate_bytes = None;
-            let mut log_keep = None;
-            let mut no_trace = false;
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--db" => db = Some(next_str(&mut it, "--db")?),
-                    "--wal" => wal = Some(next_str(&mut it, "--wal")?),
-                    "--compact-every" => {
-                        compact_every = Some(parse_value(&mut it, "--compact-every")?)
-                    }
-                    "--listen" => listen = next_str(&mut it, "--listen")?,
-                    "--peer" => {
-                        let raw = next_str(&mut it, "--peer")?;
-                        for peer in raw.split(',') {
-                            let peer = peer.trim();
-                            if peer.is_empty() {
-                                return Err(err("--peer: empty address"));
-                            }
-                            peers.push(peer.to_string());
-                        }
-                    }
-                    "--replicate" => {
-                        let n: usize = parse_value(&mut it, "--replicate")?;
-                        if n == 0 {
-                            return Err(err("--replicate: must be at least 1"));
-                        }
-                        replicate = Some(n);
-                    }
-                    "--iterations" => iterations = Some(parse_value(&mut it, "--iterations")?),
-                    "--max-connections" | "--max-conns" => {
-                        max_connections = Some(parse_value(&mut it, "--max-connections")?)
-                    }
-                    "--log-json" => log_json = Some(next_str(&mut it, "--log-json")?),
-                    "--log-rotate-bytes" => {
-                        let bytes: u64 = parse_value(&mut it, "--log-rotate-bytes")?;
-                        if bytes == 0 {
-                            return Err(err("--log-rotate-bytes: must be at least 1"));
-                        }
-                        log_rotate_bytes = Some(bytes);
-                    }
-                    "--log-keep" => {
-                        let keep: usize = parse_value(&mut it, "--log-keep")?;
-                        if keep == 0 {
-                            return Err(err("--log-keep: must keep at least 1 rotated file"));
-                        }
-                        log_keep = Some(keep);
-                    }
-                    "--no-trace" => no_trace = true,
-                    other => return Err(err(format!("serve: unexpected argument {other:?}"))),
-                }
-            }
-            // --wal/--compact-every/--db combinations are validated by
-            // `DaemonConfig::builder` when the daemon is configured, so
-            // the rule lives in one place for every embedder.
-            if replicate.is_some() && peers.is_empty() {
-                return Err(err(
-                    "serve: --replicate needs --peer (no ring to replicate across)",
-                ));
-            }
-            if log_json.is_none() && log_rotate_bytes.is_some() {
-                return Err(err(
-                    "serve: --log-rotate-bytes needs --log-json (nothing to rotate without it)",
-                ));
-            }
-            if log_rotate_bytes.is_none() && log_keep.is_some() {
-                return Err(err("serve: --log-keep needs --log-rotate-bytes"));
-            }
-            Ok(Cli {
-                command: Command::Serve {
-                    rsl,
-                    db,
-                    wal,
-                    compact_every,
-                    listen,
-                    peers,
-                    replicate,
-                    iterations,
-                    max_connections,
-                    log_json,
-                    log_rotate_bytes,
-                    log_keep,
-                    no_trace,
-                },
-            })
-        }
-        "tournament" => {
-            let mut budget = 120usize;
-            let mut candidates = 4usize;
-            let mut seed = 42u64;
-            let mut jobs = 1usize;
-            let mut mixes = vec![
-                "browsing".to_string(),
-                "shopping".to_string(),
-                "ordering".to_string(),
-            ];
-            let mut out = "results/engines_leaderboard.txt".to_string();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--budget" => {
-                        budget = parse_value(&mut it, "--budget")?;
-                        if budget == 0 {
-                            return Err(err("--budget: must be at least 1"));
-                        }
-                    }
-                    "--candidates" => {
-                        candidates = parse_value(&mut it, "--candidates")?;
-                        if candidates == 0 {
-                            return Err(err("--candidates: must be at least 1"));
-                        }
-                    }
-                    "--seed" => seed = parse_value(&mut it, "--seed")?,
-                    "--jobs" => jobs = parse_jobs(&mut it)?,
-                    "--mixes" => {
-                        let raw = next_str(&mut it, "--mixes")?;
-                        mixes = raw.split(',').map(|s| s.trim().to_string()).collect();
-                        for m in &mixes {
-                            if !matches!(m.as_str(), "browsing" | "shopping" | "ordering") {
-                                return Err(err(format!(
-                                    "--mixes: unknown mix {m:?}; available mixes: \
-                                     browsing, shopping, ordering"
-                                )));
-                            }
-                        }
-                    }
-                    "--out" => out = next_str(&mut it, "--out")?,
-                    other => return Err(err(format!("tournament: unexpected argument {other:?}"))),
-                }
-            }
-            Ok(Cli {
-                command: Command::Tournament {
-                    budget,
-                    candidates,
-                    seed,
-                    jobs,
-                    mixes,
-                    out,
-                },
-            })
-        }
-        "stats" => {
-            let addr = it
-                .next()
-                .ok_or_else(|| err("stats: missing daemon address"))?
-                .clone();
-            expect_end(&mut it, "stats")?;
-            Ok(Cli {
-                command: Command::Stats { addr },
-            })
-        }
-        "trace" => {
-            let addr = it
-                .next()
-                .ok_or_else(|| err("trace: missing daemon address"))?
-                .clone();
-            expect_end(&mut it, "trace")?;
-            Ok(Cli {
-                command: Command::Trace { addr },
-            })
-        }
-        other => Err(err(format!(
-            "unknown subcommand {other:?} (try 'harmony-cli help')"
-        ))),
+        Ok(m)
     }
 }
 
-fn parse_jobs<'a>(
-    it: &mut std::iter::Peekable<impl Iterator<Item = &'a String>>,
-) -> Result<usize, CliError> {
-    let jobs: usize = parse_value(it, "--jobs")?;
-    if jobs == 0 {
-        return Err(err("--jobs: must be at least 1"));
+impl<'a> Matches<'a> {
+    fn row(&self, name: &str) -> &'static Flag {
+        self.spec
+            .flags
+            .iter()
+            .find(|f| f.name == name)
+            .expect("a getter names a row of its subcommand's table")
     }
-    Ok(jobs)
-}
 
-fn next_str<'a>(
-    it: &mut std::iter::Peekable<impl Iterator<Item = &'a String>>,
-    flag: &str,
-) -> Result<String, CliError> {
-    it.next()
-        .cloned()
-        .ok_or_else(|| err(format!("{flag}: missing value")))
-}
-
-fn parse_value<'a, T: std::str::FromStr>(
-    it: &mut std::iter::Peekable<impl Iterator<Item = &'a String>>,
-    flag: &str,
-) -> Result<T, CliError> {
-    let raw = next_str(it, flag)?;
-    raw.parse::<T>()
-        .map_err(|_| err(format!("{flag}: invalid value {raw:?}")))
-}
-
-fn expect_end<'a>(
-    it: &mut std::iter::Peekable<impl Iterator<Item = &'a String>>,
-    sub: &str,
-) -> Result<(), CliError> {
-    match it.next() {
-        None => Ok(()),
-        Some(extra) => Err(err(format!("{sub}: unexpected argument {extra:?}"))),
+    /// Every value given for the flag, in argv order.
+    fn all(&self, name: &str) -> impl Iterator<Item = &'a str> + '_ {
+        let name = self.row(name).name;
+        self.given
+            .iter()
+            .filter(move |(n, _)| *n == name)
+            .filter_map(|(_, v)| *v)
     }
+
+    fn switch(&self, name: &str) -> bool {
+        let name = self.row(name).name;
+        self.given.iter().any(|(n, _)| *n == name)
+    }
+
+    fn text(&self, name: &str) -> Option<String> {
+        self.all(name).last().map(String::from)
+    }
+
+    /// The last value given for the flag, converted; earlier ones must
+    /// convert too.
+    fn get<T>(
+        &self,
+        name: &str,
+        convert: impl Fn(&str) -> Result<T, String>,
+    ) -> Result<Option<T>, CliError> {
+        let mut last = None;
+        for raw in self.all(name) {
+            last = Some(convert(raw).map_err(|e| err(format!("{name}: {e}")))?);
+        }
+        Ok(last)
+    }
+
+    /// [`get`](Self::get) for a number, refused below the row's minimum.
+    fn num<T: FromStr + PartialOrd + From<u8>>(&self, name: &str) -> Result<Option<T>, CliError> {
+        let row = self.row(name);
+        self.get(name, |raw| {
+            let n: T = raw.parse().map_err(|_| format!("invalid value {raw:?}"))?;
+            if n < T::from(row.min) {
+                return Err(row
+                    .below_min
+                    .map_or_else(|| format!("must be at least {}", row.min), String::from));
+            }
+            Ok(n)
+        })
+    }
+
+    fn measure(&self) -> Result<Vec<String>, CliError> {
+        if self.measure.is_empty() {
+            return Err(err(format!(
+                "{}: missing '-- <measure-cmd>'",
+                self.spec.name
+            )));
+        }
+        Ok(self.measure.to_vec())
+    }
+}
+
+fn sensitivity(m: Matches) -> Result<SensitivityArgs, CliError> {
+    Ok(SensitivityArgs {
+        samples: m.num("--samples")?,
+        repeats: m.num("--repeats")?.unwrap_or(1),
+        jobs: m.num("--jobs")?.unwrap_or(1),
+        measure: m.measure()?,
+        rsl: m.positional,
+    })
+}
+
+fn tune(m: Matches) -> Result<TuneArgs, CliError> {
+    let args = TuneArgs {
+        iterations: m.num("--iterations")?.unwrap_or(100),
+        original: m.switch("--original"),
+        // Checked against the registry here so a typo fails with the
+        // list of real engines instead of a failure downstream.
+        engine: m.get("--engine", |name| {
+            harmony_engines::registry::lookup(name)
+                .map(|_| name.to_string())
+                .map_err(|e| e.to_string())
+        })?,
+        db: m.text("--db"),
+        label: m.text("--label").unwrap_or_else(|| "run".into()),
+        characteristics: m
+            .get("--characteristics", |raw| {
+                raw.split(',')
+                    .map(|s| s.trim().parse().map_err(|_| format!("bad number {s:?}")))
+                    .collect()
+            })?
+            .unwrap_or_default(),
+        remote: m.text("--remote"),
+        retry: m.num("--retry")?,
+        deadline_ms: m.num("--deadline")?,
+        trace: m.switch("--trace"),
+        wire: m.get("--wire", |raw| match raw {
+            "json" => Ok(WireChoice::Json),
+            "binary" => Ok(WireChoice::Binary),
+            other => Err(format!("unknown format {other:?} (json or binary)")),
+        })?,
+        jobs: m.num("--jobs")?.unwrap_or(1),
+        measure: m.measure()?,
+        rsl: m.positional,
+    };
+    let remote = args.remote.is_some();
+    if remote && (args.db.is_some() || args.original) {
+        return Err(err(
+            "tune: --remote cannot be combined with --db or --original \
+             (the daemon owns the experience database and search strategy)",
+        ));
+    }
+    if remote && args.jobs > 1 {
+        return Err(err("tune: --jobs applies to local tuning only \
+             (a remote daemon proposes configurations one at a time)"));
+    }
+    if args.original && args.engine.as_deref().is_some_and(|e| e != "simplex") {
+        return Err(err(
+            "tune: --original configures the simplex engine's initial \
+             simplex and cannot be combined with another --engine",
+        ));
+    }
+    if !remote && (args.retry.is_some() || args.deadline_ms.is_some()) {
+        return Err(err(
+            "tune: --retry and --deadline apply to --remote tuning only",
+        ));
+    }
+    if !remote && args.trace {
+        return Err(err("tune: --trace applies to --remote tuning only \
+             (the daemon hosts the flight recorder)"));
+    }
+    if !remote && args.wire.is_some() {
+        return Err(err("tune: --wire applies to --remote tuning only \
+             (local tuning has no wire)"));
+    }
+    Ok(args)
+}
+
+/// `--wal`/`--compact-every` without `--db`, `--replicate 0`, empty
+/// `--peer` entries and `--max-connections 0` are refused by
+/// `DaemonConfig::builder` when the daemon is configured, so the rule
+/// lives in one place for every embedder.
+fn serve(m: Matches) -> Result<ServeArgs, CliError> {
+    let args = ServeArgs {
+        db: m.text("--db"),
+        wal: m.text("--wal"),
+        compact_every: m.num("--compact-every")?,
+        listen: m
+            .text("--listen")
+            .unwrap_or_else(|| "127.0.0.1:1977".into()),
+        peers: m
+            .all("--peer")
+            .flat_map(|raw| raw.split(','))
+            .map(|peer| peer.trim().to_string())
+            .collect(),
+        replicate: m.num("--replicate")?,
+        iterations: m.num("--iterations")?,
+        max_connections: m.num("--max-connections")?,
+        log_json: m.text("--log-json"),
+        log_rotate_bytes: m.num("--log-rotate-bytes")?,
+        log_keep: m.num("--log-keep")?,
+        no_trace: m.switch("--no-trace"),
+        rsl: m.positional,
+    };
+    if args.replicate.is_some() && args.peers.is_empty() {
+        return Err(err(
+            "serve: --replicate needs --peer (no ring to replicate across)",
+        ));
+    }
+    if args.log_json.is_none() && args.log_rotate_bytes.is_some() {
+        return Err(err(
+            "serve: --log-rotate-bytes needs --log-json (nothing to rotate without it)",
+        ));
+    }
+    if args.log_rotate_bytes.is_none() && args.log_keep.is_some() {
+        return Err(err("serve: --log-keep needs --log-rotate-bytes"));
+    }
+    Ok(args)
+}
+
+fn tournament(m: Matches) -> Result<TournamentArgs, CliError> {
+    Ok(TournamentArgs {
+        budget: m.num("--budget")?.unwrap_or(120),
+        candidates: m.num("--candidates")?.unwrap_or(4),
+        seed: m.num("--seed")?.unwrap_or(42),
+        jobs: m.num("--jobs")?.unwrap_or(1),
+        mixes: m
+            .get("--mixes", |raw| {
+                raw.split(',')
+                    .map(|mix| match mix.trim() {
+                        known if MIXES.contains(&known) => Ok(known.to_string()),
+                        unknown => Err(format!(
+                            "unknown mix {unknown:?}; available mixes: {}",
+                            MIXES.join(", ")
+                        )),
+                    })
+                    .collect()
+            })?
+            .unwrap_or_else(|| MIXES.map(String::from).to_vec()),
+        out: m
+            .text("--out")
+            .unwrap_or_else(|| "results/engines_leaderboard.txt".into()),
+    })
 }
 
 #[cfg(test)]
@@ -720,13 +815,13 @@ mod tests {
         .unwrap();
         assert_eq!(
             cli.command,
-            Command::Sensitivity {
+            Command::Sensitivity(SensitivityArgs {
                 rsl: "p.rsl".into(),
                 samples: Some(8),
                 repeats: 3,
                 jobs: 1,
                 measure: v(&["./m.sh", "arg"]),
-            }
+            })
         );
     }
 
@@ -740,14 +835,14 @@ mod tests {
     fn tune_defaults_and_flags() {
         let cli = parse_args(&v(&["tune", "p.rsl", "--", "./m.sh"])).unwrap();
         match cli.command {
-            Command::Tune {
+            Command::Tune(TuneArgs {
                 iterations,
                 original,
                 db,
                 label,
                 characteristics,
                 ..
-            } => {
+            }) => {
                 assert_eq!(iterations, 100);
                 assert!(!original);
                 assert!(db.is_none());
@@ -774,14 +869,14 @@ mod tests {
         ]))
         .unwrap();
         match cli.command {
-            Command::Tune {
+            Command::Tune(TuneArgs {
                 iterations,
                 original,
                 db,
                 label,
                 characteristics,
                 ..
-            } => {
+            }) => {
                 assert_eq!(iterations, 42);
                 assert!(original);
                 assert_eq!(db.as_deref(), Some("e.json"));
@@ -806,7 +901,7 @@ mod tests {
         ]))
         .unwrap();
         match cli.command {
-            Command::Tune { remote, label, .. } => {
+            Command::Tune(TuneArgs { remote, label, .. }) => {
                 assert_eq!(remote.as_deref(), Some("10.0.0.7:1977"));
                 assert_eq!(label, "apu");
             }
@@ -846,9 +941,9 @@ mod tests {
         ]))
         .unwrap();
         match cli.command {
-            Command::Tune {
+            Command::Tune(TuneArgs {
                 retry, deadline_ms, ..
-            } => {
+            }) => {
                 assert_eq!(retry, Some(7));
                 assert_eq!(deadline_ms, Some(2500));
             }
@@ -857,9 +952,9 @@ mod tests {
         // Defaults: both unset.
         let cli = parse_args(&v(&["tune", "p.rsl", "--remote", "h:1", "--", "m"])).unwrap();
         match cli.command {
-            Command::Tune {
+            Command::Tune(TuneArgs {
                 retry, deadline_ms, ..
-            } => {
+            }) => {
                 assert_eq!(retry, None);
                 assert_eq!(deadline_ms, None);
             }
@@ -893,7 +988,7 @@ mod tests {
         ]))
         .unwrap();
         match cli.command {
-            Command::Tune { wire, .. } => assert_eq!(wire, Some(WireChoice::Json)),
+            Command::Tune(TuneArgs { wire, .. }) => assert_eq!(wire, Some(WireChoice::Json)),
             other => panic!("wrong command {other:?}"),
         }
         let cli = parse_args(&v(&[
@@ -901,13 +996,13 @@ mod tests {
         ]))
         .unwrap();
         match cli.command {
-            Command::Tune { wire, .. } => assert_eq!(wire, Some(WireChoice::Binary)),
+            Command::Tune(TuneArgs { wire, .. }) => assert_eq!(wire, Some(WireChoice::Binary)),
             other => panic!("wrong command {other:?}"),
         }
         // Default: negotiate (None, meaning binary-when-available).
         let cli = parse_args(&v(&["tune", "p.rsl", "--remote", "h:1", "--", "m"])).unwrap();
         match cli.command {
-            Command::Tune { wire, .. } => assert_eq!(wire, None),
+            Command::Tune(TuneArgs { wire, .. }) => assert_eq!(wire, None),
             other => panic!("wrong command {other:?}"),
         }
         // Local tuning has no wire.
@@ -926,7 +1021,7 @@ mod tests {
         let cli = parse_args(&v(&["serve", "p.rsl"])).unwrap();
         assert_eq!(
             cli.command,
-            Command::Serve {
+            Command::Serve(ServeArgs {
                 rsl: "p.rsl".into(),
                 db: None,
                 wal: None,
@@ -940,7 +1035,7 @@ mod tests {
                 log_rotate_bytes: None,
                 log_keep: None,
                 no_trace: false,
-            }
+            })
         );
 
         let cli = parse_args(&v(&[
@@ -970,7 +1065,7 @@ mod tests {
         .unwrap();
         assert_eq!(
             cli.command,
-            Command::Serve {
+            Command::Serve(ServeArgs {
                 rsl: "p.rsl".into(),
                 db: Some("e.json".into()),
                 wal: Some("e.wal".into()),
@@ -984,15 +1079,15 @@ mod tests {
                 log_rotate_bytes: None,
                 log_keep: None,
                 no_trace: false,
-            }
+            })
         );
 
         // --max-conns is an alias.
         let cli = parse_args(&v(&["serve", "p.rsl", "--max-conns", "9"])).unwrap();
         match cli.command {
-            Command::Serve {
+            Command::Serve(ServeArgs {
                 max_connections, ..
-            } => assert_eq!(max_connections, Some(9)),
+            }) => assert_eq!(max_connections, Some(9)),
             other => panic!("wrong command {other:?}"),
         }
         // There is one serving model; the flag that chose the other is gone.
@@ -1019,13 +1114,13 @@ mod tests {
         ]))
         .unwrap();
         match cli.command {
-            Command::Serve {
+            Command::Serve(ServeArgs {
                 log_json,
                 log_rotate_bytes,
                 log_keep,
                 no_trace,
                 ..
-            } => {
+            }) => {
                 assert_eq!(log_json.as_deref(), Some("events.jsonl"));
                 assert_eq!(log_rotate_bytes, Some(65536));
                 assert_eq!(log_keep, Some(5));
@@ -1073,7 +1168,7 @@ mod tests {
         ]))
         .unwrap();
         match cli.command {
-            Command::Tune { trace, .. } => assert!(trace),
+            Command::Tune(TuneArgs { trace, .. }) => assert!(trace),
             other => panic!("wrong command {other:?}"),
         }
         // The flight recorder lives in the daemon.
@@ -1110,9 +1205,9 @@ mod tests {
         ]))
         .unwrap();
         match cli.command {
-            Command::Serve {
+            Command::Serve(ServeArgs {
                 peers, replicate, ..
-            } => {
+            }) => {
                 assert_eq!(peers, v(&["a:1", "b:2", "c:3"]));
                 assert_eq!(replicate, None);
             }
@@ -1121,11 +1216,8 @@ mod tests {
         // Replication without a ring has nothing to copy to.
         let e = parse_args(&v(&["serve", "p.rsl", "--replicate", "2"])).unwrap_err();
         assert!(e.0.contains("--replicate needs --peer"), "{e}");
-        // Zero copies and empty addresses are refused outright.
-        let e =
-            parse_args(&v(&["serve", "p.rsl", "--peer", "a:1", "--replicate", "0"])).unwrap_err();
-        assert!(e.0.contains("at least 1"), "{e}");
-        assert!(parse_args(&v(&["serve", "p.rsl", "--peer", "a:1,,b:2"])).is_err());
+        // Zero copies and empty addresses are refused by the daemon's
+        // config builder (commands::tests::serve_rejects_invalid_config_combinations).
         assert!(parse_args(&v(&["serve", "p.rsl", "--peer"])).is_err());
     }
 
@@ -1147,18 +1239,18 @@ mod tests {
     fn jobs_flag_parses_and_rejects_zero() {
         let cli = parse_args(&v(&["tune", "p.rsl", "--jobs", "4", "--", "m"])).unwrap();
         match cli.command {
-            Command::Tune { jobs, .. } => assert_eq!(jobs, 4),
+            Command::Tune(TuneArgs { jobs, .. }) => assert_eq!(jobs, 4),
             other => panic!("wrong command {other:?}"),
         }
         let cli = parse_args(&v(&["sensitivity", "p.rsl", "--jobs", "2", "--", "m"])).unwrap();
         match cli.command {
-            Command::Sensitivity { jobs, .. } => assert_eq!(jobs, 2),
+            Command::Sensitivity(SensitivityArgs { jobs, .. }) => assert_eq!(jobs, 2),
             other => panic!("wrong command {other:?}"),
         }
         // Defaults to sequential.
         let cli = parse_args(&v(&["tune", "p.rsl", "--", "m"])).unwrap();
         match cli.command {
-            Command::Tune { jobs, .. } => assert_eq!(jobs, 1),
+            Command::Tune(TuneArgs { jobs, .. }) => assert_eq!(jobs, 1),
             other => panic!("wrong command {other:?}"),
         }
         assert!(parse_args(&v(&["tune", "p.rsl", "--jobs", "0", "--", "m"])).is_err());
@@ -1182,7 +1274,9 @@ mod tests {
         ]))
         .unwrap();
         match cli.command {
-            Command::Tune { engine, .. } => assert_eq!(engine.as_deref(), Some("divide-diverge")),
+            Command::Tune(TuneArgs { engine, .. }) => {
+                assert_eq!(engine.as_deref(), Some("divide-diverge"))
+            }
             other => panic!("wrong command {other:?}"),
         }
         // A typo fails up front, listing what actually exists.
@@ -1198,7 +1292,7 @@ mod tests {
         ]))
         .unwrap();
         match cli.command {
-            Command::Tune { engine, remote, .. } => {
+            Command::Tune(TuneArgs { engine, remote, .. }) => {
                 assert_eq!(engine.as_deref(), Some("tuneful"));
                 assert_eq!(remote.as_deref(), Some("h:1"));
             }
@@ -1233,14 +1327,14 @@ mod tests {
         let cli = parse_args(&v(&["tournament"])).unwrap();
         assert_eq!(
             cli.command,
-            Command::Tournament {
+            Command::Tournament(TournamentArgs {
                 budget: 120,
                 candidates: 4,
                 seed: 42,
                 jobs: 1,
                 mixes: v(&["browsing", "shopping", "ordering"]),
                 out: "results/engines_leaderboard.txt".into(),
-            }
+            })
         );
 
         let cli = parse_args(&v(&[
@@ -1261,14 +1355,14 @@ mod tests {
         .unwrap();
         assert_eq!(
             cli.command,
-            Command::Tournament {
+            Command::Tournament(TournamentArgs {
                 budget: 30,
                 candidates: 2,
                 seed: 7,
                 jobs: 4,
                 mixes: v(&["shopping", "ordering"]),
                 out: "lb.txt".into(),
-            }
+            })
         );
 
         assert!(parse_args(&v(&["tournament", "--budget", "0"])).is_err());
@@ -1292,5 +1386,63 @@ mod tests {
         ]))
         .is_err());
         assert!(parse_args(&v(&["frobnicate"])).is_err());
+    }
+
+    #[test]
+    fn minimums_refuse_values_that_would_panic_or_idle() {
+        // Zero repeats or fewer than two samples trip the prioritizer's
+        // asserts; zero iterations tunes nothing.
+        for (args, refusal) in [
+            (
+                &["sensitivity", "p.rsl", "--repeats", "0", "--", "m"][..],
+                "--repeats: must be at least 1",
+            ),
+            (
+                &["sensitivity", "p.rsl", "--samples", "0", "--", "m"],
+                "--samples: must be at least 2",
+            ),
+            (
+                &["sensitivity", "p.rsl", "--samples", "1", "--", "m"],
+                "--samples: must be at least 2",
+            ),
+            (
+                &["tune", "p.rsl", "--iterations", "0", "--", "m"],
+                "--iterations: must be at least 1",
+            ),
+            (
+                &["serve", "p.rsl", "--iterations", "0"],
+                "--iterations: must be at least 1",
+            ),
+        ] {
+            assert_eq!(parse_args(&v(args)).unwrap_err().0, refusal, "{args:?}");
+        }
+        let cli = parse_args(&v(&["sensitivity", "p.rsl", "--samples", "2", "--", "m"])).unwrap();
+        match cli.command {
+            Command::Sensitivity(SensitivityArgs { samples, .. }) => assert_eq!(samples, Some(2)),
+            other => panic!("wrong command {other:?}"),
+        }
+    }
+
+    #[test]
+    fn synopsis_is_generated_from_the_tables() {
+        let text = usage();
+        let synopsis = &text[text.find("USAGE:\n").unwrap()..];
+        let synopsis = &synopsis[..synopsis.find("\n\n").unwrap()];
+        for line in synopsis.lines().skip(1) {
+            assert!(line.chars().count() <= SYNOPSIS_WIDTH, "{line}");
+            assert!(line.starts_with("  "), "{line}");
+        }
+        for spec in SPECS {
+            assert!(
+                synopsis.contains(&format!("  harmony-cli {} ", spec.name)),
+                "{synopsis}"
+            );
+            for flag in spec.flags {
+                assert!(synopsis.contains(&format!("[{}", flag.name)), "{synopsis}");
+            }
+        }
+        assert!(!synopsis.contains("--max-conns"), "{synopsis}");
+        assert_eq!(synopsis.matches("-- <measure-cmd> [args…]").count(), 2);
+        assert!(text.ends_with("the client's reconnect is redirected to."));
     }
 }

@@ -1,7 +1,7 @@
 //! Subcommand implementations, writing human-readable reports to any
 //! `Write` sink (tests capture a buffer; `main` passes stdout).
 
-use crate::args::{Command, WireChoice};
+use crate::args::{Command, ServeArgs, TuneArgs, WireChoice};
 use crate::external::{ExternalObjective, MeasureError};
 use harmony::history::{DataAnalyzer, ExperienceDb, RunHistory};
 use harmony::prelude::*;
@@ -88,7 +88,7 @@ impl<'a> StashingEval<'a> {
 pub fn run(command: Command) -> Result<String, RunError> {
     let mut out = String::new();
     match command {
-        Command::Help => out.push_str(crate::args::USAGE),
+        Command::Help => out.push_str(&crate::args::usage()),
         Command::Space { rsl } => {
             let space = load_space(&rsl)?;
             let _ = writeln!(out, "space: {} parameters from {rsl}", space.len());
@@ -137,30 +137,24 @@ pub fn run(command: Command) -> Result<String, RunError> {
                 );
             }
         }
-        Command::Sensitivity {
-            rsl,
-            samples,
-            repeats,
-            jobs,
-            measure,
-        } => {
-            let space = load_space(&rsl)?;
-            let mut prioritizer = Prioritizer::new(space.clone()).with_repeats(repeats);
-            if let Some(n) = samples {
+        Command::Sensitivity(args) => {
+            let space = load_space(&args.rsl)?;
+            let mut prioritizer = Prioritizer::new(space.clone()).with_repeats(args.repeats);
+            if let Some(n) = args.samples {
                 prioritizer = prioritizer.with_max_samples(n);
             }
-            let mut obj = ExternalObjective::new(space.clone(), measure);
+            let mut obj = ExternalObjective::new(space.clone(), args.measure);
             // Probe with the defaults so a broken measurement command is a
             // clean error, not a cascade of -inf measurements.
             let defaults = Configuration::new(space.params().iter().map(|p| p.default()).collect());
             obj.measure_once(&defaults)
                 .map_err(|e| fail(format!("probe at default configuration {defaults}: {e}")))?;
-            let report = if jobs > 1 {
+            let report = if args.jobs > 1 {
                 let stash = StashingEval::new(&obj);
                 let cache = MemoCache::new(JOBS_CACHE_CAPACITY);
                 let report = prioritizer.analyze_with(
                     &|cfg: &Configuration| stash.eval(cfg),
-                    &Executor::new(jobs),
+                    &Executor::new(args.jobs),
                     Some(&cache),
                 );
                 stash.check()?;
@@ -177,78 +171,31 @@ pub fn run(command: Command) -> Result<String, RunError> {
                 );
             }
         }
-        Command::Tune {
-            rsl,
-            iterations,
-            original,
-            engine,
-            db,
-            label,
-            characteristics,
-            remote,
-            retry,
-            deadline_ms,
-            trace,
-            wire,
-            jobs,
-            measure,
-        } => {
-            if let Some(addr) = remote {
-                tune_remote(
-                    &mut out,
-                    &rsl,
-                    iterations,
-                    &label,
-                    characteristics,
-                    &addr,
-                    engine,
-                    retry,
-                    deadline_ms,
-                    trace,
-                    wire,
-                    measure,
-                )?;
-            } else {
-                tune_with_engine(
-                    &mut out,
-                    engine.as_deref(),
-                    &rsl,
-                    iterations,
-                    original,
-                    db,
-                    label,
-                    characteristics,
-                    jobs,
-                    measure,
-                )?;
-            }
-        }
-        Command::Tournament {
-            budget,
-            candidates,
-            seed,
-            jobs,
-            mixes,
-            out: out_path,
-        } => {
+        Command::Tune(args) => match &args.remote {
+            Some(addr) => tune_remote(&mut out, &args, addr)?,
+            None => tune_with_engine(&mut out, &args)?,
+        },
+        Command::Tournament(args) => {
             let opts = TournamentOptions {
-                budget,
-                candidates,
-                seed,
-                mixes: mixes
+                budget: args.budget,
+                candidates: args.candidates,
+                seed: args.seed,
+                mixes: args
+                    .mixes
                     .iter()
                     .map(|m| mix_by_name(m))
                     .collect::<Result<_, _>>()?,
             };
-            let results = run_tournament(&opts, &Executor::new(jobs));
+            let results = run_tournament(&opts, &Executor::new(args.jobs));
+            let out_path = &args.out;
             let leaderboard = render_leaderboard(&results, &opts);
-            if let Some(parent) = std::path::Path::new(&out_path).parent() {
+            if let Some(parent) = std::path::Path::new(out_path).parent() {
                 if !parent.as_os_str().is_empty() {
                     fs::create_dir_all(parent)
                         .map_err(|e| fail(format!("cannot create {}: {e}", parent.display())))?;
                 }
             }
-            fs::write(&out_path, &leaderboard)
+            fs::write(out_path, &leaderboard)
                 .map_err(|e| fail(format!("cannot write {out_path}: {e}")))?;
             out.push_str(&leaderboard);
             let _ = writeln!(out, "\nleaderboard written to {out_path}");
@@ -265,71 +212,39 @@ pub fn run(command: Command) -> Result<String, RunError> {
             let traces = client.trace_dump().map_err(|e| fail(e.to_string()))?;
             out.push_str(&render_trace_report(&traces));
         }
-        Command::Serve {
-            rsl,
-            db,
-            wal,
-            compact_every,
-            listen,
-            peers,
-            replicate,
-            iterations,
-            max_connections,
-            log_json,
-            log_rotate_bytes,
-            log_keep,
-            no_trace,
-        } => {
-            return serve(
-                &rsl,
-                db.as_deref(),
-                wal.as_deref(),
-                compact_every,
-                &listen,
-                &peers,
-                replicate,
-                iterations,
-                max_connections,
-                LogOptions {
-                    json: log_json,
-                    rotate_bytes: log_rotate_bytes,
-                    keep: log_keep,
-                },
-                no_trace,
-                |handle| {
-                    crate::signals::install();
-                    eprintln!(
-                        "harmony-cli: tuning daemon listening on {} \
+        Command::Serve(args) => {
+            return serve(&args, |handle| {
+                crate::signals::install();
+                eprintln!(
+                    "harmony-cli: tuning daemon listening on {} \
                          (stdin end-of-file or SIGTERM stops it)",
-                        handle.addr()
-                    );
-                    // Park until the operator closes stdin or signals.
-                    // Stdin is consumed on its own thread so a signal
-                    // can interrupt the wait even mid-read.
-                    let stdin_done = std::sync::Arc::new(AtomicBool::new(false));
-                    {
-                        let stdin_done = std::sync::Arc::clone(&stdin_done);
-                        std::thread::spawn(move || {
-                            let mut sink = [0u8; 256];
-                            let mut stdin = std::io::stdin().lock();
-                            while matches!(stdin.read(&mut sink), Ok(n) if n > 0) {}
-                            stdin_done.store(true, Ordering::SeqCst);
-                        });
-                    }
-                    while !stdin_done.load(Ordering::SeqCst)
-                        && !crate::signals::termination_requested()
-                    {
-                        std::thread::sleep(std::time::Duration::from_millis(50));
-                    }
-                    if crate::signals::termination_requested() {
-                        eprintln!("harmony-cli: termination signal received, draining");
-                        // Refuse new work right away; `serve` follows up
-                        // with the full shutdown (park sessions, flush
-                        // the journal) once we return.
-                        handle.drain();
-                    }
-                },
-            );
+                    handle.addr()
+                );
+                // Park until the operator closes stdin or signals.
+                // Stdin is consumed on its own thread so a signal
+                // can interrupt the wait even mid-read.
+                let stdin_done = std::sync::Arc::new(AtomicBool::new(false));
+                {
+                    let stdin_done = std::sync::Arc::clone(&stdin_done);
+                    std::thread::spawn(move || {
+                        let mut sink = [0u8; 256];
+                        let mut stdin = std::io::stdin().lock();
+                        while matches!(stdin.read(&mut sink), Ok(n) if n > 0) {}
+                        stdin_done.store(true, Ordering::SeqCst);
+                    });
+                }
+                while !stdin_done.load(Ordering::SeqCst) && !crate::signals::termination_requested()
+                {
+                    std::thread::sleep(std::time::Duration::from_millis(50));
+                }
+                if crate::signals::termination_requested() {
+                    eprintln!("harmony-cli: termination signal received, draining");
+                    // Refuse new work right away; `serve` follows up
+                    // with the full shutdown (park sessions, flush
+                    // the journal) once we return.
+                    handle.drain();
+                }
+            });
         }
     }
     Ok(out)
@@ -366,36 +281,24 @@ fn mix_by_name(name: &str) -> Result<WorkloadMix, RunError> {
 /// finished run's records are saved back.
 ///
 /// [`SearchEngine::warm_start`]: harmony_engines::SearchEngine::warm_start
-#[allow(clippy::too_many_arguments)]
-fn tune_with_engine(
-    out: &mut String,
-    engine_flag: Option<&str>,
-    rsl: &str,
-    iterations: usize,
-    original: bool,
-    db: Option<String>,
-    label: String,
-    characteristics: Vec<f64>,
-    jobs: usize,
-    measure: Vec<String>,
-) -> Result<(), RunError> {
-    let space = load_space(rsl)?;
-    let mut database = match &db {
+fn tune_with_engine(out: &mut String, args: &TuneArgs) -> Result<(), RunError> {
+    let space = load_space(&args.rsl)?;
+    let mut database = match &args.db {
         Some(path) if fs::metadata(path).is_ok() => {
             ExperienceDb::load(path).map_err(|e| fail(e.to_string()))?
         }
         _ => ExperienceDb::new(),
     };
-    let obj = ExternalObjective::new(space.clone(), measure);
-    let name = engine_flag.unwrap_or("simplex");
+    let obj = ExternalObjective::new(space.clone(), args.measure.clone());
+    let name = args.engine.as_deref().unwrap_or("simplex");
     let spec = registry::lookup(name).map_err(|e| fail(e.to_string()))?;
-    let mut engine: Box<dyn SearchEngine> = if name == "simplex" && original {
+    let mut engine: Box<dyn SearchEngine> = if name == "simplex" && args.original {
         // `--original` is only meaningful for the simplex engine (the
         // parser rejects it for the others): swap the improved defaults
         // for the paper's original initial-simplex strategy.
         Box::new(harmony_engines::SimplexEngine::new(
             space.clone(),
-            TuningOptions::original().with_max_iterations(iterations),
+            TuningOptions::original().with_max_iterations(args.iterations),
             TrainingMode::Replay(10),
         ))
     } else {
@@ -404,12 +307,12 @@ fn tune_with_engine(
         // name, so `--remote --engine` trajectories line up with local
         // ones. Operators wanting fresh trajectories vary the measured
         // system, not the search.
-        spec.build(space.clone(), iterations, registry::DEFAULT_SEED)
+        spec.build(space.clone(), args.iterations, registry::DEFAULT_SEED)
     };
-    let prior = if characteristics.is_empty() {
+    let prior = if args.characteristics.is_empty() {
         None
     } else {
-        DataAnalyzer::new().select(&database, &characteristics)
+        DataAnalyzer::new().select(&database, &args.characteristics)
     };
     if let Some(history) = &prior {
         let _ = writeln!(out, "training from prior run {:?}", history.label);
@@ -423,8 +326,8 @@ fn tune_with_engine(
             performance,
         })
     };
-    if jobs > 1 {
-        let executor = Executor::new(jobs);
+    if args.jobs > 1 {
+        let executor = Executor::new(args.jobs);
         let cache = MemoCache::new(JOBS_CACHE_CAPACITY);
         let stash = StashingEval::new(&obj);
         let eval = |cfg: &Configuration| stash.eval(cfg);
@@ -457,7 +360,7 @@ fn tune_with_engine(
         .unwrap_or_else(|| (space.default_configuration(), f64::NEG_INFINITY));
     let report = analyze_trace(&trace, &ReportOptions::default());
 
-    if let Some(name) = engine_flag {
+    if let Some(name) = &args.engine {
         let _ = writeln!(out, "engine: {name}");
     }
     let _ = writeln!(out, "explored {} configurations", trace.len());
@@ -473,13 +376,13 @@ fn tune_with_engine(
         engine.converged()
     );
 
-    if let Some(path) = db {
-        let mut run = RunHistory::new(label, characteristics);
+    if let Some(path) = &args.db {
+        let mut run = RunHistory::new(args.label.clone(), args.characteristics.clone());
         for t in &trace {
             run.push(&t.config, t.performance);
         }
         database.add_run(run);
-        database.save(&path).map_err(|e| fail(e.to_string()))?;
+        database.save(path).map_err(|e| fail(e.to_string()))?;
         let _ = writeln!(out, "experience saved to {path} ({} runs)", database.len());
     }
     Ok(())
@@ -488,12 +391,12 @@ fn tune_with_engine(
 /// Tune against a remote daemon: the server proposes configurations and
 /// owns the experience database; this side only measures.
 ///
-/// `retry` and `deadline_ms` configure the client's resilience: requests
+/// `--retry` and `--deadline` configure the client's resilience: requests
 /// that fail retryably (connection loss, deadline expiry, a draining
 /// daemon) are retried with jittered backoff, reconnecting and resuming
 /// the session in place.
 ///
-/// With `trace`, the session becomes one distributed trace: requests
+/// With `--trace`, the session becomes one distributed trace: requests
 /// carry its context to the daemon, and each measurement runs through an
 /// executor under an `eval` span so the daemon's flight recorder sees
 /// queue-wait/run attribution alongside its own serve-side spans. The
@@ -504,41 +407,28 @@ fn tune_with_engine(
 /// rotates through (and follows cluster redirects onto) when a daemon
 /// dies mid-session.
 ///
-/// With `engine`, the registry name travels in the `SessionStart` and the
+/// With `--engine`, the registry name travels in the `SessionStart` and the
 /// daemon builds and drives that engine server-side, so a remote run
 /// explores the identical trajectory a local `tune --engine` would.
-#[allow(clippy::too_many_arguments)]
-fn tune_remote(
-    out: &mut String,
-    rsl: &str,
-    iterations: usize,
-    label: &str,
-    characteristics: Vec<f64>,
-    addr: &str,
-    engine: Option<String>,
-    retry: Option<u32>,
-    deadline_ms: Option<u64>,
-    trace: bool,
-    wire: Option<WireChoice>,
-    measure: Vec<String>,
-) -> Result<(), RunError> {
+fn tune_remote(out: &mut String, args: &TuneArgs, addr: &str) -> Result<(), RunError> {
+    let rsl = &args.rsl;
     let text = fs::read_to_string(rsl).map_err(|e| fail(format!("cannot read {rsl}: {e}")))?;
     let mut endpoints = addr.split(',').filter(|a| !a.is_empty());
     let first = endpoints.next().unwrap_or(addr);
-    let mut builder = Client::builder(first).tracing(trace);
+    let mut builder = Client::builder(first).tracing(args.trace);
     for fallback in endpoints {
         builder = builder.endpoint(fallback);
     }
-    if wire == Some(WireChoice::Json) {
+    if args.wire == Some(WireChoice::Json) {
         // Pin the handshake at protocol v2: the daemon never switches
         // the connection to binary framing. `binary` (and the default)
         // negotiate the newest version and fall back on old daemons.
         builder = builder.max_protocol_version(2);
     }
-    if let Some(n) = retry {
+    if let Some(n) = args.retry {
         builder = builder.retry(RetryPolicy::default().with_max_retries(n));
     }
-    if let Some(ms) = deadline_ms {
+    if let Some(ms) = args.deadline_ms {
         builder = builder.request_deadline(std::time::Duration::from_millis(ms));
     }
     let mut client = builder
@@ -547,13 +437,13 @@ fn tune_remote(
     let started = client
         .start_session_with(
             SpaceSpec::Rsl(text),
-            label,
-            characteristics,
-            Some(iterations),
-            engine.clone(),
+            &args.label,
+            args.characteristics.clone(),
+            Some(args.iterations),
+            args.engine.clone(),
         )
         .map_err(|e| fail(e.to_string()))?;
-    if let Some(name) = &engine {
+    if let Some(name) = &args.engine {
         let _ = writeln!(out, "engine: {name} (server-side)");
     }
     if let Some(prior) = &started.trained_from {
@@ -565,11 +455,11 @@ fn tune_remote(
     }
     // The server's parse of the RSL is authoritative; use its space for
     // the environment-variable names.
-    let obj = ExternalObjective::new(started.space.clone(), measure);
+    let obj = ExternalObjective::new(started.space.clone(), args.measure.clone());
     let executor = Executor::new(1);
     let mut explored = 0usize;
     while let Some(proposal) = client.fetch().map_err(|e| fail(e.to_string()))? {
-        let performance = if trace {
+        let performance = if args.trace {
             // Route the measurement through the executor under an `eval`
             // span, so queue-wait/run attribution lands in the trace.
             // Executor::new(1) is exactly the sequential loop — the
@@ -601,8 +491,8 @@ fn tune_remote(
     }
     let _ = writeln!(
         out,
-        "live iterations: {}; converged: {}; run recorded server-side as {label:?}",
-        summary.iterations, summary.converged
+        "live iterations: {}; converged: {}; run recorded server-side as {:?}",
+        summary.iterations, summary.converged, args.label
     );
     Ok(())
 }
@@ -771,81 +661,64 @@ fn fmt_us(us: u64) -> String {
     }
 }
 
-/// How `serve` writes its structured JSONL event log.
-#[derive(Debug, Clone, Default)]
-pub struct LogOptions {
-    /// Append events to this file (`--log-json`); `None` disables the
-    /// sink.
-    pub json: Option<String>,
-    /// Rotate the file when it reaches this many bytes (always on a
-    /// line boundary, so no event is torn across files).
-    pub rotate_bytes: Option<u64>,
-    /// Rotated files kept as `<file>.1` … `<file>.N` (default 3).
-    pub keep: Option<usize>,
-}
-
 /// Rotated event-log files `serve` keeps when `--log-keep` is unset.
 const DEFAULT_LOG_KEEP: usize = 3;
 
 /// Start the tuning daemon, hand the handle to `wait`, and shut down when
 /// it returns. `main` waits for stdin end-of-file; tests drive sessions.
 ///
-/// `log` configures the structured JSONL event sink (session starts,
-/// recorded runs, persistence failures, …), optionally size-rotated.
-/// `no_trace` skips enabling the distributed-tracing flight recorder.
+/// `--log-json` configures the structured JSONL event sink (session
+/// starts, recorded runs, persistence failures, …), optionally
+/// size-rotated (always on a line boundary, so no event is torn across
+/// files). `--no-trace` skips enabling the distributed-tracing flight
+/// recorder.
 ///
-/// With `peers`, the daemon joins a cluster: its own identity on the ring
-/// is `listen` exactly as the peers spell it, and `replicate` (default 1,
-/// owner-only) controls how many ring members hold each run and session
-/// snapshot. Configuration combinations — wal-without-db,
-/// compaction-without-db, cluster shape — are validated by
-/// [`DaemonConfig::builder`], so embedders and the CLI share one rulebook.
-#[allow(clippy::too_many_arguments)]
-pub fn serve(
-    rsl: &str,
-    db: Option<&str>,
-    wal: Option<&str>,
-    compact_every: Option<usize>,
-    listen: &str,
-    peers: &[String],
-    replicate: Option<usize>,
-    iterations: Option<usize>,
-    max_connections: Option<usize>,
-    log: LogOptions,
-    no_trace: bool,
-    wait: impl FnOnce(&DaemonHandle),
-) -> Result<String, RunError> {
-    if let Some(path) = &log.json {
-        match log.rotate_bytes {
+/// With `--peer`, the daemon joins a cluster: its own identity on the
+/// ring is `--listen` exactly as the peers spell it, and `--replicate`
+/// (default 1, owner-only) controls how many ring members hold each run
+/// and session snapshot. Configuration combinations — wal-without-db,
+/// compaction-without-db, a zero connection cap, cluster shape — are
+/// validated by [`DaemonConfig::builder`], so embedders and the CLI share
+/// one rulebook.
+pub fn serve(args: &ServeArgs, wait: impl FnOnce(&DaemonHandle)) -> Result<String, RunError> {
+    if let Some(path) = &args.log_json {
+        match args.log_rotate_bytes {
             Some(bytes) => harmony_obs::event::log_to_file_rotating(
                 path,
                 bytes,
-                log.keep.unwrap_or(DEFAULT_LOG_KEEP),
+                args.log_keep.unwrap_or(DEFAULT_LOG_KEEP),
             ),
             None => harmony_obs::event::log_to_file(path),
         }
         .map_err(|e| fail(format!("cannot open event log {path}: {e}")))?;
     }
+    let rsl = &args.rsl;
     let space = load_space(rsl)?;
-    let mut builder = DaemonConfig::builder().listen(listen).tracing(!no_trace);
-    if let Some(path) = db {
+    let mut builder = DaemonConfig::builder()
+        .listen(&args.listen)
+        .tracing(!args.no_trace);
+    if let Some(path) = &args.db {
         builder = builder.db_path(path);
     }
-    if let Some(path) = wal {
+    if let Some(path) = &args.wal {
         builder = builder.wal_path(path);
     }
-    if let Some(n) = compact_every {
+    if let Some(n) = args.compact_every {
         builder = builder.compact_every(n);
     }
-    if let Some(n) = max_connections {
+    if let Some(n) = args.max_connections {
         builder = builder.max_connections(n);
     }
-    if !peers.is_empty() {
-        builder = builder.cluster(listen, peers.to_vec(), replicate.unwrap_or(1));
+    if !args.peers.is_empty() {
+        builder = builder.cluster(
+            &args.listen,
+            args.peers.clone(),
+            args.replicate.unwrap_or(1),
+        );
     }
     let mut config = builder.build().map_err(|e| fail(format!("serve: {e}")))?;
     config.server_name = format!("harmony-cli {}", env!("CARGO_PKG_VERSION"));
-    if let Some(n) = iterations {
+    if let Some(n) = args.iterations {
         config.tuning = config.tuning.with_max_iterations(n);
     }
     let handle = TuningDaemon::start(config).map_err(|e| fail(e.to_string()))?;
@@ -886,6 +759,16 @@ mod tests {
 
     fn sv(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// `serve`'s arguments as the parser builds them, on an ephemeral port.
+    fn serve_args(rsl: &std::path::Path, flags: &[&str]) -> ServeArgs {
+        let mut args = vec!["serve", rsl.to_str().unwrap(), "--listen", "127.0.0.1:0"];
+        args.extend_from_slice(flags);
+        match parse_args(&sv(&args)).unwrap().command {
+            Command::Serve(args) => args,
+            other => panic!("wrong command {other:?}"),
+        }
     }
 
     #[test]
@@ -1279,17 +1162,7 @@ mod tests {
         let cmd = "echo $((100 - (HARMONY_B-3)*(HARMONY_B-3) - (HARMONY_C-4)*(HARMONY_C-4)))";
 
         let report = serve(
-            rsl.to_str().unwrap(),
-            Some(db.to_str().unwrap()),
-            None,
-            None,
-            "127.0.0.1:0",
-            &[],
-            None,
-            Some(50),
-            None,
-            LogOptions::default(),
-            false,
+            &serve_args(&rsl, &["--db", db.to_str().unwrap(), "--iterations", "50"]),
             |handle| {
                 let addr = handle.addr().to_string();
                 let tune = |label: &str, chars: &str| {
@@ -1340,42 +1213,37 @@ mod tests {
         // place the combinations are judged, for the CLI and embedders
         // alike.
         let rsl = write_rsl("combos.rsl");
-        let err = serve(
-            rsl.to_str().unwrap(),
-            None,
-            Some("orphan.wal"),
-            None,
-            "127.0.0.1:0",
-            &[],
-            None,
-            None,
-            None,
-            LogOptions::default(),
-            false,
-            |_| unreachable!("daemon must not start"),
-        )
+        let err = serve(&serve_args(&rsl, &["--wal", "orphan.wal"]), |_| {
+            unreachable!("daemon must not start")
+        })
         .unwrap_err();
         assert!(
             err.0.contains("a write-ahead journal needs a database"),
             "{err}"
         );
-        let err = serve(
-            rsl.to_str().unwrap(),
-            None,
-            None,
-            Some(8),
-            "127.0.0.1:0",
-            &[],
-            None,
-            None,
-            None,
-            LogOptions::default(),
-            false,
-            |_| unreachable!("daemon must not start"),
-        )
+        let err = serve(&serve_args(&rsl, &["--compact-every", "8"]), |_| {
+            unreachable!("daemon must not start")
+        })
         .unwrap_err();
         assert!(
             err.0.contains("a compaction interval needs a database"),
+            "{err}"
+        );
+        // Zero copies, empty addresses and a zero connection cap are
+        // refused outright.
+        let refused = |flags: &[&str]| {
+            serve(&serve_args(&rsl, flags), |_| {
+                unreachable!("daemon must not start")
+            })
+            .unwrap_err()
+        };
+        let err = refused(&["--peer", "a:1", "--replicate", "0"]);
+        assert!(err.0.contains("at least 1"), "{err}");
+        let err = refused(&["--peer", "a:1,,b:2"]);
+        assert!(err.0.contains("empty peer address"), "{err}");
+        let err = refused(&["--max-connections", "0"]);
+        assert!(
+            err.0.contains("--max-connections must be at least 1"),
             "{err}"
         );
     }
@@ -1406,22 +1274,9 @@ mod tests {
         let local = tuned(&[]);
 
         let mut remote = String::new();
-        serve(
-            rsl.to_str().unwrap(),
-            None,
-            None,
-            None,
-            "127.0.0.1:0",
-            &[],
-            None,
-            None,
-            None,
-            LogOptions::default(),
-            false,
-            |handle| {
-                remote = tuned(&["--remote", &handle.addr().to_string()]);
-            },
-        )
+        serve(&serve_args(&rsl, &[]), |handle| {
+            remote = tuned(&["--remote", &handle.addr().to_string()]);
+        })
         .unwrap();
         assert!(
             remote.contains("engine: divide-diverge (server-side)"),
@@ -1453,48 +1308,35 @@ mod tests {
     #[test]
     fn stats_reports_live_daemon_metrics() {
         let rsl = write_rsl("stats.rsl");
-        serve(
-            rsl.to_str().unwrap(),
-            None,
-            None,
-            None,
-            "127.0.0.1:0",
-            &[],
-            None,
-            Some(20),
-            None,
-            LogOptions::default(),
-            false,
-            |handle| {
-                let cli = parse_args(&sv(&["stats", &handle.addr().to_string()])).unwrap();
-                let out = run(cli.command).unwrap();
-                assert!(out.contains("harmony_net_connections_total"), "{out}");
-                assert!(
-                    out.contains("# TYPE harmony_net_request_seconds histogram"),
-                    "{out}"
-                );
-                assert!(out.contains("harmony_net_sessions_started_total"), "{out}");
-                // Execution-engine metrics are preregistered so they show
-                // up (as zeros) before the first parallel batch runs.
-                assert!(out.contains("harmony_exec_cache_hits_total"), "{out}");
-                assert!(out.contains("harmony_exec_queue_depth"), "{out}");
-                // Pluggable-engine metrics likewise, one series per
-                // registered engine plus the tournament counter.
-                assert!(
-                    out.contains("harmony_engine_proposals_total{engine=\"simplex\"}"),
-                    "{out}"
-                );
-                assert!(
-                    out.contains("harmony_engine_evaluations_total{engine=\"tuneful\"}"),
-                    "{out}"
-                );
-                assert!(out.contains("harmony_engine_converged_iterations"), "{out}");
-                assert!(
-                    out.contains("harmony_engine_tournament_races_total"),
-                    "{out}"
-                );
-            },
-        )
+        serve(&serve_args(&rsl, &["--iterations", "20"]), |handle| {
+            let cli = parse_args(&sv(&["stats", &handle.addr().to_string()])).unwrap();
+            let out = run(cli.command).unwrap();
+            assert!(out.contains("harmony_net_connections_total"), "{out}");
+            assert!(
+                out.contains("# TYPE harmony_net_request_seconds histogram"),
+                "{out}"
+            );
+            assert!(out.contains("harmony_net_sessions_started_total"), "{out}");
+            // Execution-engine metrics are preregistered so they show
+            // up (as zeros) before the first parallel batch runs.
+            assert!(out.contains("harmony_exec_cache_hits_total"), "{out}");
+            assert!(out.contains("harmony_exec_queue_depth"), "{out}");
+            // Pluggable-engine metrics likewise, one series per
+            // registered engine plus the tournament counter.
+            assert!(
+                out.contains("harmony_engine_proposals_total{engine=\"simplex\"}"),
+                "{out}"
+            );
+            assert!(
+                out.contains("harmony_engine_evaluations_total{engine=\"tuneful\"}"),
+                "{out}"
+            );
+            assert!(out.contains("harmony_engine_converged_iterations"), "{out}");
+            assert!(
+                out.contains("harmony_engine_tournament_races_total"),
+                "{out}"
+            );
+        })
         .unwrap();
     }
 
@@ -1507,20 +1349,10 @@ mod tests {
         fs::remove_file(&log).ok();
         let cmd = "echo $((100 - (HARMONY_B-3)*(HARMONY_B-3)))";
         serve(
-            rsl.to_str().unwrap(),
-            None,
-            None,
-            None,
-            "127.0.0.1:0",
-            &[],
-            None,
-            Some(20),
-            None,
-            LogOptions {
-                json: Some(log.to_str().unwrap().to_string()),
-                ..LogOptions::default()
-            },
-            false,
+            &serve_args(
+                &rsl,
+                &["--iterations", "20", "--log-json", log.to_str().unwrap()],
+            ),
             |handle| {
                 let cli = parse_args(&sv(&[
                     "tune",
@@ -1615,90 +1447,64 @@ mod tests {
     fn traced_remote_tune_fills_the_flight_recorder() {
         let rsl = write_rsl("trace-flow.rsl");
         let cmd = "echo $((100 - (HARMONY_B-3)*(HARMONY_B-3)))";
-        serve(
-            rsl.to_str().unwrap(),
-            None,
-            None,
-            None,
-            "127.0.0.1:0",
-            &[],
-            None,
-            Some(15),
-            None,
-            LogOptions::default(),
-            false,
-            |handle| {
-                let addr = handle.addr().to_string();
-                let cli = parse_args(&sv(&[
-                    "tune",
-                    rsl.to_str().unwrap(),
-                    "--remote",
-                    &addr,
-                    "--trace",
-                    "--label",
-                    "traced",
-                    "--",
-                    "sh",
-                    "-c",
-                    cmd,
-                ]))
-                .unwrap();
-                let out = run(cli.command).unwrap();
-                assert!(out.contains("best performance"), "{out}");
-                let cli = parse_args(&sv(&["trace", &addr])).unwrap();
-                let out = run(cli.command).unwrap();
-                assert!(out.contains("flight recorder"), "{out}");
-                // The whole client → daemon → executor path shows up.
-                for needle in [
-                    "session",
-                    "serve",
-                    "net.read",
-                    "classify",
-                    "eval",
-                    "queue.wait",
-                    "exec.run",
-                    "wal.append",
-                    "stage attribution",
-                ] {
-                    assert!(out.contains(needle), "missing {needle} in:\n{out}");
-                }
-            },
-        )
+        serve(&serve_args(&rsl, &["--iterations", "15"]), |handle| {
+            let addr = handle.addr().to_string();
+            let cli = parse_args(&sv(&[
+                "tune",
+                rsl.to_str().unwrap(),
+                "--remote",
+                &addr,
+                "--trace",
+                "--label",
+                "traced",
+                "--",
+                "sh",
+                "-c",
+                cmd,
+            ]))
+            .unwrap();
+            let out = run(cli.command).unwrap();
+            assert!(out.contains("best performance"), "{out}");
+            let cli = parse_args(&sv(&["trace", &addr])).unwrap();
+            let out = run(cli.command).unwrap();
+            assert!(out.contains("flight recorder"), "{out}");
+            // The whole client → daemon → executor path shows up.
+            for needle in [
+                "session",
+                "serve",
+                "net.read",
+                "classify",
+                "eval",
+                "queue.wait",
+                "exec.run",
+                "wal.append",
+                "stage attribution",
+            ] {
+                assert!(out.contains(needle), "missing {needle} in:\n{out}");
+            }
+        })
         .unwrap();
     }
 
     #[test]
     fn remote_tune_surfaces_measurement_failures() {
         let rsl = write_rsl("serve-fail.rsl");
-        serve(
-            rsl.to_str().unwrap(),
-            None,
-            None,
-            None,
-            "127.0.0.1:0",
-            &[],
-            None,
-            Some(20),
-            None,
-            LogOptions::default(),
-            false,
-            |handle| {
-                let cli = parse_args(&sv(&[
-                    "tune",
-                    rsl.to_str().unwrap(),
-                    "--remote",
-                    &handle.addr().to_string(),
-                    "--",
-                    "sh",
-                    "-c",
-                    "exit 9",
-                ]))
-                .unwrap();
-                let err = run(cli.command).unwrap_err();
-                assert!(err.0.contains("exploration 1"), "{err}");
-                assert!(err.0.contains("measurement command failed"), "{err}");
-            },
-        )
+        serve(&serve_args(&rsl, &["--iterations", "20"]), |handle| {
+            let cli = parse_args(&sv(&[
+                "tune",
+                rsl.to_str().unwrap(),
+                "--remote",
+                &handle.addr().to_string(),
+                "--",
+                "sh",
+                "-c",
+                "exit 9",
+            ]))
+            .unwrap();
+            let err = run(cli.command).unwrap_err();
+            assert!(err.0.contains("exploration 1"), "{err}");
+            assert!(err.0.contains("measurement command failed"), "{err}");
+        })
         .unwrap();
     }
 }

@@ -7,7 +7,7 @@ fn main() {
     let cli = match parse_args(&args) {
         Ok(cli) => cli,
         Err(e) => {
-            eprintln!("error: {e}\n\n{}", harmony_cli::args::USAGE);
+            eprintln!("error: {e}\n\n{}", harmony_cli::args::usage());
             std::process::exit(2);
         }
     };

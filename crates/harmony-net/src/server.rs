@@ -130,9 +130,9 @@ pub struct DaemonConfig {
 impl DaemonConfig {
     /// A validated way to assemble a config: every combination the ad-hoc
     /// CLI checks used to police (`--wal` without `--db`, a compaction
-    /// interval with nothing to compact, an impossible peer ring) is
-    /// refused at [`DaemonConfigBuilder::build`] instead of surfacing as
-    /// a confusing runtime failure.
+    /// interval with nothing to compact, a connection cap of zero, an
+    /// impossible peer ring) is refused at [`DaemonConfigBuilder::build`]
+    /// instead of surfacing as a confusing runtime failure.
     pub fn builder() -> DaemonConfigBuilder {
         DaemonConfigBuilder {
             config: DaemonConfig::default(),
@@ -220,6 +220,12 @@ impl DaemonConfigBuilder {
         if self.compact_set && self.config.db_path.is_none() {
             return Err(
                 "a compaction interval needs a database (--compact-every requires --db)".into(),
+            );
+        }
+        if self.config.max_connections == 0 {
+            return Err(
+                "a connection cap of 0 refuses every client (--max-connections must be at least 1)"
+                    .into(),
             );
         }
         if let Some(cluster) = &self.config.cluster {
@@ -3687,6 +3693,15 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(err.contains("--compact-every requires --db"), "{err}");
+
+        let err = DaemonConfig::builder()
+            .max_connections(0)
+            .build()
+            .unwrap_err();
+        assert!(
+            err.contains("--max-connections must be at least 1"),
+            "{err}"
+        );
 
         // With a db both are fine.
         let config = DaemonConfig::builder()

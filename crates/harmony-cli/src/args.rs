@@ -649,8 +649,13 @@ fn tune(m: Matches) -> Result<TuneArgs, CliError> {
         label: m.text("--label").unwrap_or_else(|| "run".into()),
         characteristics: m
             .get("--characteristics", |raw| {
+                // A non-finite value has no JSON spelling: saved into
+                // `--db`, it would make the database unloadable.
                 raw.split(',')
-                    .map(|s| s.trim().parse().map_err(|_| format!("bad number {s:?}")))
+                    .map(|s| match s.trim().parse::<f64>() {
+                        Ok(c) if c.is_finite() => Ok(c),
+                        _ => Err(format!("bad number {s:?}")),
+                    })
                     .collect()
             })?
             .unwrap_or_default(),
@@ -1376,15 +1381,20 @@ mod tests {
     #[test]
     fn bad_values_error_cleanly() {
         assert!(parse_args(&v(&["tune", "p.rsl", "--iterations", "many", "--", "m"])).is_err());
-        assert!(parse_args(&v(&[
-            "tune",
-            "p.rsl",
-            "--characteristics",
-            "a,b",
-            "--",
-            "m"
-        ]))
-        .is_err());
+        for characteristics in ["a,b", "nan,1", "1,inf"] {
+            assert!(
+                parse_args(&v(&[
+                    "tune",
+                    "p.rsl",
+                    "--characteristics",
+                    characteristics,
+                    "--",
+                    "m"
+                ]))
+                .is_err(),
+                "{characteristics}"
+            );
+        }
         assert!(parse_args(&v(&["frobnicate"])).is_err());
     }
 

@@ -3,14 +3,14 @@
 
 use crate::args::{Command, ServeArgs, TuneArgs, WireChoice};
 use crate::external::{ExternalObjective, MeasureError};
+use harmony::engine::SearchEngine;
 use harmony::history::{DataAnalyzer, ExperienceDb, RunHistory};
+use harmony::kernel::SimplexOptions;
 use harmony::prelude::*;
 use harmony::report::{analyze_trace, ReportOptions, TraceEntry};
 use harmony::sensitivity::Prioritizer;
 use harmony::tuner::TrainingMode;
-use harmony_engines::{
-    registry, render_leaderboard, run_tournament, SearchEngine, TournamentOptions,
-};
+use harmony_engines::{registry, render_leaderboard, run_tournament, TournamentOptions};
 use harmony_exec::{Executor, MemoCache};
 use harmony_net::client::{Client, RetryPolicy};
 use harmony_net::protocol::{SpaceSpec, WireSpan, WireTrace};
@@ -279,8 +279,6 @@ fn mix_by_name(name: &str) -> Result<WorkloadMix, RunError> {
 /// With `--characteristics` and a `--db`, the classified prior run
 /// warm-starts the engine through [`SearchEngine::warm_start`], and the
 /// finished run's records are saved back.
-///
-/// [`SearchEngine::warm_start`]: harmony_engines::SearchEngine::warm_start
 fn tune_with_engine(out: &mut String, args: &TuneArgs) -> Result<(), RunError> {
     let space = load_space(&args.rsl)?;
     let mut database = match &args.db {
@@ -296,11 +294,16 @@ fn tune_with_engine(out: &mut String, args: &TuneArgs) -> Result<(), RunError> {
         // `--original` is only meaningful for the simplex engine (the
         // parser rejects it for the others): swap the improved defaults
         // for the paper's original initial-simplex strategy.
-        Box::new(harmony_engines::SimplexEngine::new(
-            space.clone(),
-            TuningOptions::original().with_max_iterations(args.iterations),
-            TrainingMode::Replay(10),
-        ))
+        Box::new(
+            Tuner::new(
+                space.clone(),
+                TuningOptions::original().with_max_iterations(args.iterations),
+            )
+            .session_with(
+                SimplexOptions::default(),
+                TrainingMode::Replay(registry::WARM_REPLAY_BUDGET),
+            ),
+        )
     } else {
         // The registry's fixed seed keeps repeated invocations exploring
         // identically — and matches what a daemon builds for the same
@@ -309,10 +312,14 @@ fn tune_with_engine(out: &mut String, args: &TuneArgs) -> Result<(), RunError> {
         // system, not the search.
         spec.build(space.clone(), args.iterations, registry::DEFAULT_SEED)
     };
+    // A match recorded over a space of another arity cannot seed this
+    // search: it is skipped, and the run tunes cold.
     let prior = if args.characteristics.is_empty() {
         None
     } else {
-        DataAnalyzer::new().select(&database, &args.characteristics)
+        DataAnalyzer::new()
+            .select(&database, &args.characteristics)
+            .filter(|run| run.fits(&space))
     };
     if let Some(history) = &prior {
         let _ = writeln!(out, "training from prior run {:?}", history.label);
@@ -989,6 +996,55 @@ mod tests {
         );
         fs::remove_file(&plain_db).ok();
         fs::remove_file(&named_db).ok();
+    }
+
+    #[test]
+    fn tune_skips_a_prior_run_over_a_space_of_another_arity() {
+        let dir = std::env::temp_dir().join("harmony-cli-tests");
+        let one = dir.join("arity-1.rsl");
+        fs::write(&one, "{ harmonyBundle B { int {1 8 1} }}\n").unwrap();
+        let two = write_rsl("arity-2.rsl");
+        let prior_db = dir.join("arity-prior.json");
+        fs::remove_file(&prior_db).ok();
+        let tune = |rsl: &std::path::Path, db: &std::path::Path, engine: &[&str]| {
+            let mut args = vec!["tune", rsl.to_str().unwrap()];
+            args.extend_from_slice(engine);
+            args.extend_from_slice(&[
+                "--iterations",
+                "20",
+                "--db",
+                db.to_str().unwrap(),
+                "--characteristics",
+                "0.5,0.5",
+                "--",
+                "sh",
+                "-c",
+                "echo $((100 - (HARMONY_B-3)*(HARMONY_B-3)))",
+            ]);
+            run(parse_args(&sv(&args)).unwrap().command)
+        };
+        tune(&one, &prior_db, &[]).unwrap();
+        // The only run on record, at the same characteristics, was
+        // recorded over one parameter: every engine tunes the
+        // two-parameter space cold instead of seeding from it.
+        let db = dir.join("arity-db.json");
+        let mut engines = vec![vec![], vec!["--original"]];
+        engines.extend(
+            harmony_engines::ENGINE_NAMES
+                .iter()
+                .map(|&name| vec!["--engine", name]),
+        );
+        for engine in &engines {
+            fs::copy(&prior_db, &db).unwrap();
+            let out = tune(&two, &db, engine).unwrap();
+            assert!(
+                !out.contains("training from prior run"),
+                "{engine:?}: {out}"
+            );
+            assert!(out.contains("experience saved"), "{engine:?}: {out}");
+        }
+        fs::remove_file(&prior_db).ok();
+        fs::remove_file(&db).ok();
     }
 
     #[test]

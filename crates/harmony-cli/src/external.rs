@@ -17,7 +17,9 @@ pub enum MeasureError {
         /// Captured stderr (truncated).
         stderr: String,
     },
-    /// Stdout's last non-empty line did not parse as a number.
+    /// Stdout's last non-empty line did not parse as a finite number
+    /// (`NaN` and the infinities are refused: the search cannot rank
+    /// them, and the experience database cannot store them).
     BadOutput(String),
 }
 
@@ -116,8 +118,10 @@ impl ExternalObjective {
             .map(str::trim)
             .find(|l| !l.is_empty())
             .unwrap_or("");
-        line.parse::<f64>()
-            .map_err(|_| MeasureError::BadOutput(line.to_string()))
+        match line.parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(v),
+            _ => Err(MeasureError::BadOutput(line.to_string())),
+        }
     }
 }
 
@@ -196,14 +200,19 @@ mod tests {
             Err(MeasureError::Failed { .. })
         ));
 
-        let obj = ExternalObjective::new(
-            space(),
-            vec!["sh".into(), "-c".into(), "echo not-a-number".into()],
-        );
-        assert!(matches!(
-            obj.measure_once(&Configuration::new(vec![1, 1])),
-            Err(MeasureError::BadOutput(_))
-        ));
+        for output in ["not-a-number", "inf", "-inf", "NaN"] {
+            let obj = ExternalObjective::new(
+                space(),
+                vec!["sh".into(), "-c".into(), format!("echo {output}")],
+            );
+            assert!(
+                matches!(
+                    obj.measure_once(&Configuration::new(vec![1, 1])),
+                    Err(MeasureError::BadOutput(_))
+                ),
+                "{output}"
+            );
+        }
 
         let obj = ExternalObjective::new(space(), vec!["/nonexistent/tool".into()]);
         assert!(matches!(

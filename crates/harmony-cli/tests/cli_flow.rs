@@ -146,7 +146,8 @@ fn reserve_addrs(n: usize) -> Vec<String> {
 }
 
 /// A freshly served daemon answers `stats` with a healthy Prometheus
-/// exposition, one latency series per request kind, and logs its start.
+/// exposition — exactly the pinned series, one latency series per
+/// request kind — and logs its start.
 #[test]
 fn stats_scrapes_a_served_daemon() {
     let dir = work_dir("stats");
@@ -163,8 +164,31 @@ fn stats_scrapes_a_served_daemon() {
     assert!(out.status.success(), "stats failed: {out:?}");
     let text = String::from_utf8(out.stdout).unwrap();
 
-    let families = text.lines().filter(|l| l.starts_with("# TYPE")).count();
-    assert!(families >= 10, "{families} metric families in:\n{text}");
+    // The series a fresh daemon exposes are pinned: every `# HELP` and
+    // `# TYPE` line verbatim, and every sample's name and labels (its
+    // value and exemplar vary, so a sample line is cut at its first
+    // space).
+    let shape: Vec<&str> = text
+        .lines()
+        .filter(|l| !l.is_empty())
+        .map(|l| {
+            if l.starts_with('#') {
+                l
+            } else {
+                l.split(' ').next().unwrap()
+            }
+        })
+        .collect();
+    let pinned: Vec<&str> = include_str!("fixtures/stats_exposition.txt")
+        .lines()
+        .collect();
+    if let Some(i) = (0..shape.len().max(pinned.len())).find(|&i| shape.get(i) != pinned.get(i)) {
+        panic!(
+            "exposition line {i} is {:?}, the fixture has {:?}; exposition:\n{text}",
+            shape.get(i),
+            pinned.get(i)
+        );
+    }
     assert!(
         text.lines()
             .any(|l| l.starts_with("harmony_net_sessions_started_total ")),
@@ -237,6 +261,35 @@ fn exit_codes_separate_usage_errors_from_run_errors() {
             "{stderr}"
         );
         assert!(!stderr.contains("USAGE"), "{stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A measure command that prints a non-finite performance stops the run
+/// with exit 1 before anything reaches `--db`: such a value cannot rank
+/// in the search, and saved it would make the database unloadable.
+#[test]
+fn non_finite_measurements_are_refused() {
+    let dir = work_dir("non-finite");
+    let rsl = cache_rsl(&dir);
+    for output in ["inf", "-inf", "NaN"] {
+        for jobs in ["1", "2"] {
+            let db = dir.join("exp.json");
+            let out = cli()
+                .args(["tune", path(&rsl), "--jobs", jobs, "--db", path(&db)])
+                .args(["--characteristics", "0.5,0.5", "--"])
+                .args(["sh", "-c", &format!("echo {output}")])
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8(out.stderr).unwrap();
+            assert_eq!(
+                out.status.code(),
+                Some(1),
+                "{output} --jobs {jobs}: {stderr}"
+            );
+            assert!(stderr.contains("is not a number"), "{stderr}");
+            assert!(!db.exists(), "{output} --jobs {jobs} wrote the database");
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -11,8 +11,9 @@
 //! region collapsed to the parameter grid, end the search.
 
 use crate::rng::Rng;
-use crate::{EngineError, SearchEngine};
+use harmony::engine::SearchEngine;
 use harmony::history::RunHistory;
+use harmony::tuner::SessionError;
 use harmony_space::{Configuration, ParameterSpace};
 
 /// Hyperparameters of [`DivideDivergeEngine`].
@@ -250,9 +251,9 @@ impl SearchEngine for DivideDivergeEngine {
             .collect()
     }
 
-    fn observe(&mut self, performance: f64) -> Result<(), EngineError> {
+    fn observe(&mut self, performance: f64) -> Result<(), SessionError> {
         if !self.pending {
-            return Err(EngineError::NoPendingConfiguration);
+            return Err(SessionError::NoPendingConfiguration);
         }
         self.pending = false;
         let config = self.round[self.results.len()].clone();
@@ -307,7 +308,7 @@ impl SearchEngine for DivideDivergeEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::drive;
+    use harmony::engine::drive;
     use harmony_space::ParamDef;
 
     fn space2() -> ParameterSpace {
@@ -355,7 +356,7 @@ mod tests {
     #[test]
     fn observe_without_ask_is_an_error() {
         let mut e = DivideDivergeEngine::new(space2(), 10, 1);
-        assert_eq!(e.observe(1.0), Err(EngineError::NoPendingConfiguration));
+        assert_eq!(e.observe(1.0), Err(SessionError::NoPendingConfiguration));
         let a = e.next_config().unwrap();
         let b = e.next_config().unwrap();
         assert_eq!(a, b, "proposal is idempotent until observed");

@@ -5,52 +5,13 @@
 //!
 //! | name | kind | meaning |
 //! |------|------|---------|
-//! | `harmony_engine_proposals_total{engine=…}` | counter | configurations proposed, by engine |
-//! | `harmony_engine_evaluations_total{engine=…}` | counter | measurements consumed, by engine |
-//! | `harmony_engine_converged_iterations` | histogram | trace length of runs that converged |
 //! | `harmony_engine_tournament_races_total` | counter | engine-vs-workload races completed |
+//!
+//! The per-engine proposal/evaluation counters and the convergence
+//! histogram belong to the driver loops in [`harmony::engine`].
 
-use harmony_obs::metrics::{global, Counter, Histogram};
+use harmony_obs::metrics::{global, Counter};
 use std::sync::{Arc, OnceLock};
-
-/// Iterations-to-converge buckets: short warm-started runs up to long
-/// cold searches.
-const CONVERGED_ITERATIONS: &[f64] = &[5.0, 10.0, 20.0, 40.0, 80.0, 160.0, 320.0, 640.0];
-
-/// Per-engine counter handles. The registry deduplicates by
-/// (name, labels), so repeated lookups return the same underlying
-/// counters.
-pub(crate) struct EngineMetrics {
-    pub proposals: Arc<Counter>,
-    pub evaluations: Arc<Counter>,
-}
-
-/// Handles for one engine's labelled series.
-pub(crate) fn engine_metrics(engine: &str) -> EngineMetrics {
-    EngineMetrics {
-        proposals: global().counter_with(
-            "harmony_engine_proposals_total",
-            "Configurations proposed by a search engine",
-            &[("engine", engine)],
-        ),
-        evaluations: global().counter_with(
-            "harmony_engine_evaluations_total",
-            "Measurements consumed by a search engine",
-            &[("engine", engine)],
-        ),
-    }
-}
-
-pub(crate) fn converged_iterations() -> &'static Arc<Histogram> {
-    static H: OnceLock<Arc<Histogram>> = OnceLock::new();
-    H.get_or_init(|| {
-        global().histogram(
-            "harmony_engine_converged_iterations",
-            "Trace length of engine runs that met their convergence criteria",
-            CONVERGED_ITERATIONS,
-        )
-    })
-}
 
 pub(crate) fn tournament_races_total() -> &'static Arc<Counter> {
     static H: OnceLock<Arc<Counter>> = OnceLock::new();
@@ -64,12 +25,10 @@ pub(crate) fn tournament_races_total() -> &'static Arc<Counter> {
 
 /// Register every `harmony_engine_*` series with the global registry so
 /// a metrics exposition shows them (at zero) before the first engine
-/// runs. Call once at daemon start, next to the other subsystems'
+/// runs: one driver label set per registered engine, and the tournament
+/// counter. Call once at daemon start, next to the other subsystems'
 /// preregistration.
 pub fn preregister() {
-    for name in crate::registry::ENGINE_NAMES {
-        engine_metrics(name);
-    }
-    converged_iterations();
+    harmony::preregister_engine_metrics(&crate::registry::ENGINE_NAMES);
     tournament_races_total();
 }

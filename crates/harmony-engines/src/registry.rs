@@ -8,11 +8,10 @@
 //! travel as scaled integer percentages (`alpha_pct = 100` ⇒ α = 1.0).
 
 use crate::divide::{DivideDivergeEngine, DivideDivergeOptions};
-use crate::simplex::SimplexEngine;
 use crate::tuneful::{TunefulEngine, TunefulOptions};
-use crate::SearchEngine;
+use harmony::engine::SearchEngine;
 use harmony::kernel::SimplexOptions;
-use harmony::tuner::{TrainingMode, TuningOptions};
+use harmony::tuner::{TrainingMode, Tuner, TuningOptions};
 use harmony_space::{Configuration, ParamDef, ParameterSpace};
 
 /// Every registered engine name, in registry order.
@@ -26,8 +25,9 @@ pub const ENGINE_NAMES: [&str; 3] = ["simplex", "divide-diverge", "tuneful"];
 pub const DEFAULT_SEED: u64 = 42;
 
 /// Virtual replay budget the registry's simplex engine spends on a prior
-/// run's records when warm-started (the CLI's default training mode).
-const WARM_REPLAY_BUDGET: usize = 10;
+/// run's records when warm-started (the CLI's training mode, `--original`
+/// included).
+pub const WARM_REPLAY_BUDGET: usize = 10;
 
 /// `lookup` was asked for a name nobody registered.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -126,12 +126,10 @@ impl EngineSpec {
                     sigma: pct(3),
                 };
                 let options = TuningOptions::improved().with_max_iterations(budget);
-                Box::new(SimplexEngine::with_simplex_options(
-                    space,
-                    options,
-                    simplex,
-                    TrainingMode::Replay(WARM_REPLAY_BUDGET),
-                ))
+                Box::new(
+                    Tuner::new(space, options)
+                        .session_with(simplex, TrainingMode::Replay(WARM_REPLAY_BUDGET)),
+                )
             }
             "divide-diverge" => {
                 let opts = DivideDivergeOptions {

@@ -12,7 +12,8 @@
 //! explicit seeded state).
 
 use crate::rng::Rng;
-use crate::{drive, obs, registry};
+use crate::{obs, registry};
+use harmony::engine::drive;
 use harmony_exec::Executor;
 use harmony_space::{Configuration, ParameterSpace};
 use harmony_websim::{Fidelity, WebServiceSystem, WorkloadMix};

@@ -10,9 +10,10 @@
 //! windows shrink around the incumbent. The search ends when the active
 //! windows collapse to the parameter grid or probing stops improving.
 
-use crate::{EngineError, SearchEngine};
+use harmony::engine::SearchEngine;
 use harmony::history::{RunHistory, TuningRecord};
 use harmony::sensitivity::SensitivityReport;
+use harmony::tuner::SessionError;
 use harmony_space::{Configuration, ParameterSpace};
 
 /// Hyperparameters of [`TunefulEngine`].
@@ -271,9 +272,9 @@ impl SearchEngine for TunefulEngine {
             .collect()
     }
 
-    fn observe(&mut self, performance: f64) -> Result<(), EngineError> {
+    fn observe(&mut self, performance: f64) -> Result<(), SessionError> {
         if !self.pending {
-            return Err(EngineError::NoPendingConfiguration);
+            return Err(SessionError::NoPendingConfiguration);
         }
         self.pending = false;
         let config = self.round[self.results.len()].clone();
@@ -329,7 +330,7 @@ impl SearchEngine for TunefulEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::drive;
+    use harmony::engine::drive;
     use harmony_space::ParamDef;
 
     fn space3() -> ParameterSpace {

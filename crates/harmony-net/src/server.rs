@@ -53,14 +53,16 @@ use crate::protocol::{
     PROTOCOL_VERSION,
 };
 use crate::NetError;
+use harmony::engine::SearchEngine;
 use harmony::history::wal::{self, WalWriter};
 use harmony::history::{
     CharacteristicsIndex, DataAnalyzer, DbError, ExperienceDb, RunHistory, TuningRecord,
 };
+use harmony::kernel::SimplexOptions;
 use harmony::report::TraceEntry;
 use harmony::sensitivity::SensitivityReport;
-use harmony::tuner::{TrainingMode, TuningOptions};
-use harmony_engines::{registry as engines, EngineError, SearchEngine, SimplexEngine};
+use harmony::tuner::{SessionError, TrainingMode, Tuner, TuningOptions};
+use harmony_engines::registry as engines;
 use harmony_obs::event::{event, Level};
 use harmony_obs::trace::{self, stage, TraceContext};
 use harmony_space::{parse_rsl, Configuration, ParameterSpace};
@@ -709,11 +711,13 @@ fn build_session(record: SessionRecord, config: &DaemonConfig) -> Result<ActiveS
             record.budget,
             engines::DEFAULT_SEED,
         ),
-        None => Box::new(SimplexEngine::new(
-            record.space.clone(),
-            config.tuning.clone().with_max_iterations(record.budget),
-            TRAINING,
-        )),
+        None => Box::new(
+            Tuner::new(
+                record.space.clone(),
+                config.tuning.clone().with_max_iterations(record.budget),
+            )
+            .session_with(SimplexOptions::default(), TRAINING),
+        ),
     };
     if let Some(history) = &record.prior {
         let _span = trace::child(stage::WARM_START, &history.label);
@@ -1197,7 +1201,7 @@ impl ActiveSession {
 
     fn observe(&mut self, performance: f64) -> Result<(), String> {
         let Some(config) = self.pending.take() else {
-            return Err(EngineError::NoPendingConfiguration.to_string());
+            return Err(SessionError::NoPendingConfiguration.to_string());
         };
         self.engine
             .observe(performance)
@@ -1554,7 +1558,7 @@ fn handle_request(request: Request, conn: &mut ConnState, shared: &Shared) -> Re
                 let _span = trace::child(stage::CLASSIFY, &label);
                 shared
                     .select_prior(&characteristics)
-                    .filter(|run| run.records.iter().all(|r| r.values.len() == space.len()))
+                    .filter(|run| run.fits(&space))
             };
             if prior.is_some() {
                 crate::obs::warm_start_hits_total().inc();

@@ -17,6 +17,9 @@
 //! * [`tuner`] — two-stage tuning sessions (training on history, then live
 //!   measurement) and the convergence/oscillation metrics the paper
 //!   reports (Tables 1 & 2);
+//! * [`engine`] — the ask-tell [`SearchEngine`](engine::SearchEngine)
+//!   trait the simplex session implements, and the loops that drive any
+//!   engine (sequentially or on an executor) to completion;
 //! * [`search`] — comparison algorithms from the related-work discussion
 //!   (Powell's direction-set method, random and exhaustive search);
 //! * [`server`] — the Harmony server façade that wires all of the above
@@ -45,13 +48,14 @@
 //! ```
 
 pub mod adaptive;
+pub mod engine;
 pub mod estimate;
 pub mod factorial;
 pub mod history;
 pub mod kernel;
 pub mod objective;
 pub(crate) mod obs;
-pub use obs::preregister_db_metrics;
+pub use obs::{preregister_db_metrics, preregister_engine_metrics};
 pub mod report;
 pub mod search;
 pub mod sensitivity;

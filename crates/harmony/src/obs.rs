@@ -19,6 +19,9 @@
 //! | `harmony_db_save_seconds` | histogram | experience-db persistence latency |
 //! | `harmony_db_saves_total` | counter | successful experience-db saves |
 //! | `harmony_sensitivity_reports_total` | counter | sensitivity reports computed from history |
+//! | `harmony_engine_proposals_total{engine=…}` | counter | configurations proposed, by engine |
+//! | `harmony_engine_evaluations_total{engine=…}` | counter | measurements consumed, by engine |
+//! | `harmony_engine_converged_iterations` | histogram | trace length of runs that converged |
 
 use harmony_obs::metrics::{global, Counter, Histogram, LATENCY_SECONDS};
 use std::sync::{Arc, OnceLock};
@@ -158,6 +161,55 @@ handle!(
         "Sensitivity reports computed (live sweeps and from-history estimates).",
     )
 );
+
+/// Iterations-to-converge buckets: short warm-started runs up to long
+/// cold searches.
+const CONVERGED_ITERATIONS: &[f64] = &[5.0, 10.0, 20.0, 40.0, 80.0, 160.0, 320.0, 640.0];
+
+handle!(
+    engine_converged_iterations,
+    Histogram,
+    global().histogram(
+        "harmony_engine_converged_iterations",
+        "Trace length of engine runs that met their convergence criteria",
+        CONVERGED_ITERATIONS,
+    )
+);
+
+/// Per-engine counter handles for [`crate::engine::drive`]. The
+/// registry deduplicates by (name, labels), so repeated lookups return
+/// the same underlying counters.
+pub(crate) struct EngineMetrics {
+    pub proposals: Arc<Counter>,
+    pub evaluations: Arc<Counter>,
+}
+
+/// Handles for one engine's labelled series.
+pub(crate) fn engine_metrics(engine: &str) -> EngineMetrics {
+    EngineMetrics {
+        proposals: global().counter_with(
+            "harmony_engine_proposals_total",
+            "Configurations proposed by a search engine",
+            &[("engine", engine)],
+        ),
+        evaluations: global().counter_with(
+            "harmony_engine_evaluations_total",
+            "Measurements consumed by a search engine",
+            &[("engine", engine)],
+        ),
+    }
+}
+
+/// Register the engine-driver series — one proposal/evaluation label
+/// set per name in `engines`, and the convergence histogram — so a
+/// metrics exposition shows them (at zero) before the first engine
+/// runs.
+pub fn preregister_engine_metrics(engines: &[&str]) {
+    for name in engines {
+        engine_metrics(name);
+    }
+    engine_converged_iterations();
+}
 
 /// Per-operation counters for the simplex state machine.
 pub(crate) struct SimplexOps {

@@ -1,6 +1,7 @@
 //! Tuning sessions: the normal one-stage flow and the §4.2 two-stage
 //! (training + live) flow.
 
+use crate::engine::SearchEngine;
 use crate::estimate::Estimator;
 use crate::history::RunHistory;
 use crate::kernel::{InitStrategy, SimplexKernel, SimplexOptions};
@@ -16,7 +17,7 @@ use std::time::Instant;
 const RESTART_SPREAD: f64 = 0.05;
 
 /// How historical experience is injected before live tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TrainingMode {
     /// No training stage (the original Active Harmony behaviour).
     None,
@@ -116,10 +117,11 @@ impl TuningOutcome {
     }
 }
 
-/// Stepping a [`TuningSession`] out of order.
+/// Stepping a [`TuningSession`], or any other [`SearchEngine`], out of
+/// order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SessionError {
-    /// [`TuningSession::observe`] was called with no outstanding
+    /// [`observe`](SearchEngine::observe) was called with no outstanding
     /// configuration to attach the measurement to.
     NoPendingConfiguration,
 }
@@ -144,7 +146,9 @@ impl std::error::Error for SessionError {}
 /// [`Tuner::run`] drives the whole measurement loop itself; a session
 /// exposes the same loop one step at a time, for callers that cannot hand
 /// over control — a network daemon answering `Fetch`/`Report` messages,
-/// or any measurement harness living outside the process.
+/// or any measurement harness living outside the process. It is also the
+/// registry's `simplex` [`SearchEngine`]: the daemon, the CLI and the
+/// engine drivers step it through that trait, batches included.
 ///
 /// ```
 /// use harmony::objective::FnObjective;
@@ -172,6 +176,9 @@ pub struct TuningSession {
     pending: Option<Configuration>,
     converged: bool,
     training_iterations: usize,
+    /// How [`warm_start`](SearchEngine::warm_start) trains on a prior
+    /// run.
+    training: TrainingMode,
     #[serde(skip)]
     created: SessionClock,
 }
@@ -189,26 +196,6 @@ impl Default for SessionClock {
 }
 
 impl TuningSession {
-    fn from_kernel(
-        space: ParameterSpace,
-        options: TuningOptions,
-        kernel: SimplexKernel,
-        training_iterations: usize,
-    ) -> Self {
-        crate::obs::training_iterations_total().add(training_iterations as u64);
-        TuningSession {
-            space,
-            options,
-            kernel,
-            trace: Vec::new(),
-            live_best: None,
-            pending: None,
-            converged: false,
-            training_iterations,
-            created: SessionClock::default(),
-        }
-    }
-
     /// The next configuration to measure, or `None` once the session is
     /// over (budget spent or converged).
     ///
@@ -225,52 +212,6 @@ impl TuningSession {
         let cfg = self.kernel.next_config();
         self.pending = Some(cfg.clone());
         Some(cfg)
-    }
-
-    /// Every configuration whose measurement can be gathered before the
-    /// next proposal depends on it, capped at the remaining budget —
-    /// the whole remaining initial simplex during the init phase, the
-    /// remaining vertices during a post-training refresh, and otherwise
-    /// the single outstanding configuration.
-    ///
-    /// Evaluate the batch (in any order, e.g. on a
-    /// [`harmony_exec::Executor`]) and report the results *in
-    /// batch order* through [`observe_batch`](Self::observe_batch).
-    /// Empty once the session is over.
-    pub fn next_batch(&mut self) -> Vec<Configuration> {
-        if let Some(cfg) = &self.pending {
-            return vec![cfg.clone()];
-        }
-        if self.is_done() {
-            return Vec::new();
-        }
-        let remaining = self.options.max_iterations - self.trace.len();
-        let mut batch = self.kernel.batchable_configs();
-        batch.truncate(remaining.max(1));
-        batch
-    }
-
-    /// Report measurements for a batch from
-    /// [`next_batch`](Self::next_batch), in batch order.
-    ///
-    /// Observation stops as soon as the session ends mid-batch (the
-    /// convergence check runs after every single measurement, exactly as
-    /// in the one-at-a-time loop); surplus measurements are discarded so
-    /// the outcome is identical to sequential stepping. Returns how many
-    /// measurements were consumed.
-    pub fn observe_batch(&mut self, performances: &[f64]) -> Result<usize, SessionError> {
-        let mut used = 0;
-        for &performance in performances {
-            if self.is_done() {
-                break;
-            }
-            if self.pending.is_none() {
-                self.pending = Some(self.kernel.next_config());
-            }
-            self.observe(performance)?;
-            used += 1;
-        }
-        Ok(used)
     }
 
     /// Report the measured performance of the outstanding configuration.
@@ -385,6 +326,79 @@ impl TuningSession {
     }
 }
 
+/// The paper's simplex session as an engine. Proposals and observations
+/// go through the inherent methods, so driving a session through the
+/// trait walks exactly the trajectory of [`Tuner::run`].
+impl SearchEngine for TuningSession {
+    fn name(&self) -> &'static str {
+        "simplex"
+    }
+
+    fn space(&self) -> &ParameterSpace {
+        &self.space
+    }
+
+    fn next_config(&mut self) -> Option<Configuration> {
+        TuningSession::next_config(self)
+    }
+
+    fn observe(&mut self, performance: f64) -> Result<(), SessionError> {
+        TuningSession::observe(self, performance)
+    }
+
+    /// The whole remaining initial simplex during the init phase, the
+    /// remaining vertices during a post-training refresh, and otherwise
+    /// the single outstanding configuration.
+    fn next_batch(&mut self) -> Vec<Configuration> {
+        if let Some(cfg) = &self.pending {
+            return vec![cfg.clone()];
+        }
+        if self.is_done() {
+            return Vec::new();
+        }
+        let remaining = self.options.max_iterations - self.trace.len();
+        let mut batch = self.kernel.batchable_configs();
+        batch.truncate(remaining.max(1));
+        batch
+    }
+
+    fn is_done(&self) -> bool {
+        TuningSession::is_done(self)
+    }
+
+    fn converged(&self) -> bool {
+        self.converged
+    }
+
+    fn iterations(&self) -> usize {
+        self.trace.len()
+    }
+
+    fn best(&self) -> Option<(Configuration, f64)> {
+        self.live_best.clone()
+    }
+
+    /// Rebuild the session trained on the prior run in the session's
+    /// training mode. Discards any live measurements already observed,
+    /// so call before the first proposal. An empty history changes
+    /// nothing: the session stays cold, with its own coefficients.
+    ///
+    /// The trained kernel starts from the history's diverse seeds with
+    /// *default* coefficients: seeding computes kernel state eagerly,
+    /// before custom coefficients could take effect, so a warm start
+    /// deliberately does not combine with hyper-tuned coefficients.
+    fn warm_start(&mut self, history: &RunHistory) {
+        if !history.records.is_empty() {
+            let tuner = Tuner::new(self.space.clone(), self.options.clone());
+            *self = tuner.session_trained(history, self.training);
+        }
+    }
+
+    fn training_iterations(&self) -> usize {
+        self.training_iterations
+    }
+}
+
 /// A tuning session driver.
 #[derive(Debug, Clone)]
 pub struct Tuner {
@@ -410,8 +424,7 @@ impl Tuner {
 
     /// One-stage tuning: measure everything live.
     pub fn run(&self, objective: &mut dyn Objective) -> TuningOutcome {
-        let kernel = SimplexKernel::new(self.space.clone(), self.options.init);
-        self.drive(kernel, objective, 0)
+        Self::drive(self.session(), objective)
     }
 
     /// Two-stage tuning with prior experience (§4.2): a training stage
@@ -450,27 +463,28 @@ impl Tuner {
         history: &RunHistory,
         mode: TrainingMode,
     ) -> TuningOutcome {
-        let (kernel, trained) = self.trained_kernel(history, mode);
-        self.drive(kernel, objective, trained)
+        Self::drive(self.session_trained(history, mode), objective)
     }
 
     /// Step-at-a-time flavour of [`run`](Self::run): the caller measures.
     pub fn session(&self) -> TuningSession {
-        let kernel = SimplexKernel::new(self.space.clone(), self.options.init);
-        TuningSession::from_kernel(self.space.clone(), self.options.clone(), kernel, 0)
+        self.session_with(SimplexOptions::default(), TrainingMode::None)
     }
 
-    /// [`session`](Self::session) with custom simplex coefficients.
+    /// A cold [`session`](Self::session) with custom simplex
+    /// coefficients, which a later
+    /// [`warm_start`](SearchEngine::warm_start) trains in `training`
+    /// mode (§4.2).
     ///
     /// Coefficients only take effect if installed before the kernel
     /// computes its first reflection, so they are applied to a cold
     /// kernel here rather than exposed as a mutator. Callers that tune
     /// the kernel's hyperparameters (the engine tournament) go through
     /// this entry point.
-    pub fn session_with_options(&self, simplex: SimplexOptions) -> TuningSession {
+    pub fn session_with(&self, simplex: SimplexOptions, training: TrainingMode) -> TuningSession {
         let kernel =
             SimplexKernel::new(self.space.clone(), self.options.init).with_options(simplex);
-        TuningSession::from_kernel(self.space.clone(), self.options.clone(), kernel, 0)
+        self.start(kernel, training, 0)
     }
 
     /// Step-at-a-time flavour of [`run_trained`](Self::run_trained).
@@ -479,7 +493,30 @@ impl Tuner {
     /// here; the returned session starts at the live stage.
     pub fn session_trained(&self, history: &RunHistory, mode: TrainingMode) -> TuningSession {
         let (kernel, trained) = self.trained_kernel(history, mode);
-        TuningSession::from_kernel(self.space.clone(), self.options.clone(), kernel, trained)
+        self.start(kernel, mode, trained)
+    }
+
+    /// A session at the live stage from `kernel`, after
+    /// `training_iterations` virtual ones.
+    fn start(
+        &self,
+        kernel: SimplexKernel,
+        training: TrainingMode,
+        training_iterations: usize,
+    ) -> TuningSession {
+        crate::obs::training_iterations_total().add(training_iterations as u64);
+        TuningSession {
+            space: self.space.clone(),
+            options: self.options.clone(),
+            kernel,
+            trace: Vec::new(),
+            live_best: None,
+            pending: None,
+            converged: false,
+            training_iterations,
+            training,
+            created: SessionClock::default(),
+        }
     }
 
     /// Build the starting kernel for a trained session, returning it with
@@ -602,18 +639,7 @@ impl Tuner {
 
     /// Main measurement loop shared by all flows: drive a session to
     /// completion against an in-process objective.
-    fn drive(
-        &self,
-        kernel: SimplexKernel,
-        objective: &mut dyn Objective,
-        training_iterations: usize,
-    ) -> TuningOutcome {
-        let mut session = TuningSession::from_kernel(
-            self.space.clone(),
-            self.options.clone(),
-            kernel,
-            training_iterations,
-        );
+    fn drive(mut session: TuningSession, objective: &mut dyn Objective) -> TuningOutcome {
         while let Some(config) = session.next_config() {
             let performance = objective.measure(&config);
             session

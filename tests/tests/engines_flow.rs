@@ -1,16 +1,18 @@
 //! Cross-crate guarantees of the pluggable search engines: the simplex
-//! port is trajectory-identical to the classic tuner, every engine is
-//! bit-identical at any job count, warm starting from classified prior
-//! experience saves measurements, the tournament renders
-//! deterministically, and no engine ever proposes an infeasible
+//! session driven as an engine is trajectory-identical to the classic
+//! tuner, every engine is bit-identical at any job count, warm starting
+//! from classified prior experience saves measurements, the tournament
+//! renders deterministically, and no engine ever proposes an infeasible
 //! configuration.
 
+use harmony::engine::{drive, drive_parallel};
 use harmony::history::{DataAnalyzer, ExperienceDb};
+use harmony::kernel::SimplexOptions;
 use harmony::objective::FnObjective;
 use harmony::prelude::*;
 use harmony::tuner::TrainingMode;
-use harmony_engines::{drive, drive_parallel, registry, render_leaderboard, run_tournament};
-use harmony_engines::{SimplexEngine, TournamentOptions, ENGINE_NAMES};
+use harmony_engines::{registry, render_leaderboard, run_tournament};
+use harmony_engines::{TournamentOptions, ENGINE_NAMES};
 use harmony_exec::{Executor, MemoCache};
 use harmony_space::{ParamDef, ParameterSpace};
 use harmony_websim::{Fidelity, WebServiceSystem, WorkloadMix};
@@ -33,7 +35,8 @@ fn simplex_engine_reproduces_the_tuner_exactly() {
         let tuner = Tuner::new(sys.space().clone(), options.clone());
         let reference = tuner.run(&mut FnObjective::new(eval));
 
-        let mut engine = SimplexEngine::new(sys.space().clone(), options, TrainingMode::Replay(10));
+        let mut engine = Tuner::new(sys.space().clone(), options)
+            .session_with(SimplexOptions::default(), TrainingMode::Replay(10));
         let ported = drive(&mut engine, eval);
 
         assert_eq!(ported.trace, reference.trace, "{name}: trajectory differs");

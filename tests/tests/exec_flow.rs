@@ -3,12 +3,11 @@
 //! counterpart, a panicking objective cannot poison the pool, and one
 //! memo cache carries measurements across the stages of a session.
 
+use harmony::engine::drive_parallel;
 use harmony::objective::FnObjective;
 use harmony::prelude::*;
 use harmony::search::{exhaustive_search, exhaustive_search_with};
 use harmony::sensitivity::Prioritizer;
-use harmony::tuner::TrainingMode;
-use harmony_engines::{drive_parallel, SimplexEngine};
 use harmony_exec::{Executor, MemoCache};
 use harmony_space::{ParamDef, ParameterSpace};
 use harmony_synth::scenario::section5_system;
@@ -43,8 +42,7 @@ fn tuning_is_bit_identical_at_any_job_count() {
     let mut obj = FnObjective::new(eval);
     let sequential = tuner.run(&mut obj);
     for jobs in [1usize, 2, 4, 8] {
-        let mut engine =
-            SimplexEngine::new(sys.space().clone(), options.clone(), TrainingMode::None);
+        let mut engine = tuner.session();
         let parallel = drive_parallel(&mut engine, &eval, &Executor::new(jobs), None);
         assert_eq!(parallel.trace, sequential.trace, "jobs={jobs}");
         assert_eq!(
@@ -114,7 +112,7 @@ fn one_cache_carries_measurements_across_session_stages() {
     // by stage 1 costs nothing.
     let run = |cache: Option<&MemoCache>| {
         let options = TuningOptions::improved().with_max_iterations(60);
-        let mut engine = SimplexEngine::new(space.clone(), options, TrainingMode::None);
+        let mut engine = Tuner::new(space.clone(), options).session();
         drive_parallel(&mut engine, &eval, &executor, cache)
     };
     let uncached = run(None);

@@ -50,8 +50,9 @@
 //! transport. How a conversation ends decides what happens to its
 //! session: a connection that framed garbage gets one best-effort
 //! `Error` frame and is dropped *without* parking its session, as is one
-//! that errored or hit EOF inside a frame, while a clean EOF at a frame
-//! boundary parks (or records) the session via
+//! whose request panicked or answered unencodably, or that died inside
+//! a frame, while one that dies at a frame boundary — by EOF or by a
+//! socket error such as a reset — parks (or records) the session via
 //! [`server::finish_connection`], whose ships nobody waits for. The loop
 //! also reaps expired parked sessions every [`POLL_INTERVAL`], so every
 //! ship is issued on the loop thread; the worker pool's only part in
@@ -184,7 +185,8 @@ struct Conn {
     pending: VecDeque<Work>,
     /// Clean EOF observed (the peer finished sending).
     peer_closed: bool,
-    /// Socket error observed; close without parking.
+    /// Socket error observed (a reset, typically): close at once. The
+    /// session still parks if the connection died at a frame boundary.
     dead: bool,
     /// A served request's outcome, held while its ships await answers.
     held: Option<Done>,
@@ -734,8 +736,8 @@ impl Reactor {
         };
         conn.in_flight = false;
         if done.fatal {
-            // An unencodable response or a panic is handled like a
-            // write error: drop the connection and its session.
+            // An unencodable response or a panic drops the connection
+            // and, since the state is not put back, its session.
             conn.dead = true;
         } else {
             conn.wbuf.extend_from_slice(&done.frame);
@@ -828,13 +830,16 @@ impl Reactor {
             self.shared.active.fetch_sub(1, Ordering::SeqCst);
             crate::obs::connections_active().dec();
         }
-        // EOF inside a frame is an error, not a clean goodbye: the
-        // session is dropped, not parked.
+        // A connection that ended inside a frame is dropped with its
+        // session; one that ended at a frame boundary parks it, whether
+        // by EOF or by a reset (a client that closes with a response
+        // unread makes its kernel answer with an RST). A fatal serve or
+        // a poisoned connection never got its state back: dropped too.
         let mid_frame = conn.rpos < conn.rbuf.len();
         let Some(mut state) = conn.state.take() else {
             return;
         };
-        if conn.dead || mid_frame {
+        if mid_frame {
             return;
         }
         server::finish_connection(&mut state, &self.shared);
@@ -918,9 +923,11 @@ fn drain_wake(mut wake_rx: &UnixStream) {
 }
 
 /// Decode every complete frame sitting in `rbuf` into `pending`, in the
-/// connection's negotiated wire format.
+/// connection's negotiated wire format. A connection that just died is
+/// decoded too, though nothing it queued is served: what stays in `rbuf`
+/// is then exactly a torn frame, which is what `close` asks about.
 fn parse_frames(conn: &mut Conn) {
-    if !conn.serving || conn.poisoned || conn.dead {
+    if !conn.serving || conn.poisoned {
         return;
     }
     loop {

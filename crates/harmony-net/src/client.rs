@@ -24,6 +24,13 @@
 //! `Report` carries a sequence number the server deduplicates, so a
 //! replayed report is acknowledged without being observed twice.
 //!
+//! One evaluation costs one round trip: [`Client::report`] sends the
+//! next `Fetch` in the same write as its `Report`, and the following
+//! [`Client::fetch`] only reads that answer. Any other request first
+//! reads the owed answer and drops it (`Fetch` is idempotent, so a later
+//! `fetch` simply asks again), and a reconnect forgets it, because
+//! `Resume` re-arms the outstanding proposal on the daemon.
+//!
 //! Against a cluster, give the builder every daemon as an extra
 //! [`ClientBuilder::endpoint`]: the client dials them in order starting
 //! from the last one that worked, and when a daemon answers `Resume`
@@ -32,7 +39,10 @@
 //! after a daemon death therefore lands wherever the session actually
 //! lives — on its owner, or on the replica that adopted it.
 
-use crate::codec::{clamp_scratch, read_frame_buf_as, write_frame_buf_as, WireFormat};
+use crate::codec::{
+    append_frame_as, clamp_scratch, try_decode_frame, FrameOutcome, WireFormat, READ_CHUNK,
+    SCRATCH_CLAMP,
+};
 use crate::protocol::{
     Request, Response, RunSummary, SensitivityEntry, SpaceSpec, WireSpan, WireTrace,
     MIN_SUPPORTED_VERSION, PROTOCOL_VERSION,
@@ -40,7 +50,7 @@ use crate::protocol::{
 use crate::NetError;
 use harmony_obs::trace::{self, stage, TraceContext};
 use harmony_space::{Configuration, ParameterSpace};
-use std::io;
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -316,7 +326,7 @@ impl ClientBuilder {
             connect_timeout: self.connect_timeout,
             request_deadline: self.request_deadline,
             retry: self.retry,
-            stream: None,
+            link: None,
             buf: Vec::new(),
             version: MIN_SUPPORTED_VERSION,
             max_version: self.max_version,
@@ -340,9 +350,8 @@ pub struct Client {
     connect_timeout: Option<Duration>,
     request_deadline: Option<Duration>,
     retry: RetryPolicy,
-    stream: Option<TcpStream>,
-    /// Frame scratch, reused across round trips (requests are written
-    /// before responses are read, so one buffer serves both directions).
+    link: Option<Link>,
+    /// Outgoing frame scratch, reused across requests.
     buf: Vec<u8>,
     /// Protocol version negotiated at the last `Hello`.
     version: u32,
@@ -363,6 +372,91 @@ pub struct Client {
     tracing: bool,
     /// The active session's trace, when tracing.
     trace: Option<SessionTrace>,
+}
+
+/// The smallest step a [`Link`]'s receive buffer grows by.
+const RECV_START: usize = 4096;
+
+/// One live connection: the stream, the buffer its responses are decoded
+/// from, and whether a pipelined `Fetch` is still owed an answer.
+#[derive(Debug)]
+struct Link {
+    stream: TcpStream,
+    /// Receive buffer: bytes `rpos..rend` arrived and are not decoded
+    /// yet. One `recv` can bring a `Reported` and the `Config` behind it.
+    rbuf: Vec<u8>,
+    rpos: usize,
+    rend: usize,
+    /// A `Fetch` went out behind the last request; its answer is unread.
+    owed_fetch: bool,
+}
+
+impl Link {
+    fn new(stream: TcpStream) -> Link {
+        Link {
+            stream,
+            rbuf: Vec::new(),
+            rpos: 0,
+            rend: 0,
+            owed_fetch: false,
+        }
+    }
+
+    /// Decode the next response, reading from the socket only while the
+    /// buffer holds no whole frame.
+    fn recv(&mut self, format: WireFormat) -> Result<Response, NetError> {
+        loop {
+            let unread = &self.rbuf[self.rpos..self.rend];
+            if let FrameOutcome::Frame { result, consumed } = try_decode_frame(format, unread)? {
+                self.rpos += consumed;
+                if self.rpos == self.rend {
+                    self.rpos = 0;
+                    self.rend = 0;
+                    // Don't let one oversized response (a TraceDump, say)
+                    // pin its size for the session.
+                    if self.rbuf.len() > SCRATCH_CLAMP {
+                        self.rbuf.truncate(SCRATCH_CLAMP);
+                        self.rbuf.shrink_to_fit();
+                    }
+                }
+                return result;
+            }
+            self.fill()?;
+        }
+    }
+
+    /// Read what the socket has into the buffer's free tail, making room
+    /// first: unread bytes move to the front, or the buffer grows by at
+    /// most [`READ_CHUNK`], so an untrusted length prefix is paid for
+    /// only as its bytes arrive.
+    fn fill(&mut self) -> Result<(), NetError> {
+        if self.rend == self.rbuf.len() {
+            if self.rpos > 0 {
+                self.rbuf.copy_within(self.rpos..self.rend, 0);
+                self.rend -= self.rpos;
+                self.rpos = 0;
+            } else {
+                let grow = self.rbuf.len().clamp(RECV_START, READ_CHUNK);
+                self.rbuf.resize(self.rbuf.len() + grow, 0);
+            }
+        }
+        loop {
+            match self.stream.read(&mut self.rbuf[self.rend..]) {
+                Ok(0) => {
+                    return Err(NetError::Io(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "the daemon closed the connection",
+                    )))
+                }
+                Ok(n) => {
+                    self.rend += n;
+                    return Ok(());
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(NetError::Io(e)),
+            }
+        }
+    }
 }
 
 /// Identity of the one trace a traced session accumulates into. The
@@ -473,6 +567,8 @@ impl Client {
 
     /// Ask for the next configuration; `None` once the session is over.
     ///
+    /// After a [`Client::report`] the request is already on its way —
+    /// it went out in the same write — so this only reads the answer.
     /// Idempotent server-side: a replayed fetch re-receives the pending
     /// proposal rather than burning an iteration.
     pub fn fetch(&mut self) -> Result<Option<Proposal>, NetError> {
@@ -490,10 +586,12 @@ impl Client {
     ///
     /// On a v2 connection the report carries a sequence number; a replay
     /// after reconnect is acknowledged by the server without observing
-    /// the measurement twice.
+    /// the measurement twice. The next `Fetch` travels in the same write
+    /// (see [`Client::fetch`]), whether or not the report is accepted: a
+    /// refused one leaves the same proposal outstanding.
     pub fn report(&mut self, performance: f64) -> Result<(), NetError> {
         let seq = (self.version >= 2).then_some(self.seq);
-        match self.round_trip(&Request::Report { performance, seq })? {
+        match self.call(&Request::Report { performance, seq }, true)? {
             Response::Reported => {
                 if seq.is_some() {
                     self.seq += 1;
@@ -618,27 +716,28 @@ impl Client {
     /// the connection is torn down, a backoff sleep taken, the session
     /// re-attached via `Resume`, and the request replayed.
     fn round_trip(&mut self, request: &Request) -> Result<Response, NetError> {
+        self.call(request, false)
+    }
+
+    /// [`Client::round_trip`], optionally with a `Fetch` behind the
+    /// request in the same write, its answer left owed to the next
+    /// [`Client::fetch`]. A `Fetch` whose answer is owed is not sent
+    /// again; any other request first reads the owed answer and drops it.
+    fn call(&mut self, request: &Request, then_fetch: bool) -> Result<Response, NetError> {
         self.with_retries(|client| {
             client.ensure_connected()?;
-            let response = match client.trace_envelope(request) {
-                Some(envelope) => {
-                    let ctx = client.trace_context().expect("envelope implies trace");
-                    let _rpc = trace::continue_from(ctx, stage::NET_RPC, request.kind());
-                    let result = client.exchange(&envelope);
-                    if let (Err(_), Request::Traced { spans, .. }) = (&result, envelope) {
-                        // The envelope drained these spans out of the
-                        // recorder and may never have arrived: put them
-                        // back so the retry ships them (a daemon that
-                        // did receive them skips the repeats by span id).
-                        trace::ingest(
-                            ctx.trace_id,
-                            spans.into_iter().map(Into::into).collect(),
-                            false,
-                        );
-                    }
-                    result?
-                }
-                None => client.exchange(request)?,
+            let ctx = client.envelope_context();
+            let _rpc = ctx.map(|ctx| trace::continue_from(ctx, stage::NET_RPC, request.kind()));
+            let mut owed = None;
+            if client.take_owed_fetch() {
+                let answer = client.recv("Fetch")?;
+                owed = matches!(request, Request::Fetch).then_some(answer);
+            }
+            let follow = then_fetch.then_some(&Request::Fetch);
+            let response = match (owed, ctx) {
+                (Some(answer), _) => answer,
+                (None, None) => client.exchange(request, follow)?,
+                (None, Some(ctx)) => client.traced_exchange(ctx, request, follow)?,
             };
             match response {
                 Response::Error { message } => Err(NetError::Remote(message)),
@@ -648,25 +747,46 @@ impl Client {
         })
     }
 
-    /// Wrap `request` in the session's trace envelope, shipping every
-    /// client-side span completed since the last request. `None` (send
-    /// bare) without tracing, without a session trace, or on a v1
-    /// connection — a trace wrapper would be rejected there.
-    fn trace_envelope(&mut self, request: &Request) -> Option<Request> {
-        let t = self.trace?;
-        if !self.tracing || !trace::is_enabled() || self.version < 2 {
-            return None;
-        }
-        let spans: Vec<WireSpan> = trace::drain(t.trace_id)
-            .into_iter()
-            .map(Into::into)
-            .collect();
-        Some(Request::Traced {
-            trace_id: t.trace_id,
-            parent_span: t.root_span,
+    /// [`Client::exchange`] with `request` in the session's trace
+    /// envelope, shipping every client-side span completed since the
+    /// last request; a `follow` request travels in an envelope of its
+    /// own with no spans.
+    fn traced_exchange(
+        &mut self,
+        ctx: TraceContext,
+        request: &Request,
+        follow: Option<&Request>,
+    ) -> Result<Response, NetError> {
+        let envelope = |request: &Request, spans: Vec<WireSpan>| Request::Traced {
+            trace_id: ctx.trace_id,
+            parent_span: ctx.span_id,
             spans,
             request: Box::new(request.clone()),
-        })
+        };
+        let spans = trace::drain(ctx.trace_id).into_iter().map(Into::into);
+        let wrapped = envelope(request, spans.collect());
+        let follow = follow.map(|follow| envelope(follow, Vec::new()));
+        let result = self.exchange(&wrapped, follow.as_ref());
+        if let (Err(_), Request::Traced { spans, .. }) = (&result, wrapped) {
+            // The envelope drained these spans out of the recorder and
+            // may never have arrived: put them back so the retry ships
+            // them (a daemon that did receive them skips the repeats by
+            // span id).
+            trace::ingest(
+                ctx.trace_id,
+                spans.into_iter().map(Into::into).collect(),
+                false,
+            );
+        }
+        result
+    }
+
+    /// The trace requests travel in, when they travel in one: `None`
+    /// (send bare) without tracing, without a session trace, or on a v1
+    /// connection — a trace wrapper would be rejected there.
+    fn envelope_context(&self) -> Option<TraceContext> {
+        let wrapped = self.tracing && trace::is_enabled() && self.version >= 2;
+        self.trace_context().filter(|_| wrapped)
     }
 
     /// Run `attempt` under the retry policy, tearing down the connection
@@ -681,7 +801,7 @@ impl Client {
                 Err(e) if e.is_retryable() && retries < self.retry.max_retries => {
                     retries += 1;
                     crate::obs::retries_total().inc();
-                    self.stream = None;
+                    self.link = None;
                     let sleep = self.next_backoff();
                     std::thread::sleep(sleep);
                 }
@@ -689,7 +809,7 @@ impl Client {
                     // The connection state is unknown after a transport
                     // failure; don't reuse it.
                     if e.is_retryable() {
-                        self.stream = None;
+                        self.link = None;
                     }
                     return Err(e);
                 }
@@ -727,13 +847,13 @@ impl Client {
     /// flight when the previous connection died — following `NotMine`
     /// redirects to the session's owner, for a bounded number of hops.
     fn ensure_connected(&mut self) -> Result<(), NetError> {
-        if self.stream.is_some() {
+        if self.link.is_some() {
             return Ok(());
         }
         self.open_any()?;
         let mut hops = 0;
         while let Some(token) = self.token.clone() {
-            match self.exchange(&Request::Resume { token })? {
+            match self.exchange(&Request::Resume { token }, None)? {
                 Response::Resumed { .. } => break,
                 Response::NotMine { owner } => {
                     hops += 1;
@@ -805,22 +925,23 @@ impl Client {
     /// Dial one endpoint and complete the `Hello` exchange; on success
     /// the endpoint becomes the preferred one for future dials.
     fn open_at(&mut self, index: usize) -> Result<(), NetError> {
-        self.stream = None;
+        self.link = None;
         let stream = self.dial(index)?;
         stream.set_nodelay(true)?;
         stream.set_read_timeout(self.request_deadline)?;
         stream.set_write_timeout(self.request_deadline)?;
-        self.stream = Some(stream);
+        self.link = Some(Link::new(stream));
         // A fresh connection always opens in JSON; the format the Hello
         // negotiates takes effect from the next frame on (the server
         // flips on the same boundary).
         self.format = WireFormat::Json;
-        let response = self.exchange(&Request::Hello {
+        let hello = Request::Hello {
             version: None,
             min_version: Some(MIN_SUPPORTED_VERSION),
             max_version: Some(self.max_version),
             client: format!("harmony-net client {}", env!("CARGO_PKG_VERSION")),
-        })?;
+        };
+        let response = self.exchange(&hello, None)?;
         match response {
             Response::Hello { version, .. } => {
                 self.version = version;
@@ -855,22 +976,49 @@ impl Client {
         })))
     }
 
+    /// Whether a pipelined `Fetch`'s answer was owed; it no longer is.
+    fn take_owed_fetch(&mut self) -> bool {
+        self.link
+            .as_mut()
+            .is_some_and(|link| std::mem::take(&mut link.owed_fetch))
+    }
+
     /// One raw request/response exchange on the live stream, mapping
-    /// read-timeout expiry to [`NetError::Timeout`].
-    fn exchange(&mut self, request: &Request) -> Result<Response, NetError> {
-        let stream = self
-            .stream
+    /// read-timeout expiry to [`NetError::Timeout`]. A `follow` request —
+    /// the pipelined `Fetch`, bare or in its envelope — goes out in the
+    /// same write, and its answer is left owed.
+    fn exchange(
+        &mut self,
+        request: &Request,
+        follow: Option<&Request>,
+    ) -> Result<Response, NetError> {
+        let what = request.kind();
+        let link = self
+            .link
             .as_mut()
             .expect("exchange called without a connection");
-        let what = request.kind();
-        write_frame_buf_as(stream, self.format, request, &mut self.buf)
-            .map_err(|e| deadline_expiry(e, what))?;
-        let response = read_frame_buf_as(stream, self.format, &mut self.buf)
-            .map_err(|e| deadline_expiry(e, what));
-        // The scratch serves every round trip; don't let one oversized
-        // response (a TraceDump, say) pin its size for the session.
+        self.buf.clear();
+        append_frame_as(self.format, request, &mut self.buf)?;
+        if let Some(follow) = follow {
+            append_frame_as(self.format, follow, &mut self.buf)?;
+        }
+        let sent = link.stream.write_all(&self.buf);
+        // The scratch serves every request; don't let one oversized
+        // request pin its size for the session.
         clamp_scratch(&mut self.buf);
-        response
+        sent.map_err(|e| deadline_expiry(NetError::Io(e), what))?;
+        link.owed_fetch = follow.is_some();
+        self.recv(what)
+    }
+
+    /// Read the next response on the live stream, mapping read-timeout
+    /// expiry to [`NetError::Timeout`] for `what`.
+    fn recv(&mut self, what: &str) -> Result<Response, NetError> {
+        let link = self
+            .link
+            .as_mut()
+            .expect("recv called without a connection");
+        link.recv(self.format).map_err(|e| deadline_expiry(e, what))
     }
 }
 

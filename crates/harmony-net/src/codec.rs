@@ -41,12 +41,9 @@ pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
 /// the peer actually sent rather than what its header promised.
 pub const READ_CHUNK: usize = 64 * 1024;
 
-/// Serialize `msg` into `out` as one length-prefixed JSON frame (header
-/// and payload contiguous). `out` is cleared first; its capacity is
-/// reused.
-fn encode_frame<T: Serialize>(msg: &T, out: &mut Vec<u8>) -> Result<(), NetError> {
-    out.clear();
-    out.extend_from_slice(&[0u8; 4]);
+/// Append `msg` to `out` as one length-prefixed JSON frame (header and
+/// payload contiguous), returning the payload length.
+fn append_json_frame<T: Serialize>(msg: &T, out: &mut Vec<u8>) -> Result<usize, NetError> {
     let payload = serde_json::to_string(msg).map_err(|e| NetError::Protocol(e.to_string()))?;
     if payload.len() as u64 > MAX_FRAME_LEN as u64 {
         return Err(NetError::Protocol(format!(
@@ -55,10 +52,9 @@ fn encode_frame<T: Serialize>(msg: &T, out: &mut Vec<u8>) -> Result<(), NetError
             MAX_FRAME_LEN
         )));
     }
+    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
     out.extend_from_slice(payload.as_bytes());
-    let header = (payload.len() as u32).to_be_bytes();
-    out[..4].copy_from_slice(&header);
-    Ok(())
+    Ok(payload.len())
 }
 
 /// Serialize `msg` as JSON and write it as one frame.
@@ -87,31 +83,44 @@ pub fn clamp_scratch(buf: &mut Vec<u8>) {
 }
 
 /// Serialize `msg` into `out` as one length-prefixed frame in the given
-/// wire format. This is the single counting site for the frame-format
-/// metrics: every frame that goes through a format-aware path (server,
-/// reactor, v3-capable client) lands here.
+/// wire format. `out` is cleared first; its capacity is reused.
 pub fn encode_frame_as<T: Serialize + WireEncode>(
+    format: WireFormat,
+    msg: &T,
+    out: &mut Vec<u8>,
+) -> Result<(), NetError> {
+    out.clear();
+    append_frame_as(format, msg, out)
+}
+
+/// Append `msg` to `out` as one length-prefixed frame in the given wire
+/// format, after whatever `out` already holds — how a client puts two
+/// requests in one write. This is the single counting site for the
+/// frame-format metrics: every frame that goes through a format-aware
+/// path (server, reactor, v3-capable client) lands here.
+pub fn append_frame_as<T: Serialize + WireEncode>(
     format: WireFormat,
     msg: &T,
     out: &mut Vec<u8>,
 ) -> Result<(), NetError> {
     match format {
         WireFormat::Json => {
-            encode_frame(msg, out)?;
-            obs::frame_bytes_json_total().add((out.len() - 4) as u64);
+            let payload = append_json_frame(msg, out)?;
+            obs::frame_bytes_json_total().add(payload as u64);
         }
         WireFormat::Binary => {
-            out.clear();
+            let start = out.len();
             out.extend_from_slice(&[0u8; 4]);
             msg.encode(out);
-            let payload = out.len() - 4;
+            let payload = out.len() - start - 4;
             if payload as u64 > MAX_FRAME_LEN as u64 {
+                out.truncate(start);
                 return Err(NetError::Protocol(format!(
                     "outgoing frame of {payload} bytes exceeds the {MAX_FRAME_LEN} byte limit"
                 )));
             }
             let header = (payload as u32).to_be_bytes();
-            out[..4].copy_from_slice(&header);
+            out[start..start + 4].copy_from_slice(&header);
             obs::frames_binary_total().inc();
             obs::frame_bytes_binary_total().add(payload as u64);
         }
@@ -454,6 +463,35 @@ mod tests {
                 assert_eq!(consumed, frame.len());
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn appended_frames_decode_one_after_the_other() {
+        let report = Request::Report {
+            performance: 1.5,
+            seq: Some(3),
+        };
+        for format in [WireFormat::Json, WireFormat::Binary] {
+            let mut out = Vec::new();
+            encode_frame_as(format, &report, &mut out).unwrap();
+            append_frame_as(format, &Request::Fetch, &mut out).unwrap();
+            let FrameOutcome::Frame { result, consumed } =
+                try_decode_frame::<Request>(format, &out).unwrap()
+            else {
+                panic!("{format:?}: the first frame is whole");
+            };
+            assert_eq!(result.unwrap(), report);
+            match try_decode_frame::<Request>(format, &out[consumed..]).unwrap() {
+                FrameOutcome::Frame {
+                    result,
+                    consumed: rest,
+                } => {
+                    assert_eq!(result.unwrap(), Request::Fetch);
+                    assert_eq!(consumed + rest, out.len());
+                }
+                other => panic!("{format:?}: {other:?}"),
+            }
         }
     }
 

@@ -54,7 +54,7 @@ pub mod factorial;
 pub mod history;
 pub mod kernel;
 pub mod objective;
-pub(crate) mod obs;
+pub mod obs;
 pub use obs::{preregister_db_metrics, preregister_engine_metrics};
 pub mod report;
 pub mod search;

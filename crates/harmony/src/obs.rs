@@ -166,26 +166,33 @@ handle!(
 /// cold searches.
 const CONVERGED_ITERATIONS: &[f64] = &[5.0, 10.0, 20.0, 40.0, 80.0, 160.0, 320.0, 640.0];
 
-handle!(
-    engine_converged_iterations,
-    Histogram,
-    global().histogram(
-        "harmony_engine_converged_iterations",
-        "Trace length of engine runs that met their convergence criteria",
-        CONVERGED_ITERATIONS,
-    )
-);
+/// Trace lengths of engine runs that converged: observed by
+/// [`crate::engine::drive`] and by the daemon at a converged session's
+/// end.
+pub fn engine_converged_iterations() -> &'static Arc<Histogram> {
+    static H: OnceLock<Arc<Histogram>> = OnceLock::new();
+    H.get_or_init(|| {
+        global().histogram(
+            "harmony_engine_converged_iterations",
+            "Trace length of engine runs that met their convergence criteria",
+            CONVERGED_ITERATIONS,
+        )
+    })
+}
 
-/// Per-engine counter handles for [`crate::engine::drive`]. The
-/// registry deduplicates by (name, labels), so repeated lookups return
-/// the same underlying counters.
-pub(crate) struct EngineMetrics {
+/// Per-engine counter handles, bumped by [`crate::engine::drive`] and by
+/// the daemon's sessions. The registry deduplicates by (name, labels),
+/// so repeated lookups return the same underlying counters.
+pub struct EngineMetrics {
+    /// Configurations proposed (a repeated ask is not a new proposal).
     pub proposals: Arc<Counter>,
+    /// Measurements observed.
     pub evaluations: Arc<Counter>,
 }
 
-/// Handles for one engine's labelled series.
-pub(crate) fn engine_metrics(engine: &str) -> EngineMetrics {
+/// Handles for one engine's labelled series. The lookup takes the
+/// registry lock: do it once per session, not per step.
+pub fn engine_metrics(engine: &str) -> EngineMetrics {
     EngineMetrics {
         proposals: global().counter_with(
             "harmony_engine_proposals_total",

@@ -191,7 +191,11 @@ fn drain_parks_sessions_and_a_restarted_daemon_resumes_them() {
     }
     let measured = trajectory.len() as u64;
     first.drain();
-    let err = mid.fetch().unwrap_err();
+    // The last report sent the next Fetch along with it, answered before
+    // the drain began: the first request sent after the drain is the
+    // next report.
+    let p = mid.fetch().unwrap().unwrap();
+    let err = mid.report(perf(p.values.values())).unwrap_err();
     assert!(matches!(err, NetError::Draining), "{err}");
     assert!(err.is_retryable(), "drain must be survivable");
     drop(mid);

@@ -2,12 +2,11 @@
 //! `Write` sink (tests capture a buffer; `main` passes stdout).
 
 use crate::args::{Command, ServeArgs, TuneArgs, WireChoice};
-use crate::external::{ExternalObjective, MeasureError};
-use harmony::engine::SearchEngine;
-use harmony::history::{DataAnalyzer, ExperienceDb, RunHistory};
+use crate::external::ExternalObjective;
+use harmony::engine::{drive, drive_parallel, SearchEngine};
+use harmony::history::{DataAnalyzer, ExperienceDb};
 use harmony::kernel::SimplexOptions;
 use harmony::prelude::*;
-use harmony::report::{analyze_trace, ReportOptions, TraceEntry};
 use harmony::sensitivity::Prioritizer;
 use harmony::tuner::TrainingMode;
 use harmony_engines::{registry, render_leaderboard, run_tournament, TournamentOptions};
@@ -43,46 +42,6 @@ fn fail(msg: impl Into<String>) -> RunError {
 /// is one measured configuration; tuning and sensitivity explorations are
 /// orders of magnitude smaller, so in practice nothing is ever evicted.
 const JOBS_CACHE_CAPACITY: usize = 65_536;
-
-/// Adapts [`ExternalObjective::measure_once`] to the pure `Fn` an
-/// [`Executor`] wants: a failed measurement folds to `-inf` so the rest
-/// of the batch can finish, and the *first* failure (with its
-/// configuration) is stashed for [`check`](Self::check) to surface as a
-/// clean error before the bogus value influences the search.
-struct StashingEval<'a> {
-    obj: &'a ExternalObjective,
-    first_error: std::sync::Mutex<Option<(Configuration, MeasureError)>>,
-}
-
-impl<'a> StashingEval<'a> {
-    fn new(obj: &'a ExternalObjective) -> Self {
-        StashingEval {
-            obj,
-            first_error: std::sync::Mutex::new(None),
-        }
-    }
-
-    fn eval(&self, cfg: &Configuration) -> f64 {
-        match self.obj.measure_once(cfg) {
-            Ok(v) => v,
-            Err(e) => {
-                let mut stash = self.first_error.lock().unwrap();
-                if stash.is_none() {
-                    *stash = Some((cfg.clone(), e));
-                }
-                f64::NEG_INFINITY
-            }
-        }
-    }
-
-    /// Surface the first stashed failure, if any.
-    fn check(&self) -> Result<(), RunError> {
-        match self.first_error.lock().unwrap().take() {
-            Some((cfg, e)) => Err(fail(format!("measurement at {cfg}: {e}"))),
-            None => Ok(()),
-        }
-    }
-}
 
 /// Execute a parsed command, returning the report text.
 pub fn run(command: Command) -> Result<String, RunError> {
@@ -143,25 +102,18 @@ pub fn run(command: Command) -> Result<String, RunError> {
             if let Some(n) = args.samples {
                 prioritizer = prioritizer.with_max_samples(n);
             }
-            let mut obj = ExternalObjective::new(space.clone(), args.measure);
-            // Probe with the defaults so a broken measurement command is a
-            // clean error, not a cascade of -inf measurements.
+            let obj = ExternalObjective::new(space.clone(), args.measure);
+            // Probe with the defaults so a broken measurement command is
+            // named as such before the sweep runs.
             let defaults = Configuration::new(space.params().iter().map(|p| p.default()).collect());
             obj.measure_once(&defaults)
                 .map_err(|e| fail(format!("probe at default configuration {defaults}: {e}")))?;
-            let report = if args.jobs > 1 {
-                let stash = StashingEval::new(&obj);
-                let cache = MemoCache::new(JOBS_CACHE_CAPACITY);
-                let report = prioritizer.analyze_with(
-                    &|cfg: &Configuration| stash.eval(cfg),
-                    &Executor::new(args.jobs),
-                    Some(&cache),
-                );
-                stash.check()?;
-                report
-            } else {
-                prioritizer.analyze(&mut obj)
-            };
+            let cache = (args.jobs > 1).then(|| MemoCache::new(JOBS_CACHE_CAPACITY));
+            let report = prioritizer.try_analyze_with(
+                &|cfg: &Configuration| measure_in_batch(&obj, cfg),
+                &Executor::new(args.jobs),
+                cache.as_ref(),
+            )?;
             let _ = writeln!(out, "sensitivity ({} explorations):", report.explorations());
             for e in report.ranked() {
                 let _ = writeln!(
@@ -325,70 +277,42 @@ fn tune_with_engine(out: &mut String, args: &TuneArgs) -> Result<(), RunError> {
         let _ = writeln!(out, "training from prior run {:?}", history.label);
         engine.warm_start(history);
     }
-    let mut trace: Vec<TraceEntry> = Vec::new();
-    let mut record = |config: &Configuration, performance: f64| {
-        trace.push(TraceEntry {
-            iteration: trace.len(),
-            config: config.clone(),
-            performance,
-        })
-    };
-    if args.jobs > 1 {
-        let executor = Executor::new(args.jobs);
+    let outcome = if args.jobs > 1 {
         let cache = MemoCache::new(JOBS_CACHE_CAPACITY);
-        let stash = StashingEval::new(&obj);
-        let eval = |cfg: &Configuration| stash.eval(cfg);
-        loop {
-            let batch = engine.next_batch();
-            if batch.is_empty() {
-                break;
-            }
-            let performances = executor.evaluate_batch_cached(&batch, &cache, &eval);
-            // Bail before a failure's -inf placeholder reaches the search.
-            stash.check()?;
-            let used = engine
-                .observe_batch(&performances)
-                .map_err(|e| fail(e.to_string()))?;
-            for (cfg, &perf) in batch.iter().zip(&performances).take(used) {
-                record(cfg, perf);
-            }
-        }
+        drive_parallel(
+            engine.as_mut(),
+            &|cfg: &Configuration| measure_in_batch(&obj, cfg),
+            &Executor::new(args.jobs),
+            Some(&cache),
+        )?
     } else {
-        while let Some(cfg) = engine.next_config() {
-            let performance = measure_exploration(&obj, &cfg, engine.iterations())?;
-            engine
-                .observe(performance)
-                .map_err(|e| fail(e.to_string()))?;
-            record(&cfg, performance);
-        }
-    }
-    let (best_cfg, best_perf) = engine
-        .best()
-        .unwrap_or_else(|| (space.default_configuration(), f64::NEG_INFINITY));
-    let report = analyze_trace(&trace, &ReportOptions::default());
+        let mut explored = 0;
+        drive(engine.as_mut(), |cfg| {
+            explored += 1;
+            measure_exploration(&obj, cfg, explored - 1)
+        })?
+    };
 
     if let Some(name) = &args.engine {
         let _ = writeln!(out, "engine: {name}");
     }
-    let _ = writeln!(out, "explored {} configurations", trace.len());
-    let _ = writeln!(out, "best performance: {best_perf:.4}");
-    for (p, &v) in space.params().iter().zip(best_cfg.values()) {
+    let _ = writeln!(out, "explored {} configurations", outcome.trace.len());
+    let _ = writeln!(out, "best performance: {:.4}", outcome.best_performance);
+    for (p, &v) in space
+        .params()
+        .iter()
+        .zip(outcome.best_configuration.values())
+    {
         let _ = writeln!(out, "  {:<24} = {v}", p.name());
     }
     let _ = writeln!(
         out,
         "convergence at iteration {}; worst dip {:.4}; converged: {}",
-        report.convergence_time,
-        report.worst_performance,
-        engine.converged()
+        outcome.report.convergence_time, outcome.report.worst_performance, outcome.converged
     );
 
     if let Some(path) = &args.db {
-        let mut run = RunHistory::new(args.label.clone(), args.characteristics.clone());
-        for t in &trace {
-            run.push(&t.config, t.performance);
-        }
-        database.add_run(run);
+        database.add_run(outcome.to_history(args.label.clone(), args.characteristics.clone()));
         database.save(path).map_err(|e| fail(e.to_string()))?;
         let _ = writeln!(out, "experience saved to {path} ({} runs)", database.len());
     }
@@ -471,16 +395,13 @@ fn tune_remote(out: &mut String, args: &TuneArgs, addr: &str) -> Result<(), RunE
             // span, so queue-wait/run attribution lands in the trace.
             // Executor::new(1) is exactly the sequential loop — the
             // measured value is the same one the bare path produces.
-            let stash = StashingEval::new(&obj);
-            let values = client.traced(stage::EVAL, "measure", || {
-                executor.evaluate_batch(std::slice::from_ref(&proposal.values), &|cfg| {
-                    stash.eval(cfg)
+            let batch = std::slice::from_ref(&proposal.values);
+            client
+                .traced(stage::EVAL, "measure", || {
+                    let measure = |cfg: &Configuration| measure_in_batch(&obj, cfg);
+                    executor.evaluate_batch(batch, &measure).remove(0)
                 })
-            });
-            stash
-                .check()
-                .map_err(|e| fail(format!("exploration {}: {e}", proposal.iteration + 1)))?;
-            values[0]
+                .map_err(|e| fail(format!("exploration {}: {e}", proposal.iteration + 1)))?
         } else {
             measure_exploration(&obj, &proposal.values, proposal.iteration)?
         };
@@ -511,6 +432,14 @@ fn measure_exploration(
 ) -> Result<f64, RunError> {
     obj.measure_once(cfg)
         .map_err(|e| fail(format!("exploration {} at {cfg}: {e}", iteration + 1)))
+}
+
+/// [`ExternalObjective::measure_once`] inside an [`Executor`] batch: an
+/// error names the configuration, since a batch item has no exploration
+/// number of its own.
+fn measure_in_batch(obj: &ExternalObjective, cfg: &Configuration) -> Result<f64, RunError> {
+    obj.measure_once(cfg)
+        .map_err(|e| fail(format!("measurement at {cfg}: {e}")))
 }
 
 /// Character width of a waterfall bar (the full trace duration).
@@ -899,6 +828,66 @@ mod tests {
         assert!(err.0.contains("measurement at"), "{err}");
         assert!(err.0.contains("measurement command failed"), "{err}");
         assert!(err.0.contains("kaput"), "{err}");
+    }
+
+    #[test]
+    fn tune_with_jobs_fails_where_the_sequential_run_fails() {
+        let rsl = write_rsl("jobs-first-failure.rsl");
+        let tune = |jobs: &str, cmd: &str| {
+            let cli = parse_args(&sv(&[
+                "tune",
+                rsl.to_str().unwrap(),
+                "--jobs",
+                jobs,
+                "--",
+                "sh",
+                "-c",
+                cmd,
+            ]))
+            .unwrap();
+            run(cli.command).unwrap_err().0
+        };
+        let err = tune("1", "exit 3");
+        let first = err
+            .strip_prefix("exploration 1 at ")
+            .and_then(|rest| rest.split(':').next())
+            .unwrap_or_else(|| panic!("{err}"))
+            .to_string();
+        // Every configuration fails, and the one the sequential run meets
+        // first fails last in time.
+        let values: Vec<&str> = first.trim_matches(['[', ']']).split(", ").collect();
+        let cmd = format!(
+            "[ \"$HARMONY_B,$HARMONY_C\" = \"{}\" ] && sleep 0.5; exit 3",
+            values.join(",")
+        );
+        let err = tune("4", &cmd);
+        assert!(
+            err.starts_with(&format!("measurement at {first}: ")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn sensitivity_fails_on_the_first_failure_in_sweep_order() {
+        // Only B = 4 (the default) measures, so the defaults probe and the
+        // C sweep pass; the B sweep fails everywhere else, and its first
+        // failure, B = 1, fails last in time.
+        let rsl = write_rsl("sens-fail.rsl");
+        for jobs in ["1", "4"] {
+            let cli = parse_args(&sv(&[
+                "sensitivity",
+                rsl.to_str().unwrap(),
+                "--jobs",
+                jobs,
+                "--",
+                "sh",
+                "-c",
+                "[ $HARMONY_B = 4 ] && echo 1 && exit 0; [ $HARMONY_B = 1 ] && sleep 0.5; exit 3",
+            ]))
+            .unwrap();
+            let err = run(cli.command).unwrap_err();
+            assert!(err.0.starts_with("measurement at [1, 1]: "), "{err}");
+        }
     }
 
     #[test]

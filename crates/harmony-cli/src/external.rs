@@ -1,6 +1,5 @@
-//! Measuring an external command as an [`Objective`].
+//! Measuring an external command.
 
-use harmony::objective::Objective;
 use harmony_space::{Configuration, ParameterSpace};
 use std::fmt;
 use std::process::Command;
@@ -43,25 +42,14 @@ impl std::error::Error for MeasureError {}
 /// command with `HARMONY_<NAME>=<value>` environment variables and reading
 /// the last non-empty stdout line as the performance.
 ///
-/// [`measure_once`](Self::measure_once) is the primary interface: it
-/// returns a [`MeasureError`] describing exactly what went wrong (spawn
-/// failure, non-zero exit with captured stderr, unparseable output), and
-/// the tuning loops propagate that error immediately instead of feeding a
-/// sentinel value into the search.
-///
-/// The [`Objective`] impl exists for callers whose trait signature cannot
-/// carry errors (the sensitivity prioritizer): there a failure folds to
-/// `-inf`, and `max_failures` consecutive failures abort via panic since
-/// analysis cannot meaningfully continue without measurements. Callers
-/// should probe the command once via `measure_once` first to surface
-/// configuration mistakes as clean errors.
+/// [`measure_once`](Self::measure_once) returns a [`MeasureError`]
+/// describing exactly what went wrong (spawn failure, non-zero exit with
+/// captured stderr, unparseable output), and every caller — the tuning
+/// loops and the sensitivity sweep — stops at that error instead of
+/// feeding a sentinel value into the search.
 pub struct ExternalObjective {
     space: ParameterSpace,
     command: Vec<String>,
-    consecutive_failures: u32,
-    max_failures: u32,
-    /// The most recent error, for reporting.
-    pub last_error: Option<MeasureError>,
 }
 
 impl ExternalObjective {
@@ -72,13 +60,7 @@ impl ExternalObjective {
     /// Panics if `command` is empty.
     pub fn new(space: ParameterSpace, command: Vec<String>) -> Self {
         assert!(!command.is_empty(), "measurement command must not be empty");
-        ExternalObjective {
-            space,
-            command,
-            consecutive_failures: 0,
-            max_failures: 5,
-            last_error: None,
-        }
+        ExternalObjective { space, command }
     }
 
     /// Environment variable name for a parameter.
@@ -121,29 +103,6 @@ impl ExternalObjective {
         match line.parse::<f64>() {
             Ok(v) if v.is_finite() => Ok(v),
             _ => Err(MeasureError::BadOutput(line.to_string())),
-        }
-    }
-}
-
-impl Objective for ExternalObjective {
-    fn measure(&mut self, cfg: &Configuration) -> f64 {
-        match self.measure_once(cfg) {
-            Ok(v) => {
-                self.consecutive_failures = 0;
-                v
-            }
-            Err(e) => {
-                self.consecutive_failures += 1;
-                let msg = e.to_string();
-                self.last_error = Some(e);
-                if self.consecutive_failures >= self.max_failures {
-                    panic!(
-                        "measurement failed {} times in a row; last error: {msg}",
-                        self.consecutive_failures
-                    );
-                }
-                f64::NEG_INFINITY
-            }
         }
     }
 }
@@ -225,7 +184,7 @@ mod tests {
     fn tuning_an_external_command_end_to_end() {
         use harmony::prelude::*;
         // Optimum at buf=8, threads=2: perf = 100 - (buf-8)^2 - 5*(threads-2)^2.
-        let mut obj = ExternalObjective::new(
+        let obj = ExternalObjective::new(
             space(),
             vec![
                 "sh".into(),
@@ -233,8 +192,9 @@ mod tests {
                 "echo $((100 - (HARMONY_BUF_SIZE-8)*(HARMONY_BUF_SIZE-8) - 5*(HARMONY_THREADS-2)*(HARMONY_THREADS-2)))".into(),
             ],
         );
-        let out =
-            Tuner::new(space(), TuningOptions::improved().with_max_iterations(60)).run(&mut obj);
+        let mut session =
+            Tuner::new(space(), TuningOptions::improved().with_max_iterations(60)).session();
+        let out = harmony::engine::drive(&mut session, |c| obj.measure_once(c)).unwrap();
         assert_eq!(
             out.best_performance, 100.0,
             "best {}",

@@ -310,6 +310,7 @@ mod tests {
     use super::*;
     use harmony::engine::drive;
     use harmony_space::ParamDef;
+    use std::convert::Infallible;
 
     fn space2() -> ParameterSpace {
         ParameterSpace::builder()
@@ -328,7 +329,7 @@ mod tests {
     #[test]
     fn finds_the_optimum_region() {
         let mut e = DivideDivergeEngine::new(space2(), 200, 42);
-        let out = drive(&mut e, paraboloid);
+        let out = drive(&mut e, |c| Ok::<_, Infallible>(paraboloid(c))).unwrap();
         assert!(out.best_performance > 950.0, "{}", out.best_performance);
     }
 
@@ -336,7 +337,7 @@ mod tests {
     fn same_seed_is_deterministic() {
         let run = |seed| {
             let mut e = DivideDivergeEngine::new(space2(), 120, seed);
-            drive(&mut e, paraboloid)
+            drive(&mut e, |c| Ok::<_, Infallible>(paraboloid(c))).unwrap()
         };
         assert_eq!(run(7), run(7));
         assert_ne!(
@@ -349,7 +350,7 @@ mod tests {
     #[test]
     fn respects_budget() {
         let mut e = DivideDivergeEngine::new(space2(), 13, 1);
-        let out = drive(&mut e, paraboloid);
+        let out = drive(&mut e, |c| Ok::<_, Infallible>(paraboloid(c))).unwrap();
         assert!(out.trace.len() <= 13);
     }
 

@@ -32,6 +32,7 @@
 //! use harmony::engine::drive;
 //! use harmony_engines::registry;
 //! use harmony_space::{Configuration, ParamDef, ParameterSpace};
+//! use std::convert::Infallible;
 //!
 //! let space = ParameterSpace::builder()
 //!     .param(ParamDef::int("x", 0, 100, 50, 1))
@@ -39,10 +40,11 @@
 //!     .unwrap();
 //! let spec = registry::lookup("divide-diverge").unwrap();
 //! let mut engine = spec.build(space, 60, 7);
+//! // The measurement is fallible: the first error would stop the run.
 //! let outcome = drive(engine.as_mut(), |cfg: &Configuration| {
-//!     -((cfg.get(0) - 72).pow(2)) as f64
+//!     Ok::<_, Infallible>(-((cfg.get(0) - 72).pow(2)) as f64)
 //! });
-//! assert!(outcome.best_performance > -30.0);
+//! assert!(outcome.unwrap().best_performance > -30.0);
 //! ```
 
 pub mod divide;

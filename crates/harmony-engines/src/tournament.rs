@@ -17,6 +17,7 @@ use harmony::engine::drive;
 use harmony_exec::Executor;
 use harmony_space::{Configuration, ParameterSpace};
 use harmony_websim::{Fidelity, WebServiceSystem, WorkloadMix};
+use std::convert::Infallible;
 
 /// Tournament parameters.
 #[derive(Debug, Clone)]
@@ -101,9 +102,11 @@ pub fn run_tournament(opts: &TournamentOptions, executor: &Executor) -> Vec<Race
 
             let system = WebServiceSystem::new(mix.clone(), Fidelity::Analytic, 0.0, seed);
             let space = system.space().clone();
+            let clean = |cfg: &Configuration| system.evaluate_clean(cfg);
             let race = |hyper: &Configuration| -> f64 {
                 let mut engine = spec.build_tuned(space.clone(), opts.budget, seed, hyper);
-                drive(engine.as_mut(), |cfg| system.evaluate_clean(cfg)).best_performance
+                let Ok(outcome) = drive(engine.as_mut(), |cfg| Ok::<_, Infallible>(clean(cfg)));
+                outcome.best_performance
             };
             let scores = executor.evaluate_batch(&candidates, &race);
             let mut winner = 0;
@@ -117,7 +120,7 @@ pub fn run_tournament(opts: &TournamentOptions, executor: &Executor) -> Vec<Race
             // is deterministic, so this reproduces the scoring run.
             let mut engine =
                 spec.build_tuned(space.clone(), opts.budget, seed, &candidates[winner]);
-            let outcome = drive(engine.as_mut(), |cfg| system.evaluate_clean(cfg));
+            let Ok(outcome) = drive(engine.as_mut(), |cfg| Ok::<_, Infallible>(clean(cfg)));
             obs::tournament_races_total().inc();
             let hyper = (0..hyper_space.len())
                 .map(|j| {

@@ -332,6 +332,7 @@ mod tests {
     use super::*;
     use harmony::engine::drive;
     use harmony_space::ParamDef;
+    use std::convert::Infallible;
 
     fn space3() -> ParameterSpace {
         ParameterSpace::builder()
@@ -352,14 +353,14 @@ mod tests {
     #[test]
     fn finds_the_optimum_region() {
         let mut e = TunefulEngine::new(space3(), 200);
-        let out = drive(&mut e, objective);
+        let out = drive(&mut e, |c| Ok::<_, Infallible>(objective(c))).unwrap();
         assert!(out.best_performance > 950.0, "{}", out.best_performance);
     }
 
     #[test]
     fn drops_the_insensitive_parameter() {
         let mut e = TunefulEngine::new(space3(), 200);
-        drive(&mut e, objective);
+        drive(&mut e, |c| Ok::<_, Infallible>(objective(c))).unwrap();
         assert!(
             !e.active_parameters().contains(&2),
             "the inert parameter should leave the active set: {:?}",
@@ -371,7 +372,7 @@ mod tests {
     fn is_deterministic() {
         let run = || {
             let mut e = TunefulEngine::new(space3(), 150);
-            drive(&mut e, objective)
+            drive(&mut e, |c| Ok::<_, Infallible>(objective(c))).unwrap()
         };
         assert_eq!(run(), run());
     }
@@ -379,14 +380,16 @@ mod tests {
     #[test]
     fn respects_budget() {
         let mut e = TunefulEngine::new(space3(), 9);
-        let out = drive(&mut e, objective);
+        let out = drive(&mut e, |c| Ok::<_, Infallible>(objective(c))).unwrap();
         assert!(out.trace.len() <= 9);
     }
 
     #[test]
     fn warm_start_resolves_significance_up_front() {
         let mut prior = TunefulEngine::new(space3(), 120);
-        let history = drive(&mut prior, objective).to_history("prior", vec![0.5]);
+        let history = drive(&mut prior, |c| Ok::<_, Infallible>(objective(c)))
+            .unwrap()
+            .to_history("prior", vec![0.5]);
         let mut warm = TunefulEngine::new(space3(), 120);
         warm.warm_start(&history);
         assert!(

@@ -6,6 +6,7 @@ use harmony_obs::event::monotonic_us;
 use harmony_obs::trace::{self, stage, TraceContext};
 use harmony_space::Configuration;
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -39,15 +40,17 @@ impl Executor {
         self.jobs
     }
 
-    /// Evaluate every configuration, returning performances in input
-    /// order (`out[i] == eval(&configs[i])`).
+    /// Evaluate every configuration, returning results in input order
+    /// (`out[i] == eval(&configs[i])`): performances, or whatever a
+    /// fallible evaluation returns per item.
     ///
     /// # Panics
     /// Re-raises the first panic any evaluation raised, after all
     /// workers have drained.
-    pub fn evaluate_batch<F>(&self, configs: &[Configuration], eval: &F) -> Vec<f64>
+    pub fn evaluate_batch<T, F>(&self, configs: &[Configuration], eval: &F) -> Vec<T>
     where
-        F: Fn(&Configuration) -> f64 + Sync,
+        T: Send,
+        F: Fn(&Configuration) -> T + Sync,
     {
         obs::batches_total().inc();
         obs::evaluations_total().add(configs.len() as u64);
@@ -82,7 +85,7 @@ impl Executor {
         queue.add(configs.len() as i64);
         let cursor = AtomicUsize::new(0);
         let abort = AtomicBool::new(false);
-        let mut results = vec![0.0f64; configs.len()];
+        let mut results: Vec<Option<T>> = configs.iter().map(|_| None).collect();
         let mut processed = 0usize;
         let mut panic_payload: Option<Box<dyn std::any::Any + Send>> = None;
 
@@ -91,7 +94,7 @@ impl Executor {
                 .map(|_| {
                     let (cursor, abort, tctx) = (&cursor, &abort, &tctx);
                     scope.spawn(move || {
-                        let mut local: Vec<(usize, f64)> = Vec::new();
+                        let mut local: Vec<(usize, T)> = Vec::new();
                         let mut caught: Option<Box<dyn std::any::Any + Send>> = None;
                         while !abort.load(Ordering::Relaxed) {
                             let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -126,7 +129,7 @@ impl Executor {
                 let (local, caught) = h.join().expect("executor worker cannot panic");
                 processed += local.len();
                 for (i, v) in local {
-                    results[i] = v;
+                    results[i] = Some(v);
                 }
                 if let Some(p) = caught {
                     processed += 1;
@@ -142,6 +145,9 @@ impl Executor {
             resume_unwind(p);
         }
         results
+            .into_iter()
+            .map(|v| v.expect("every item is evaluated unless one panicked"))
+            .collect()
     }
 
     /// Like [`evaluate_batch`](Self::evaluate_batch), but consult
@@ -160,6 +166,25 @@ impl Executor {
     where
         F: Fn(&Configuration) -> f64 + Sync,
     {
+        let Ok(out) =
+            self.try_evaluate_batch_cached(configs, cache, &|c| Ok::<_, Infallible>(eval(c)));
+        out
+    }
+
+    /// [`evaluate_batch_cached`](Self::evaluate_batch_cached) over a
+    /// fallible evaluation: returns the batch's first failure in input
+    /// order — the one a sequential loop meets first — and caches
+    /// nothing from a batch that failed.
+    pub fn try_evaluate_batch_cached<F, E>(
+        &self,
+        configs: &[Configuration],
+        cache: &MemoCache,
+        eval: &F,
+    ) -> Result<Vec<f64>, E>
+    where
+        E: Send,
+        F: Fn(&Configuration) -> Result<f64, E> + Sync,
+    {
         let cached: Vec<Option<f64>> = configs.iter().map(|c| cache.get(c)).collect();
         // Unique missing configurations, in first-occurrence order.
         let mut miss_slot: HashMap<&Configuration, usize> = HashMap::new();
@@ -170,15 +195,20 @@ impl Executor {
                 misses.push(c.clone());
             }
         }
-        let measured = self.evaluate_batch(&misses, eval);
+        // Misses are in first-occurrence order, so the first failed miss
+        // is the batch's first failure.
+        let measured: Vec<f64> = self
+            .evaluate_batch(&misses, eval)
+            .into_iter()
+            .collect::<Result<_, E>>()?;
         for (c, &v) in misses.iter().zip(&measured) {
             cache.insert(c, v);
         }
-        configs
+        Ok(configs
             .iter()
             .zip(cached)
             .map(|(c, hit)| hit.unwrap_or_else(|| measured[miss_slot[c]]))
-            .collect()
+            .collect())
     }
 }
 
@@ -302,5 +332,31 @@ mod tests {
         let again = ex.evaluate_batch_cached(&cfgs, &cache, &counted);
         assert_eq!(again, expected);
         assert_eq!(calls.load(Ordering::Relaxed), 20);
+    }
+
+    #[test]
+    fn the_first_failure_in_input_order_wins_and_is_never_cached() {
+        // Items 5 and up fail; item 5 is the slowest, so at jobs > 1 a
+        // later item fails first in time.
+        let flaky = |c: &Configuration| {
+            if c.get(0) == 5 {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+            }
+            if c.get(0) >= 5 {
+                Err(c.get(0))
+            } else {
+                Ok(eval(c))
+            }
+        };
+        let cfgs = configs(12);
+        for jobs in [1, 2, 4] {
+            let ex = Executor::new(jobs);
+            let cache = MemoCache::new(64);
+            let got = ex.try_evaluate_batch_cached(&cfgs, &cache, &flaky);
+            assert_eq!(got, Err(5), "jobs={jobs}");
+            assert!(cache.is_empty(), "a failed batch caches nothing");
+            let got = ex.try_evaluate_batch_cached(&cfgs[..5], &cache, &flaky);
+            assert_eq!(got, Ok(cfgs[..5].iter().map(eval).collect::<Vec<_>>()));
+        }
     }
 }

@@ -47,8 +47,8 @@ pub enum Decision {
     Retuned {
         /// Drift that triggered the session (`None` on the first period).
         drift: Option<f64>,
-        /// The session's outcome.
-        outcome: SessionOutcome,
+        /// The session's outcome (boxed: it dwarfs the `Steady` variant).
+        outcome: Box<SessionOutcome>,
     },
 }
 
@@ -116,7 +116,10 @@ impl AdaptiveTuner {
                 self.tuned_for = Some(characteristics.to_vec());
                 self.deployed = Some(outcome.tuning.best_configuration.clone());
                 self.sessions += 1;
-                Decision::Retuned { drift, outcome }
+                Decision::Retuned {
+                    drift,
+                    outcome: Box::new(outcome),
+                }
             }
         }
     }

@@ -8,13 +8,17 @@
 //! [`TuningSession`](crate::tuner::TuningSession), implements it in
 //! [`tuner`](crate::tuner), next to its private state, so the kernel
 //! needs no wrapper to be an engine; the other engines live in
-//! `harmony-engines`.
+//! `harmony-engines`. [`drive`] and [`drive_parallel`] are the only
+//! in-process ask-tell loops: [`Tuner::run`](crate::tuner::Tuner::run),
+//! the CLI's local `tune` and the engine tournament all go through them.
 
 use crate::history::RunHistory;
-use crate::report::TraceEntry;
-use crate::tuner::SessionError;
+use crate::report::{analyze_trace, ReportOptions, TraceEntry};
+use crate::tuner::{SessionError, TuningOutcome};
 use harmony_exec::{Executor, MemoCache};
+use harmony_obs::event::{event, Level};
 use harmony_space::{Configuration, ParameterSpace};
+use std::time::Instant;
 
 /// An ask-tell search engine over a discrete [`ParameterSpace`],
 /// maximizing.
@@ -103,61 +107,48 @@ pub trait SearchEngine {
     }
 }
 
-/// Result of driving an engine to completion.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EngineOutcome {
-    /// Registry name of the engine that produced this outcome.
-    pub engine: String,
-    /// Every exploration, in measurement order.
-    pub trace: Vec<TraceEntry>,
-    /// Best configuration measured.
-    pub best_configuration: Configuration,
-    /// Its performance.
-    pub best_performance: f64,
-    /// Whether the engine's stopping criteria (rather than the budget)
-    /// ended the search.
-    pub converged: bool,
-}
-
-impl EngineOutcome {
-    /// Convert the trace into a [`RunHistory`] for the experience
-    /// database.
-    pub fn to_history(&self, label: impl Into<String>, characteristics: Vec<f64>) -> RunHistory {
-        let mut run = RunHistory::new(label, characteristics);
-        for t in &self.trace {
-            run.push(&t.config, t.performance);
-        }
-        run
-    }
-}
-
-fn finish(engine: &dyn SearchEngine, trace: Vec<TraceEntry>) -> EngineOutcome {
+/// Close a driven run: analyze its trace and account for it.
+fn finish(engine: &dyn SearchEngine, trace: Vec<TraceEntry>, started: Instant) -> TuningOutcome {
     let (best_configuration, best_performance) = engine
         .best()
         .unwrap_or_else(|| (engine.space().default_configuration(), f64::NEG_INFINITY));
-    if engine.converged() {
+    let converged = engine.converged();
+    crate::obs::sessions_finished_total().inc();
+    if converged {
+        crate::obs::sessions_converged_total().inc();
         crate::obs::engine_converged_iterations().observe(trace.len() as f64);
     }
-    EngineOutcome {
-        engine: engine.name().to_string(),
+    crate::obs::session_wall_seconds().observe(started.elapsed().as_secs_f64());
+    event(Level::Info, "tune.finish")
+        .u64("iterations", trace.len() as u64)
+        .u64("training_iterations", engine.training_iterations() as u64)
+        .f64("best", best_performance)
+        .bool("converged", converged)
+        .emit();
+    TuningOutcome {
+        engine: engine.name(),
+        report: analyze_trace(&trace, &ReportOptions::default()),
         trace,
         best_configuration,
         best_performance,
-        converged: engine.converged(),
+        converged,
+        training_iterations: engine.training_iterations(),
     }
 }
 
-/// Drive an engine to completion against an in-process evaluation
-/// function, one measurement at a time.
-pub fn drive<F>(engine: &mut dyn SearchEngine, mut eval: F) -> EngineOutcome
+/// Drive an engine to completion against an in-process measurement,
+/// one configuration at a time. The first failed measurement stops the
+/// run and is returned; it never reaches the engine.
+pub fn drive<F, E>(engine: &mut dyn SearchEngine, mut measure: F) -> Result<TuningOutcome, E>
 where
-    F: FnMut(&Configuration) -> f64,
+    F: FnMut(&Configuration) -> Result<f64, E>,
 {
+    let started = Instant::now();
     let metrics = crate::obs::engine_metrics(engine.name());
     let mut trace = Vec::new();
     while let Some(config) = engine.next_config() {
         metrics.proposals.inc();
-        let performance = eval(&config);
+        let performance = measure(&config)?;
         engine
             .observe(performance)
             .expect("a proposal is outstanding");
@@ -168,7 +159,7 @@ where
             performance,
         });
     }
-    finish(engine, trace)
+    Ok(finish(engine, trace, started))
 }
 
 /// [`drive`] with batchable phases measured through `executor` and,
@@ -177,16 +168,20 @@ where
 ///
 /// Without a cache the outcome is identical to [`drive`] at any job
 /// count: batches preserve input order and observation replays the
-/// sequential loop exactly.
-pub fn drive_parallel<F>(
+/// sequential loop exactly. A failed measurement stops the run with the
+/// batch's first failure in batch order — the one [`drive`] meets
+/// first — and is never cached.
+pub fn drive_parallel<F, E>(
     engine: &mut dyn SearchEngine,
-    eval: &F,
+    measure: &F,
     executor: &Executor,
     cache: Option<&MemoCache>,
-) -> EngineOutcome
+) -> Result<TuningOutcome, E>
 where
-    F: Fn(&Configuration) -> f64 + Sync,
+    F: Fn(&Configuration) -> Result<f64, E> + Sync,
+    E: Send,
 {
+    let started = Instant::now();
     let metrics = crate::obs::engine_metrics(engine.name());
     let mut trace = Vec::new();
     loop {
@@ -196,8 +191,11 @@ where
         }
         metrics.proposals.add(batch.len() as u64);
         let performances = match cache {
-            Some(c) => executor.evaluate_batch_cached(&batch, c, eval),
-            None => executor.evaluate_batch(&batch, eval),
+            Some(c) => executor.try_evaluate_batch_cached(&batch, c, measure)?,
+            None => executor
+                .evaluate_batch(&batch, measure)
+                .into_iter()
+                .collect::<Result<_, E>>()?,
         };
         let used = engine
             .observe_batch(&performances)
@@ -211,5 +209,5 @@ where
             });
         }
     }
-    finish(engine, trace)
+    Ok(finish(engine, trace, started))
 }

@@ -10,9 +10,9 @@
 //! | name | kind | meaning |
 //! |------|------|---------|
 //! | `harmony_session_iterations_total` | counter | live measurements observed across all sessions |
-//! | `harmony_sessions_finished_total` | counter | sessions closed via `finish()` |
-//! | `harmony_sessions_converged_total` | counter | finished sessions that met the spread criteria |
-//! | `harmony_session_wall_seconds` | histogram | wall time from session creation to `finish()` |
+//! | `harmony_sessions_finished_total` | counter | runs driven to the end by `engine::drive`/`drive_parallel` |
+//! | `harmony_sessions_converged_total` | counter | finished runs that met their convergence criteria |
+//! | `harmony_session_wall_seconds` | histogram | wall time of each finished run |
 //! | `harmony_training_iterations_total` | counter | virtual (estimated) training iterations spent |
 //! | `harmony_simplex_ops_total{op=…}` | counter | simplex state transitions by kind |
 //! | `harmony_db_classify_seconds` | histogram | experience-db classification latency |
@@ -54,7 +54,7 @@ handle!(
     Counter,
     global().counter(
         "harmony_sessions_finished_total",
-        "Tuning sessions closed (including abandoned ones).",
+        "Tuning runs driven to the end in-process.",
     )
 );
 
@@ -63,7 +63,7 @@ handle!(
     Counter,
     global().counter(
         "harmony_sessions_converged_total",
-        "Finished sessions stopped by the spread criteria rather than the budget.",
+        "Finished runs stopped by their convergence criteria rather than the budget.",
     )
 );
 
@@ -72,7 +72,7 @@ handle!(
     Histogram,
     global().histogram(
         "harmony_session_wall_seconds",
-        "Wall time from session creation to finish().",
+        "Wall time of a tuning run driven in-process.",
         SESSION_SECONDS,
     )
 );
@@ -167,7 +167,7 @@ handle!(
 const CONVERGED_ITERATIONS: &[f64] = &[5.0, 10.0, 20.0, 40.0, 80.0, 160.0, 320.0, 640.0];
 
 /// Trace lengths of engine runs that converged: observed by
-/// [`crate::engine::drive`] and by the daemon at a converged session's
+/// [`crate::engine::drive`]/[`crate::engine::drive_parallel`] and by the daemon at a converged session's
 /// end.
 pub fn engine_converged_iterations() -> &'static Arc<Histogram> {
     static H: OnceLock<Arc<Histogram>> = OnceLock::new();

@@ -17,6 +17,7 @@
 use crate::objective::Objective;
 use harmony_exec::{Executor, MemoCache};
 use harmony_space::{Configuration, ParameterSpace};
+use std::convert::Infallible;
 
 /// Sensitivity result for one parameter.
 #[derive(Debug, Clone, PartialEq)]
@@ -365,6 +366,23 @@ impl Prioritizer {
     where
         F: Fn(&Configuration) -> f64 + Sync,
     {
+        let Ok(report) = self.try_analyze_with(&|c| Ok::<_, Infallible>(eval(c)), executor, cache);
+        report
+    }
+
+    /// [`analyze_with`](Self::analyze_with) over a fallible measurement:
+    /// the first failure — the one a sequential sweep meets first — ends
+    /// the analysis and is returned, and no failed measurement is cached.
+    pub fn try_analyze_with<F, E>(
+        &self,
+        eval: &F,
+        executor: &Executor,
+        cache: Option<&MemoCache>,
+    ) -> Result<SensitivityReport, E>
+    where
+        F: Fn(&Configuration) -> Result<f64, E> + Sync,
+        E: Send,
+    {
         crate::obs::sensitivity_reports_total().inc();
         let mut explorations = 0u64;
         // Noise floor first (uncached: see above).
@@ -375,7 +393,7 @@ impl Prioritizer {
                 let mut sum = 0.0;
                 for _ in 0..self.repeats {
                     explorations += 1;
-                    sum += eval(&self.base);
+                    sum += eval(&self.base)?;
                 }
                 let v = sum / self.repeats as f64;
                 lo = lo.min(v);
@@ -399,8 +417,11 @@ impl Prioritizer {
         }
         explorations += batch.len() as u64;
         let measured = match cache {
-            Some(c) => executor.evaluate_batch_cached(&batch, c, eval),
-            None => executor.evaluate_batch(&batch, eval),
+            Some(c) => executor.try_evaluate_batch_cached(&batch, c, eval)?,
+            None => executor
+                .evaluate_batch(&batch, eval)
+                .into_iter()
+                .collect::<Result<_, E>>()?,
         };
         // Reassemble per-value averages in sweep order.
         let mut results = measured.iter();
@@ -421,10 +442,10 @@ impl Prioritizer {
                 self.score_with_floor(j, sweep, floor)
             })
             .collect();
-        SensitivityReport {
+        Ok(SensitivityReport {
             entries,
             explorations,
-        }
+        })
     }
 }
 

@@ -143,9 +143,7 @@ impl HarmonyServer {
             None => {
                 let tuner = Tuner::new(self.space.clone(), self.options.tuning.clone());
                 match &prior {
-                    Some(history) => {
-                        objective_trained(&tuner, objective, history, self.options.training)
-                    }
+                    Some(history) => tuner.run_trained(objective, history, self.options.training),
                     None => tuner.run(objective),
                 }
             }
@@ -160,7 +158,7 @@ impl HarmonyServer {
                 let prior_reduced = prior.as_ref().map(|h| reduce_history(h, focus));
                 let mut out = match &prior_reduced {
                     Some(history) => {
-                        objective_trained(&tuner, &mut bridged, history, self.options.training)
+                        tuner.run_trained(&mut bridged, history, self.options.training)
                     }
                     None => tuner.run(&mut bridged),
                 };
@@ -187,15 +185,6 @@ impl HarmonyServer {
             tuned_indices,
         }
     }
-}
-
-fn objective_trained(
-    tuner: &Tuner,
-    objective: &mut dyn Objective,
-    history: &RunHistory,
-    mode: TrainingMode,
-) -> TuningOutcome {
-    tuner.run_trained(objective, history, mode)
 }
 
 /// Project a full-space history onto a focused subspace (dropping the

@@ -1,16 +1,16 @@
 //! Tuning sessions: the normal one-stage flow and the §4.2 two-stage
 //! (training + live) flow.
 
-use crate::engine::SearchEngine;
+use crate::engine::{drive, SearchEngine};
 use crate::estimate::Estimator;
 use crate::history::RunHistory;
 use crate::kernel::{InitStrategy, SimplexKernel, SimplexOptions};
 use crate::objective::Objective;
-use crate::report::{analyze_trace, ReportOptions, TraceEntry, TuningReport};
+use crate::report::{TraceEntry, TuningReport};
 use harmony_obs::event::{event, Level};
 use harmony_space::{Configuration, ParameterSpace};
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
+use std::convert::Infallible;
 
 /// Normalized point spread below which a trained simplex counts as
 /// collapsed and is re-expanded before live tuning.
@@ -47,8 +47,6 @@ pub struct TuningOptions {
     pub point_eps: f64,
     /// Never stop before this many live iterations.
     pub min_iterations: usize,
-    /// Trace-analysis thresholds.
-    pub report: ReportOptions,
 }
 
 impl TuningOptions {
@@ -61,7 +59,6 @@ impl TuningOptions {
             value_eps: 5e-3,
             point_eps: 0.02,
             min_iterations: 10,
-            report: ReportOptions::default(),
         }
     }
 
@@ -87,9 +84,12 @@ impl Default for TuningOptions {
     }
 }
 
-/// Result of a tuning session.
+/// Result of driving a search engine to completion ([`drive`],
+/// [`drive_parallel`](crate::engine::drive_parallel)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TuningOutcome {
+    /// Registry name of the engine that produced this outcome.
+    pub engine: &'static str,
     /// Every live exploration, in order.
     pub trace: Vec<TraceEntry>,
     /// Best configuration measured live.
@@ -98,8 +98,8 @@ pub struct TuningOutcome {
     pub best_performance: f64,
     /// Metrics over the trace.
     pub report: TuningReport,
-    /// Whether the spread criteria (rather than the budget) stopped the
-    /// session.
+    /// Whether the engine's stopping criteria (rather than the budget)
+    /// ended the search.
     pub converged: bool,
     /// Virtual (estimated) iterations spent in the training stage.
     pub training_iterations: usize,
@@ -163,8 +163,7 @@ impl std::error::Error for SessionError {}
 /// while let Some(cfg) = session.next_config() {
 ///     session.observe(-((cfg.get(0) - 30).pow(2)) as f64).unwrap();
 /// }
-/// let outcome = session.finish();
-/// assert!(outcome.best_performance > -5.0);
+/// assert!(session.best().unwrap().1 > -5.0);
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TuningSession {
@@ -179,20 +178,6 @@ pub struct TuningSession {
     /// How [`warm_start`](SearchEngine::warm_start) trains on a prior
     /// run.
     training: TrainingMode,
-    #[serde(skip)]
-    created: SessionClock,
-}
-
-/// Wall-clock anchor for the session-duration metric. Not serialized — a
-/// session revived from a snapshot restarts its clock, so the wall-time
-/// histogram only ever counts time the session spent resident.
-#[derive(Debug, Clone, Copy)]
-struct SessionClock(Instant);
-
-impl Default for SessionClock {
-    fn default() -> Self {
-        SessionClock(Instant::now())
-    }
 }
 
 impl TuningSession {
@@ -294,41 +279,11 @@ impl TuningSession {
     pub fn training_iterations(&self) -> usize {
         self.training_iterations
     }
-
-    /// Close the session and analyze its trace.
-    ///
-    /// Callable at any point — an abandoned session still yields a valid
-    /// outcome over whatever was measured.
-    pub fn finish(self) -> TuningOutcome {
-        let (best_configuration, best_performance) = self
-            .live_best
-            .unwrap_or_else(|| (self.space.default_configuration(), f64::NEG_INFINITY));
-        crate::obs::sessions_finished_total().inc();
-        if self.converged {
-            crate::obs::sessions_converged_total().inc();
-        }
-        crate::obs::session_wall_seconds().observe(self.created.0.elapsed().as_secs_f64());
-        event(Level::Info, "tune.finish")
-            .u64("iterations", self.trace.len() as u64)
-            .u64("training_iterations", self.training_iterations as u64)
-            .f64("best", best_performance)
-            .bool("converged", self.converged)
-            .emit();
-        let report = analyze_trace(&self.trace, &self.options.report);
-        TuningOutcome {
-            trace: self.trace,
-            best_configuration,
-            best_performance,
-            report,
-            converged: self.converged,
-            training_iterations: self.training_iterations,
-        }
-    }
 }
 
 /// The paper's simplex session as an engine. Proposals and observations
-/// go through the inherent methods, so driving a session through the
-/// trait walks exactly the trajectory of [`Tuner::run`].
+/// go through the inherent methods, so stepping a session by hand walks
+/// exactly the trajectory [`Tuner::run`] drives through the trait.
 impl SearchEngine for TuningSession {
     fn name(&self) -> &'static str {
         "simplex"
@@ -424,7 +379,10 @@ impl Tuner {
 
     /// One-stage tuning: measure everything live.
     pub fn run(&self, objective: &mut dyn Objective) -> TuningOutcome {
-        Self::drive(self.session(), objective)
+        let Ok(outcome) = drive(&mut self.session(), |c| {
+            Ok::<_, Infallible>(objective.measure(c))
+        });
+        outcome
     }
 
     /// Two-stage tuning with prior experience (§4.2): a training stage
@@ -463,7 +421,9 @@ impl Tuner {
         history: &RunHistory,
         mode: TrainingMode,
     ) -> TuningOutcome {
-        Self::drive(self.session_trained(history, mode), objective)
+        let mut session = self.session_trained(history, mode);
+        let Ok(outcome) = drive(&mut session, |c| Ok::<_, Infallible>(objective.measure(c)));
+        outcome
     }
 
     /// Step-at-a-time flavour of [`run`](Self::run): the caller measures.
@@ -515,7 +475,6 @@ impl Tuner {
             converged: false,
             training_iterations,
             training,
-            created: SessionClock::default(),
         }
     }
 
@@ -636,18 +595,6 @@ impl Tuner {
             })
             .fold(f64::INFINITY, f64::min)
     }
-
-    /// Main measurement loop shared by all flows: drive a session to
-    /// completion against an in-process objective.
-    fn drive(mut session: TuningSession, objective: &mut dyn Objective) -> TuningOutcome {
-        while let Some(config) = session.next_config() {
-            let performance = objective.measure(&config);
-            session
-                .observe(performance)
-                .expect("a configuration is outstanding");
-        }
-        session.finish()
-    }
 }
 
 #[cfg(test)]
@@ -670,6 +617,27 @@ mod tests {
         1000.0 - (x - 40.0).powi(2) - (y - 70.0).powi(2)
     }
 
+    /// What a run's outcome records about the walk: trace, best,
+    /// convergence and training.
+    type Walk = (Vec<TraceEntry>, Option<(Configuration, f64)>, bool, usize);
+
+    /// The walk a hand-stepped session took.
+    fn session_walk(s: &TuningSession) -> Walk {
+        let best = s.best().map(|(c, p)| (c.clone(), p));
+        (
+            s.trace().to_vec(),
+            best,
+            s.converged(),
+            s.training_iterations(),
+        )
+    }
+
+    /// The walk a driven run took.
+    fn outcome_walk(o: &TuningOutcome) -> Walk {
+        let best = Some((o.best_configuration.clone(), o.best_performance));
+        (o.trace.clone(), best, o.converged, o.training_iterations)
+    }
+
     #[test]
     fn serialized_session_resumes_bit_identically() {
         // Interrupt a session at various depths — including with a
@@ -688,14 +656,11 @@ mod tests {
             let mut revived: TuningSession = serde_json::from_str(&json).unwrap();
             assert_eq!(revived.next_config(), pending, "cut at {cut}");
             assert_eq!(revived.iterations(), live.iterations());
-            let drive = |mut s: TuningSession| {
-                while let Some(cfg) = s.next_config() {
-                    s.observe(paraboloid(&cfg)).unwrap();
-                }
-                s.finish()
+            let finish = |mut s: TuningSession| {
+                drive(&mut s, |c| Ok::<_, Infallible>(paraboloid(c))).unwrap()
             };
-            let a = drive(live);
-            let b = drive(revived);
+            let a = finish(live);
+            let b = finish(revived);
             assert_eq!(a.trace, b.trace, "cut at {cut}");
             assert_eq!(a.best_configuration, b.best_configuration);
             assert_eq!(a.best_performance, b.best_performance);
@@ -833,9 +798,9 @@ mod tests {
         while let Some(cfg) = session.next_config() {
             session.observe(paraboloid(&cfg)).unwrap();
         }
-        let session_out = session.finish();
         assert_eq!(
-            run_out, session_out,
+            session_walk(&session),
+            outcome_walk(&run_out),
             "session stepping must replay run() exactly"
         );
     }
@@ -888,7 +853,7 @@ mod tests {
         while let Some(cfg) = session.next_config() {
             session.observe(paraboloid(&cfg)).unwrap();
         }
-        assert_eq!(run_out, session.finish());
+        assert_eq!(session_walk(&session), outcome_walk(&run_out));
     }
 
     #[test]
@@ -899,13 +864,14 @@ mod tests {
             let cfg = session.next_config().unwrap();
             session.observe(paraboloid(&cfg)).unwrap();
         }
-        assert_eq!(
-            session.best().unwrap().1,
-            session.clone().finish().best_performance
-        );
-        let out = session.finish();
-        assert_eq!(out.trace.len(), 3);
-        assert!(!out.converged);
+        let trace_max = session
+            .trace()
+            .iter()
+            .map(|t| t.performance)
+            .fold(f64::MIN, f64::max);
+        assert_eq!(session.best().unwrap().1, trace_max);
+        assert_eq!(session.trace().len(), 3);
+        assert!(!session.converged());
     }
 
     #[test]

@@ -17,6 +17,7 @@ use harmony_exec::{Executor, MemoCache};
 use harmony_space::{ParamDef, ParameterSpace};
 use harmony_websim::{Fidelity, WebServiceSystem, WorkloadMix};
 use proptest::prelude::*;
+use std::convert::Infallible;
 
 fn shopping_system() -> WebServiceSystem {
     WebServiceSystem::new(WorkloadMix::shopping(), Fidelity::Analytic, 0.0, 11)
@@ -37,7 +38,7 @@ fn simplex_engine_reproduces_the_tuner_exactly() {
 
         let mut engine = Tuner::new(sys.space().clone(), options)
             .session_with(SimplexOptions::default(), TrainingMode::Replay(10));
-        let ported = drive(&mut engine, eval);
+        let ported = drive(&mut engine, |c| Ok::<_, Infallible>(eval(c))).unwrap();
 
         assert_eq!(ported.trace, reference.trace, "{name}: trajectory differs");
         assert_eq!(
@@ -56,6 +57,7 @@ fn simplex_engine_reproduces_the_tuner_exactly() {
 fn every_engine_is_bit_identical_at_any_job_count() {
     let sys = shopping_system();
     let eval = |cfg: &Configuration| sys.evaluate_clean(cfg);
+    let ok = |c: &Configuration| Ok::<_, Infallible>(eval(c));
     let cold = |name: &str| {
         registry::lookup(name)
             .unwrap()
@@ -64,7 +66,9 @@ fn every_engine_is_bit_identical_at_any_job_count() {
     // Warm-started engines open differently (the simplex with the live
     // refresh batch of its trained vertices rather than the initial
     // simplex), so every engine runs both cold and from a prior run.
-    let prior = drive(cold("simplex").as_mut(), eval).to_history("prior", vec![]);
+    let prior = drive(cold("simplex").as_mut(), |c| Ok::<_, Infallible>(eval(c)))
+        .unwrap()
+        .to_history("prior", vec![]);
     for name in ENGINE_NAMES {
         for warm in [false, true] {
             let build = || {
@@ -74,9 +78,10 @@ fn every_engine_is_bit_identical_at_any_job_count() {
                 }
                 engine
             };
-            let sequential = drive(build().as_mut(), eval);
+            let sequential = drive(build().as_mut(), |c| Ok::<_, Infallible>(eval(c))).unwrap();
             for jobs in [1usize, 2, 4] {
-                let parallel = drive_parallel(build().as_mut(), &eval, &Executor::new(jobs), None);
+                let parallel =
+                    drive_parallel(build().as_mut(), &ok, &Executor::new(jobs), None).unwrap();
                 assert_eq!(
                     parallel, sequential,
                     "{name} (warm={warm}) diverges at jobs={jobs}"
@@ -86,7 +91,8 @@ fn every_engine_is_bit_identical_at_any_job_count() {
             // re-evaluating; for a deterministic objective the outcome
             // is unchanged.
             let cache = MemoCache::new(4096);
-            let cached = drive_parallel(build().as_mut(), &eval, &Executor::new(4), Some(&cache));
+            let cached =
+                drive_parallel(build().as_mut(), &ok, &Executor::new(4), Some(&cache)).unwrap();
             assert_eq!(
                 cached, sequential,
                 "{name} (warm={warm}) diverges with a memo cache"
@@ -105,7 +111,7 @@ fn warm_started_divide_diverge_converges_in_fewer_evaluations() {
 
     // A cold run, recorded into an experience database.
     let mut cold_engine = spec.build(sys.space().clone(), budget, 5);
-    let cold = drive(cold_engine.as_mut(), eval);
+    let cold = drive(cold_engine.as_mut(), |c| Ok::<_, Infallible>(eval(c))).unwrap();
     assert!(cold.converged, "budget must be high enough to converge");
     let mut db = ExperienceDb::new();
     db.add_run(cold.to_history("shopping-night", characteristics.clone()));
@@ -116,7 +122,7 @@ fn warm_started_divide_diverge_converges_in_fewer_evaluations() {
         .expect("identical characteristics classify");
     let mut warm_engine = spec.build(sys.space().clone(), budget, 5);
     warm_engine.warm_start(&prior);
-    let warm = drive(warm_engine.as_mut(), eval);
+    let warm = drive(warm_engine.as_mut(), |c| Ok::<_, Infallible>(eval(c))).unwrap();
 
     assert!(warm.converged, "warm run must also converge");
     assert!(

@@ -11,6 +11,7 @@ use harmony::sensitivity::Prioritizer;
 use harmony_exec::{Executor, MemoCache};
 use harmony_space::{ParamDef, ParameterSpace};
 use harmony_synth::scenario::section5_system;
+use std::convert::Infallible;
 
 fn small_space() -> ParameterSpace {
     ParameterSpace::builder()
@@ -43,7 +44,8 @@ fn tuning_is_bit_identical_at_any_job_count() {
     let sequential = tuner.run(&mut obj);
     for jobs in [1usize, 2, 4, 8] {
         let mut engine = tuner.session();
-        let parallel = drive_parallel(&mut engine, &eval, &Executor::new(jobs), None);
+        let ok = |c: &Configuration| Ok::<_, Infallible>(eval(c));
+        let parallel = drive_parallel(&mut engine, &ok, &Executor::new(jobs), None).unwrap();
         assert_eq!(parallel.trace, sequential.trace, "jobs={jobs}");
         assert_eq!(
             parallel.best_configuration, sequential.best_configuration,
@@ -113,7 +115,8 @@ fn one_cache_carries_measurements_across_session_stages() {
     let run = |cache: Option<&MemoCache>| {
         let options = TuningOptions::improved().with_max_iterations(60);
         let mut engine = Tuner::new(space.clone(), options).session();
-        drive_parallel(&mut engine, &eval, &executor, cache)
+        let ok = |c: &Configuration| Ok::<_, Infallible>(eval(c));
+        drive_parallel(&mut engine, &ok, &executor, cache).unwrap()
     };
     let uncached = run(None);
     let first = run(Some(&cache));

@@ -3,7 +3,7 @@
 //! `--jobs`. The series are process-global, so this is the only test in
 //! its binary.
 
-use harmony::obs::engine_metrics;
+use harmony::obs::engine_evaluations_total;
 use harmony_cli::{commands, parse_args};
 
 #[test]
@@ -17,7 +17,7 @@ fn a_local_tune_moves_its_engine_series() {
     )
     .unwrap();
     let cmd = "echo $((100 - (HARMONY_B-3)*(HARMONY_B-3) - (HARMONY_C-4)*(HARMONY_C-4)))";
-    let evaluations = engine_metrics("simplex").evaluations;
+    let evaluations = engine_evaluations_total("simplex");
     for jobs in ["1", "2"] {
         let args: Vec<String> = [
             "tune",

@@ -48,14 +48,13 @@
 //! ```
 
 pub mod divide;
-mod obs;
+pub mod obs;
 pub mod registry;
 mod rng;
 pub mod tournament;
 pub mod tuneful;
 
 pub use divide::{DivideDivergeEngine, DivideDivergeOptions};
-pub use obs::preregister;
 pub use registry::{EngineSpec, UnknownEngineError, ENGINE_NAMES};
 pub use tournament::{render_leaderboard, run_tournament, RaceResult, TournamentOptions};
 pub use tuneful::{TunefulEngine, TunefulOptions};

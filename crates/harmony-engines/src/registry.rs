@@ -10,12 +10,10 @@
 use crate::divide::{DivideDivergeEngine, DivideDivergeOptions};
 use crate::tuneful::{TunefulEngine, TunefulOptions};
 use harmony::engine::SearchEngine;
+pub use harmony::engine::ENGINE_NAMES;
 use harmony::kernel::SimplexOptions;
 use harmony::tuner::{TrainingMode, Tuner, TuningOptions};
 use harmony_space::{Configuration, ParamDef, ParameterSpace};
-
-/// Every registered engine name, in registry order.
-pub const ENGINE_NAMES: [&str; 3] = ["simplex", "divide-diverge", "tuneful"];
 
 /// The seed every driver uses when nothing overrides it. Remote engine
 /// sessions depend on this being one shared constant: the daemon builds

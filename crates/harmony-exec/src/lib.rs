@@ -25,9 +25,9 @@
 //!   repeats without paying for a measurement.
 //!
 //! Both are instrumented through the process-global [`harmony_obs`]
-//! metrics registry (`harmony_exec_*` series); call [`preregister`] at
-//! daemon start so the series are visible in a `Stats` exposition
-//! before the first batch runs.
+//! metrics registry (the `harmony_exec_*` rows of [`obs`]); call
+//! [`obs::preregister`] at daemon start so the series are visible in a
+//! `Stats` exposition before the first batch runs.
 //!
 //! # Caching vs. noisy objectives
 //!
@@ -67,5 +67,4 @@ pub mod pool;
 
 pub use cache::MemoCache;
 pub use executor::Executor;
-pub use obs::preregister;
 pub use pool::TaskPool;

@@ -1,124 +1,25 @@
-//! Metric handles for the evaluation engine, registered lazily in the
-//! process-global [`harmony_obs`] registry.
-//!
-//! Metric names exported here:
-//!
-//! | name | kind | meaning |
-//! |------|------|---------|
-//! | `harmony_exec_batches_total` | counter | evaluation batches submitted to an executor |
-//! | `harmony_exec_evaluations_total` | counter | configurations submitted across all batches |
-//! | `harmony_exec_batch_seconds` | histogram | wall time per `evaluate_batch` call |
-//! | `harmony_exec_queue_depth` | gauge | configurations claimed-or-waiting in in-flight batches |
-//! | `harmony_exec_cache_hits_total` | counter | memo-cache lookups answered without a measurement |
-//! | `harmony_exec_cache_misses_total` | counter | memo-cache lookups that required a measurement |
-//! | `harmony_exec_cache_evictions_total` | counter | entries dropped by the capacity bound |
-//! | `harmony_exec_cache_entries` | gauge | entries currently resident across all caches |
-//! | `harmony_exec_pool_panics_total` | counter | task-pool jobs that panicked (caught; worker survives) |
+//! The evaluation engine's metric table: one [`harmony_obs::metrics!`]
+//! row per handle, registered lazily in the process-global registry.
 
-use harmony_obs::metrics::{global, Counter, Gauge, Histogram, LATENCY_SECONDS};
-use std::sync::{Arc, OnceLock};
+use harmony_obs::metrics::LATENCY_SECONDS;
 
-macro_rules! handle {
-    ($fn_name:ident, $kind:ty, $init:expr) => {
-        pub(crate) fn $fn_name() -> &'static Arc<$kind> {
-            static H: OnceLock<Arc<$kind>> = OnceLock::new();
-            H.get_or_init(|| $init)
-        }
-    };
-}
-
-handle!(
-    batches_total,
-    Counter,
-    global().counter(
-        "harmony_exec_batches_total",
-        "Evaluation batches submitted to an executor.",
-    )
-);
-
-handle!(
-    evaluations_total,
-    Counter,
-    global().counter(
-        "harmony_exec_evaluations_total",
-        "Configurations submitted for evaluation across all batches.",
-    )
-);
-
-handle!(
-    batch_seconds,
-    Histogram,
-    global().histogram(
-        "harmony_exec_batch_seconds",
-        "Wall time per evaluate_batch call.",
-        LATENCY_SECONDS,
-    )
-);
-
-handle!(
-    queue_depth,
-    Gauge,
-    global().gauge(
-        "harmony_exec_queue_depth",
-        "Configurations claimed-or-waiting in in-flight batches.",
-    )
-);
-
-handle!(
-    cache_hits_total,
-    Counter,
-    global().counter(
-        "harmony_exec_cache_hits_total",
-        "Memo-cache lookups answered without a measurement.",
-    )
-);
-
-handle!(
-    cache_misses_total,
-    Counter,
-    global().counter(
-        "harmony_exec_cache_misses_total",
-        "Memo-cache lookups that required a measurement.",
-    )
-);
-
-handle!(
-    cache_evictions_total,
-    Counter,
-    global().counter(
-        "harmony_exec_cache_evictions_total",
-        "Memo-cache entries dropped by the capacity bound.",
-    )
-);
-
-handle!(
-    cache_entries,
-    Gauge,
-    global().gauge(
-        "harmony_exec_cache_entries",
-        "Memo-cache entries currently resident across all caches.",
-    )
-);
-
-handle!(
-    pool_panics_total,
-    Counter,
-    global().counter(
-        "harmony_exec_pool_panics_total",
-        "Task-pool jobs that panicked (caught; the worker survives).",
-    )
-);
-
-/// Touch every metric handle so the series appear in the registry (and
-/// therefore in a daemon's `Stats` exposition) before first use.
-pub fn preregister() {
-    batches_total();
-    evaluations_total();
-    batch_seconds();
-    queue_depth();
-    cache_hits_total();
-    cache_misses_total();
-    cache_evictions_total();
-    cache_entries();
-    pool_panics_total();
+harmony_obs::metrics! {
+    pub(crate) fn batches_total: Counter = "harmony_exec_batches_total",
+        "Evaluation batches submitted to an executor.";
+    pub(crate) fn evaluations_total: Counter = "harmony_exec_evaluations_total",
+        "Configurations submitted for evaluation across all batches.";
+    pub(crate) fn batch_seconds: Histogram(LATENCY_SECONDS) = "harmony_exec_batch_seconds",
+        "Wall time per evaluate_batch call.";
+    pub(crate) fn queue_depth: Gauge = "harmony_exec_queue_depth",
+        "Configurations claimed-or-waiting in in-flight batches.";
+    pub(crate) fn cache_hits_total: Counter = "harmony_exec_cache_hits_total",
+        "Memo-cache lookups answered without a measurement.";
+    pub(crate) fn cache_misses_total: Counter = "harmony_exec_cache_misses_total",
+        "Memo-cache lookups that required a measurement.";
+    pub(crate) fn cache_evictions_total: Counter = "harmony_exec_cache_evictions_total",
+        "Memo-cache entries dropped by the capacity bound.";
+    pub(crate) fn cache_entries: Gauge = "harmony_exec_cache_entries",
+        "Memo-cache entries currently resident across all caches.";
+    pub(crate) fn pool_panics_total: Counter = "harmony_exec_pool_panics_total",
+        "Task-pool jobs that panicked (caught; the worker survives).";
 }

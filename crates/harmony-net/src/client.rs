@@ -48,7 +48,7 @@ use crate::protocol::{
     MIN_SUPPORTED_VERSION, PROTOCOL_VERSION,
 };
 use crate::NetError;
-use harmony_obs::trace::{self, stage, TraceContext};
+use harmony_obs::trace::{self, stage, Stage, TraceContext};
 use harmony_space::{Configuration, ParameterSpace};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -677,10 +677,10 @@ impl Client {
     /// measurement closure shows up as an `eval` stage (with any
     /// executor queue-wait attribution recorded beneath it). Without
     /// tracing, or without a session, `f` just runs.
-    pub fn traced<T>(&self, stage_name: &'static str, detail: &str, f: impl FnOnce() -> T) -> T {
+    pub fn traced<T>(&self, stage: Stage, detail: &str, f: impl FnOnce() -> T) -> T {
         match self.trace_context() {
             Some(ctx) if trace::is_enabled() => {
-                let _span = trace::continue_from(ctx, stage_name, detail);
+                let _span = trace::continue_from(ctx, stage, detail);
                 f()
             }
             _ => f(),

@@ -38,6 +38,8 @@
 //!   `Report` after it) ship between daemons over the `Peer*` message
 //!   family, and a surviving peer adopts a dead peer's sessions when
 //!   the client's `Resume` lands on it.
+//! * [`obs`] — the daemon's metric table, and [`obs::DAEMON_SERIES`]:
+//!   every series `Stats` serves, from each crate's table.
 //!
 //! Sessions survive disconnects: a protocol-v2 server issues a resume
 //! token at `SessionStart`, parks the session when its connection drops,
@@ -72,7 +74,7 @@ pub mod cluster;
 pub mod codec;
 mod error;
 pub mod fault;
-mod obs;
+pub mod obs;
 #[cfg(unix)]
 pub(crate) mod peer;
 #[cfg(unix)]

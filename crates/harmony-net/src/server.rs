@@ -59,7 +59,6 @@ use harmony::history::{
     CharacteristicsIndex, DataAnalyzer, DbError, ExperienceDb, RunHistory, TuningRecord,
 };
 use harmony::kernel::SimplexOptions;
-use harmony::obs::EngineMetrics;
 use harmony::report::TraceEntry;
 use harmony::sensitivity::SensitivityReport;
 use harmony::tuner::{SessionError, TrainingMode, Tuner, TuningOptions};
@@ -733,7 +732,6 @@ fn build_session(record: SessionRecord, config: &DaemonConfig) -> Result<ActiveS
             .map_err(|e| e.to_string())?;
     }
     Ok(ActiveSession {
-        metrics: harmony::obs::engine_metrics(engine.name()),
         record,
         engine,
         pending: None,
@@ -906,7 +904,7 @@ impl TuningDaemon {
         };
         let listener = TcpListener::bind(&config.listen)?;
         let addr = listener.local_addr()?;
-        crate::obs::preregister();
+        crate::obs::preregister_daemon();
         if config.tracing && !trace::is_enabled() {
             trace::enable(trace::RecorderConfig::default());
         }
@@ -1193,8 +1191,6 @@ pub(crate) struct ActiveSession {
     /// The outstanding proposal, so `observe` records the configuration
     /// that was actually measured.
     pending: Option<Configuration>,
-    /// The engine's `harmony_engine_*` series, looked up once.
-    metrics: EngineMetrics,
 }
 
 impl ActiveSession {
@@ -1206,7 +1202,7 @@ impl ActiveSession {
         let fresh = self.pending.is_none();
         self.pending = self.engine.next_config();
         if fresh && self.pending.is_some() {
-            self.metrics.proposals.inc();
+            harmony::obs::engine_proposals_total(self.engine.name()).inc();
         }
         self.pending.as_ref()
     }
@@ -1218,7 +1214,7 @@ impl ActiveSession {
         self.engine
             .observe(performance)
             .map_err(|e| e.to_string())?;
-        self.metrics.evaluations.inc();
+        harmony::obs::engine_evaluations_total(self.engine.name()).inc();
         self.record.trace.push(TraceEntry {
             iteration: self.record.trace.len(),
             config,
@@ -1361,13 +1357,13 @@ pub(crate) fn serve_request(
         other => (other, None),
     };
     let is_session_end = matches!(request, Request::SessionEnd);
-    let metrics = crate::obs::request_metrics(request.kind());
-    let timer = metrics.seconds.start_timer();
+    let kind = request.kind();
+    let timer = crate::obs::request_seconds(kind).start_timer();
     // Bare requests on a tracing daemon each get a fresh root trace;
     // traced requests continue the caller's.
     let mut serve_span = match tctx {
-        Some(ctx) => trace::continue_from(ctx, stage::SERVE, request.kind()),
-        None => trace::start_root(stage::SERVE, request.kind()),
+        Some(ctx) => trace::continue_from(ctx, stage::SERVE, kind),
+        None => trace::start_root(stage::SERVE, kind),
     };
     let fresh_root = match (&tctx, serve_span.context()) {
         (None, Some(ctx)) => Some(ctx.trace_id),
@@ -1421,14 +1417,14 @@ pub(crate) fn serve_request(
             }
         }
         write(&response)?;
-        metrics.total.inc();
+        crate::obs::requests_total(kind).inc();
     } else {
         write(&response)?;
         // The timer drops while the serve span is still current so
         // the request-latency histogram picks up an exemplar trace
         // id.
         drop(timer);
-        metrics.total.inc();
+        crate::obs::requests_total(kind).inc();
         drop(serve_span);
         // A bare request's fresh root closes with its response.
         if let Some(trace_id) = fresh_root {
@@ -2125,48 +2121,24 @@ mod tests {
         let handle = daemon();
         let mut client = Client::connect(handle.addr()).unwrap();
         let text = client.stats().unwrap();
-        // Pre-registration makes the full set visible before any
-        // sessions run, including every per-type latency series.
-        for name in [
-            "harmony_net_connections_total",
-            "harmony_net_connections_active",
-            "harmony_net_connections_refused_total",
-            "harmony_net_requests_total",
-            "harmony_net_request_seconds",
-            "harmony_net_errors_total",
-            "harmony_net_sessions_started_total",
-            "harmony_net_sessions_completed_total",
-            "harmony_net_sessions_abandoned_total",
-            "harmony_net_warm_start_total",
-            "harmony_net_db_runs",
-            "harmony_net_db_persist_failures_total",
-            "harmony_net_db_snapshot_swaps_total",
-            "harmony_net_retries_total",
-            "harmony_net_resumes_total",
-            "harmony_net_draining_responses_total",
-            "harmony_net_sessions_parked",
-            "harmony_net_session_ttl_expirations_total",
-            "harmony_net_traces_finalized_total",
-            "harmony_net_reactor_wakeups_total",
-            "harmony_net_reactor_ready_events_depth",
-            "harmony_net_reactor_pipelined_requests_total",
-            "harmony_net_reactor_fds_active",
-            "harmony_net_frames_binary_total",
-            "harmony_net_frame_bytes_total{format=\"json\"}",
-            "harmony_net_frame_bytes_total{format=\"binary\"}",
-            "harmony_db_wal_appends_total",
-            "harmony_db_wal_flush_seconds",
-            "harmony_db_compactions_total",
-            "harmony_net_peer_connections_total",
-            "harmony_net_peer_runs_shipped_total",
-            "harmony_net_peer_sessions_shipped_total",
-            "harmony_net_peer_session_resyncs_total",
-            "harmony_net_peer_ship_failures_total",
-            "harmony_net_shard_adoptions_total",
-            "harmony_net_shard_redirects_total",
-            "harmony_net_shard_replica_sessions_entries",
-        ] {
-            assert!(text.contains(name), "missing {name} in:\n{text}");
+        // Pre-registration makes every table's series visible before
+        // any sessions run, including every per-type latency series.
+        for series in crate::obs::DAEMON_SERIES.concat() {
+            let name = series.name;
+            for header in [
+                format!("# HELP {name} {}\n", series.help),
+                format!("# TYPE {name} {}\n", series.kind),
+            ] {
+                assert!(text.contains(&header), "missing {header:?} in:\n{text}");
+            }
+            if let (Some(key), Some(value)) = (series.label, series.value) {
+                let sample = match series.kind {
+                    "histogram" => format!("{name}_count"),
+                    _ => name.to_string(),
+                };
+                let sample = format!("\n{sample}{{{key}=\"{value}\"}} ");
+                assert!(text.contains(&sample), "missing {sample:?} in:\n{text}");
+            }
         }
         for kind in Request::kinds() {
             assert!(

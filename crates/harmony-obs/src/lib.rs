@@ -12,13 +12,14 @@
 //!   [`event::span`] measures scopes. Nothing is written (or even
 //!   allocated) until a sink is installed, so instrumentation can stay
 //!   in release builds.
-//! * [`metrics`] — atomic [`Counter`](metrics::Counter)s,
+//! * [`mod@metrics`] — atomic [`Counter`](metrics::Counter)s,
 //!   [`Gauge`](metrics::Gauge)s, and fixed-bucket
 //!   [`Histogram`](metrics::Histogram)s in a get-or-create
 //!   [`Registry`](metrics::Registry), with Prometheus-style text
 //!   exposition via [`metrics::Registry::encode`]. The
 //!   [`metrics::global`] registry is what `harmony-net`'s `Stats`
-//!   message serves over the wire.
+//!   message serves over the wire. Each instrumented crate declares its
+//!   handles once, one row each, in a [`metrics!`] table.
 //! * [`trace`] — distributed tracing: span trees with trace/span/parent
 //!   IDs and monotonic timestamps, a thread-local current-span context
 //!   that composes with [`event::span`], and a bounded flight recorder

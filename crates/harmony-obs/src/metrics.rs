@@ -239,11 +239,189 @@ enum Kind {
 impl Kind {
     fn type_name(&self) -> &'static str {
         match self {
-            Kind::Counter(_) => "counter",
-            Kind::Gauge(_) => "gauge",
-            Kind::Histogram(_) => "histogram",
+            Kind::Counter(_) => Counter::KIND,
+            Kind::Gauge(_) => Gauge::KIND,
+            Kind::Histogram(_) => Histogram::KIND,
         }
     }
+}
+
+/// The three handle kinds, so one [`metrics!`](crate::metrics!) arm
+/// registers any of them.
+pub trait Metric: Sized {
+    /// The kind's word on a `# TYPE` line.
+    const KIND: &'static str;
+
+    /// Get or register this handle in the [`global`] registry. Only a
+    /// histogram reads `buckets`.
+    fn register(name: &str, help: &str, buckets: &[f64], labels: &[(&str, &str)]) -> Arc<Self>;
+}
+
+impl Metric for Counter {
+    const KIND: &'static str = "counter";
+
+    fn register(name: &str, help: &str, _: &[f64], labels: &[(&str, &str)]) -> Arc<Self> {
+        global().counter_with(name, help, labels)
+    }
+}
+
+impl Metric for Gauge {
+    const KIND: &'static str = "gauge";
+
+    fn register(name: &str, help: &str, _: &[f64], labels: &[(&str, &str)]) -> Arc<Self> {
+        global().gauge_with(name, help, labels)
+    }
+}
+
+impl Metric for Histogram {
+    const KIND: &'static str = "histogram";
+
+    fn register(name: &str, help: &str, buckets: &[f64], labels: &[(&str, &str)]) -> Arc<Self> {
+        global().histogram_with(name, help, buckets, labels)
+    }
+}
+
+/// One row of a [`metrics!`](crate::metrics!) table, as data.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Series {
+    /// The exposition name.
+    pub name: &'static str,
+    /// [`Metric::KIND`] of the handle.
+    pub kind: &'static str,
+    /// The `# HELP` text.
+    pub help: &'static str,
+    /// The label key, for a fixed-label row or a family.
+    pub label: Option<&'static str>,
+    /// The label value of a fixed-label row (`None` for a family).
+    pub value: Option<&'static str>,
+}
+
+/// The handles of a family row, one per label value, built on first use.
+#[doc(hidden)]
+pub type FamilyCache<M> = OnceLock<Vec<(&'static str, Arc<M>)>>;
+
+/// The family accessor [`metrics!`](crate::metrics!) generates: a scan
+/// of the cached handles, so only the first call takes the registry
+/// lock.
+#[doc(hidden)]
+pub fn family<M: Metric, I: IntoIterator<Item = &'static str>>(
+    cache: &'static FamilyCache<M>,
+    values: impl FnOnce() -> I,
+    (name, help, buckets, key): (&str, &str, &[f64], &str),
+    value: &str,
+) -> &'static Arc<M> {
+    cache
+        .get_or_init(|| {
+            values()
+                .into_iter()
+                .map(|v| (v, M::register(name, help, buckets, &[(key, v)])))
+                .collect()
+        })
+        .iter()
+        .find(|(v, _)| *v == value)
+        .map(|(_, handle)| handle)
+        .unwrap_or_else(|| panic!("{name}: {key} {value:?} is not among its row's values"))
+}
+
+/// Declare a crate's metric handles, one row per handle, and generate
+/// everything else from the rows:
+///
+/// * one accessor per row, caching its handle in a `OnceLock` so only
+///   the first call takes the registry lock;
+/// * `pub const SERIES: &[Series]`, the rows as data;
+/// * `pub fn preregister()`, which touches every row, so an exposition
+///   shows each series (at zero) before its first use.
+///
+/// A row is `vis fn accessor: Kind = "name", "help";` where `Kind` is
+/// `Counter`, `Gauge` or `Histogram(buckets)`. A fixed label goes after
+/// the name (`"name" { key = "value" }`); one row per value spells a
+/// family whose values are handles of their own. A family whose
+/// accessor takes the value is `fn accessor(key in values)`, where
+/// `values` is any `IntoIterator<Item = &'static str>`; asking for a
+/// value outside it panics.
+///
+/// ```
+/// use harmony_obs::metrics::LATENCY_SECONDS;
+///
+/// harmony_obs::metrics! {
+///     pub fn jobs_total: Counter = "doc_jobs_total", "Jobs run.";
+///     pub fn queue_depth: Gauge = "doc_queue_depth", "Jobs waiting.";
+///     pub fn job_seconds: Histogram(LATENCY_SECONDS) = "doc_job_seconds", "Job wall time.";
+///     pub fn hits_total: Counter = "doc_lookups_total" { result = "hit" }, "Lookups, by outcome.";
+///     pub fn misses_total: Counter = "doc_lookups_total" { result = "miss" }, "Lookups, by outcome.";
+///     pub fn runs_total(engine in ["fast", "slow"]): Counter = "doc_runs_total", "Runs, by engine.";
+/// }
+///
+/// jobs_total().inc();
+/// runs_total("fast").inc();
+/// preregister();
+/// assert_eq!(SERIES.len(), 6);
+/// let text = harmony_obs::global().encode();
+/// assert!(text.contains("doc_runs_total{engine=\"slow\"} 0"));
+/// assert!(text.contains("doc_lookups_total{result=\"miss\"} 0"));
+/// ```
+#[macro_export]
+macro_rules! metrics {
+    ($(
+        $vis:vis fn $fn:ident $(($fkey:ident in $values:expr))?: $kind:ident $(($buckets:expr))?
+            = $name:literal $({ $key:ident = $value:literal })?, $help:literal;
+    )*) => {
+        $($crate::metrics!(
+            @accessor [$vis] $fn [$($fkey in $values)?] $kind [$($buckets)?] $name, $help, [$($key = $value)?]
+        );)*
+
+        /// Every row of this crate's metric table.
+        pub const SERIES: &[$crate::metrics::Series] = &[$($crate::metrics::Series {
+            name: $name,
+            kind: <$crate::metrics::$kind as $crate::metrics::Metric>::KIND,
+            help: $help,
+            label: $crate::metrics!(@some $(stringify!($key))? $(stringify!($fkey))?),
+            value: $crate::metrics!(@some $($value)?),
+        },)*];
+
+        /// Register every series of this crate's metric table, so an
+        /// exposition shows them (at zero) before their first use.
+        pub fn preregister() {
+            $($crate::metrics!(@touch $fn [$($fkey in $values)?]);)*
+        }
+    };
+    (@accessor [$vis:vis] $fn:ident [] $kind:ident [$($buckets:expr)?] $name:literal, $help:literal,
+        [$($key:ident = $value:literal)?]) => {
+        #[doc = $help]
+        $vis fn $fn() -> &'static ::std::sync::Arc<$crate::metrics::$kind> {
+            static H: ::std::sync::OnceLock<::std::sync::Arc<$crate::metrics::$kind>> =
+                ::std::sync::OnceLock::new();
+            H.get_or_init(|| {
+                <$crate::metrics::$kind as $crate::metrics::Metric>::register(
+                    $name,
+                    $help,
+                    $crate::metrics!(@buckets $($buckets)?),
+                    &[$((stringify!($key), $value))?],
+                )
+            })
+        }
+    };
+    (@accessor [$vis:vis] $fn:ident [$fkey:ident in $values:expr] $kind:ident [$($buckets:expr)?]
+        $name:literal, $help:literal, []) => {
+        #[doc = $help]
+        $vis fn $fn(value: &str) -> &'static ::std::sync::Arc<$crate::metrics::$kind> {
+            static H: $crate::metrics::FamilyCache<$crate::metrics::$kind> =
+                ::std::sync::OnceLock::new();
+            let row: (&str, &str, &[f64], &str) =
+                ($name, $help, $crate::metrics!(@buckets $($buckets)?), stringify!($fkey));
+            $crate::metrics::family(&H, || $values, row, value)
+        }
+    };
+    (@buckets) => { &[] };
+    (@buckets $buckets:expr) => { $buckets };
+    (@some) => { None };
+    (@some $x:expr) => { Some($x) };
+    (@touch $fn:ident []) => { $fn(); };
+    (@touch $fn:ident [$fkey:ident in $values:expr]) => {
+        for value in $values {
+            $fn(value);
+        }
+    };
 }
 
 #[derive(Debug)]

@@ -52,35 +52,71 @@ use std::sync::{Mutex, OnceLock};
 
 use crate::event::monotonic_us;
 
-/// Well-known stage tags. Stages are open-ended strings; these are the
-/// ones the harmony pipeline emits, named here so call sites and the
-/// CI span-name lint agree on spelling.
+/// A span's stage tag. Only this crate constructs one, so every span
+/// opened anywhere names one of the [`stage`] constants and the trace
+/// report always agrees on their spelling. A [`SpanRecord`] keeps its
+/// stage as a `String`, because spans also arrive over the wire.
+///
+/// Neither an inline stage string nor a home-made `Stage` compiles:
+///
+/// ```compile_fail
+/// let _span = harmony_obs::trace::child("eval", "");
+/// ```
+///
+/// ```compile_fail
+/// let _span = harmony_obs::trace::child(harmony_obs::trace::Stage("eval"), "");
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Stage(&'static str);
+
+impl Stage {
+    /// The tag as recorded, e.g. `"classify"`.
+    pub fn as_str(self) -> &'static str {
+        self.0
+    }
+}
+
+impl std::fmt::Display for Stage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.0)
+    }
+}
+
+impl PartialEq<Stage> for String {
+    fn eq(&self, stage: &Stage) -> bool {
+        self == stage.0
+    }
+}
+
+/// The stages the harmony pipeline emits.
 pub mod stage {
+    use super::Stage;
+
     /// Reading one request frame off the socket (daemon side).
-    pub const NET_READ: &str = "net.read";
+    pub const NET_READ: Stage = Stage("net.read");
     /// One client-side request round trip (detail = request kind).
-    pub const NET_RPC: &str = "net.rpc";
+    pub const NET_RPC: Stage = Stage("net.rpc");
     /// Daemon-side handling of one request (detail = request kind).
-    pub const SERVE: &str = "serve";
+    pub const SERVE: Stage = Stage("serve");
     /// Time a batch item waited before a worker claimed it.
-    pub const QUEUE_WAIT: &str = "queue.wait";
+    pub const QUEUE_WAIT: Stage = Stage("queue.wait");
     /// A worker running one batch item's objective function.
-    pub const EXEC_RUN: &str = "exec.run";
+    pub const EXEC_RUN: Stage = Stage("exec.run");
     /// Measuring one proposed configuration.
-    pub const EVAL: &str = "eval";
+    pub const EVAL: Stage = Stage("eval");
     /// Classifying a new session against the experience database.
-    pub const CLASSIFY: &str = "classify";
+    pub const CLASSIFY: Stage = Stage("classify");
     /// Replaying prior-run experience into a fresh session (§4.2).
-    pub const WARM_START: &str = "warm_start";
+    pub const WARM_START: Stage = Stage("warm_start");
     /// Handing a completed run to the write-ahead-log flusher.
-    pub const WAL_APPEND: &str = "wal.append";
+    pub const WAL_APPEND: Stage = Stage("wal.append");
     /// One simplex (or engine) observe step.
-    pub const SIMPLEX_STEP: &str = "simplex.step";
+    pub const SIMPLEX_STEP: Stage = Stage("simplex.step");
     /// The root span of a whole tuning session.
-    pub const SESSION: &str = "session";
+    pub const SESSION: Stage = Stage("session");
     /// One replicated message, from its send to its peer's answer
     /// (detail = message kind).
-    pub const PEER_SHIP: &str = "peer.ship";
+    pub const PEER_SHIP: Stage = Stage("peer.ship");
 }
 
 /// The two numbers that identify "where we are" in a trace: which
@@ -293,14 +329,14 @@ pub struct TraceSpan {
 struct SpanInner {
     ctx: TraceContext,
     parent: u64,
-    stage: String,
+    stage: Stage,
     detail: String,
     start_us: u64,
     error: bool,
 }
 
 impl TraceSpan {
-    fn open(trace_id: u64, parent: u64, stage: &str, detail: &str) -> TraceSpan {
+    fn open(trace_id: u64, parent: u64, stage: Stage, detail: &str) -> TraceSpan {
         let ctx = TraceContext {
             trace_id,
             span_id: new_id(),
@@ -310,7 +346,7 @@ impl TraceSpan {
             inner: Some(SpanInner {
                 ctx,
                 parent,
-                stage: stage.to_string(),
+                stage,
                 detail: detail.to_string(),
                 start_us: monotonic_us(),
                 error: false,
@@ -349,7 +385,7 @@ impl Drop for TraceSpan {
             inner.ctx.trace_id,
             inner.ctx.span_id,
             inner.parent,
-            &inner.stage,
+            inner.stage,
             &inner.detail,
             inner.start_us,
             monotonic_us(),
@@ -359,7 +395,7 @@ impl Drop for TraceSpan {
 }
 
 /// Start a brand-new trace rooted at a span with the given stage.
-pub fn start_root(stage: &str, detail: &str) -> TraceSpan {
+pub fn start_root(stage: Stage, detail: &str) -> TraceSpan {
     if !is_enabled() {
         return TraceSpan { inner: None };
     }
@@ -368,7 +404,7 @@ pub fn start_root(stage: &str, detail: &str) -> TraceSpan {
 
 /// Open a span continuing a trace whose context arrived from elsewhere
 /// (another thread or over the wire).
-pub fn continue_from(ctx: TraceContext, stage: &str, detail: &str) -> TraceSpan {
+pub fn continue_from(ctx: TraceContext, stage: Stage, detail: &str) -> TraceSpan {
     if !is_enabled() || ctx.trace_id == 0 {
         return TraceSpan { inner: None };
     }
@@ -377,7 +413,7 @@ pub fn continue_from(ctx: TraceContext, stage: &str, detail: &str) -> TraceSpan 
 
 /// Open a child of the innermost span on this thread; inert when no
 /// trace is current.
-pub fn child(stage: &str, detail: &str) -> TraceSpan {
+pub fn child(stage: Stage, detail: &str) -> TraceSpan {
     match current() {
         Some(ctx) => TraceSpan::open(ctx.trace_id, ctx.span_id, stage, detail),
         None => TraceSpan { inner: None },
@@ -394,7 +430,7 @@ pub fn record_span(
     trace_id: u64,
     id: u64,
     parent: u64,
-    stage: &str,
+    stage: Stage,
     detail: &str,
     start_us: u64,
     end_us: u64,
@@ -800,6 +836,43 @@ mod tests {
         // Not everything is kept.
         assert!(dump.len() < 10, "{ids:?}");
         disable();
+    }
+
+    /// Spans from other processes and the CLI's trace report match
+    /// stages by these spellings.
+    #[test]
+    fn stage_spellings_are_pinned() {
+        let stages = [
+            stage::NET_READ,
+            stage::NET_RPC,
+            stage::SERVE,
+            stage::QUEUE_WAIT,
+            stage::EXEC_RUN,
+            stage::EVAL,
+            stage::CLASSIFY,
+            stage::WARM_START,
+            stage::WAL_APPEND,
+            stage::SIMPLEX_STEP,
+            stage::SESSION,
+            stage::PEER_SHIP,
+        ];
+        assert_eq!(
+            stages.map(Stage::as_str),
+            [
+                "net.read",
+                "net.rpc",
+                "serve",
+                "queue.wait",
+                "exec.run",
+                "eval",
+                "classify",
+                "warm_start",
+                "wal.append",
+                "simplex.step",
+                "session",
+                "peer.ship",
+            ]
+        );
     }
 
     #[test]

@@ -20,6 +20,11 @@ use harmony_obs::event::{event, Level};
 use harmony_space::{Configuration, ParameterSpace};
 use std::time::Instant;
 
+/// Every engine's registry name, in registry order. `harmony-engines`
+/// builds exactly these, and the `harmony_engine_*` series carry one
+/// label set per name.
+pub const ENGINE_NAMES: [&str; 3] = ["simplex", "divide-diverge", "tuneful"];
+
 /// An ask-tell search engine over a discrete [`ParameterSpace`],
 /// maximizing.
 ///
@@ -41,7 +46,7 @@ use std::time::Instant;
 /// discarded, and the trajectory is bit-identical to one-at-a-time
 /// stepping at any job count.
 pub trait SearchEngine {
-    /// The engine's registry name.
+    /// The engine's registry name, one of [`ENGINE_NAMES`].
     fn name(&self) -> &'static str;
 
     /// The space being searched.
@@ -144,15 +149,16 @@ where
     F: FnMut(&Configuration) -> Result<f64, E>,
 {
     let started = Instant::now();
-    let metrics = crate::obs::engine_metrics(engine.name());
+    let proposals = crate::obs::engine_proposals_total(engine.name());
+    let evaluations = crate::obs::engine_evaluations_total(engine.name());
     let mut trace = Vec::new();
     while let Some(config) = engine.next_config() {
-        metrics.proposals.inc();
+        proposals.inc();
         let performance = measure(&config)?;
         engine
             .observe(performance)
             .expect("a proposal is outstanding");
-        metrics.evaluations.inc();
+        evaluations.inc();
         trace.push(TraceEntry {
             iteration: trace.len(),
             config,
@@ -182,14 +188,15 @@ where
     E: Send,
 {
     let started = Instant::now();
-    let metrics = crate::obs::engine_metrics(engine.name());
+    let proposals = crate::obs::engine_proposals_total(engine.name());
+    let evaluations = crate::obs::engine_evaluations_total(engine.name());
     let mut trace = Vec::new();
     loop {
         let batch = engine.next_batch();
         if batch.is_empty() {
             break;
         }
-        metrics.proposals.add(batch.len() as u64);
+        proposals.add(batch.len() as u64);
         let performances = match cache {
             Some(c) => executor.try_evaluate_batch_cached(&batch, c, measure)?,
             None => executor
@@ -200,7 +207,7 @@ where
         let used = engine
             .observe_batch(&performances)
             .expect("batch proposals are outstanding");
-        metrics.evaluations.add(used as u64);
+        evaluations.add(used as u64);
         for (config, &performance) in batch.into_iter().zip(&performances).take(used) {
             trace.push(TraceEntry {
                 iteration: trace.len(),

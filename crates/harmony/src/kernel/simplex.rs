@@ -261,7 +261,7 @@ impl SimplexKernel {
     /// decides what those points are worth.
     pub fn refresh(&mut self) {
         if !self.vertices.is_empty() && self.initialized() {
-            crate::obs::simplex_ops().refresh.inc();
+            crate::obs::simplex_refresh_total().inc();
             self.state = State::Refresh { idx: 0 };
         }
     }
@@ -340,7 +340,7 @@ impl SimplexKernel {
                 let second_worst = self.second_worst_value();
                 if value > best {
                     // Try to expand past the reflection.
-                    crate::obs::simplex_ops().expand.inc();
+                    crate::obs::simplex_expand_total().inc();
                     let expand = vecops::lerp(&centroid, &point, self.opts.gamma);
                     self.state = State::Expand {
                         point: expand,
@@ -360,7 +360,7 @@ impl SimplexKernel {
                     } else {
                         self.vertices[self.worst_index()].point.clone()
                     };
-                    crate::obs::simplex_ops().contract.inc();
+                    crate::obs::simplex_contract_total().inc();
                     let contract = vecops::lerp(&centroid, &target, self.opts.rho);
                     self.state = State::Contract {
                         point: contract,
@@ -519,7 +519,7 @@ impl SimplexKernel {
     /// Compute the next reflection proposal.
     fn begin_iteration(&mut self) {
         debug_assert!(!self.vertices.is_empty());
-        crate::obs::simplex_ops().reflect.inc();
+        crate::obs::simplex_reflect_total().inc();
         let w = self.worst_index();
         let others: Vec<&[f64]> = self
             .vertices
@@ -584,7 +584,7 @@ impl SimplexKernel {
     }
 
     fn begin_shrink(&mut self) {
-        crate::obs::simplex_ops().shrink.inc();
+        crate::obs::simplex_shrink_total().inc();
         self.continue_shrink(0);
     }
 

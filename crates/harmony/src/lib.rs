@@ -55,7 +55,6 @@ pub mod history;
 pub mod kernel;
 pub mod objective;
 pub mod obs;
-pub use obs::{preregister_db_metrics, preregister_engine_metrics};
 pub mod report;
 pub mod search;
 pub mod sensitivity;

@@ -118,7 +118,7 @@ fn traced_session_leaves_a_complete_span_tree() {
         stage::WAL_APPEND,
     ] {
         assert!(
-            stages.contains(required),
+            stages.contains(required.as_str()),
             "missing stage {required}: {stages:?}"
         );
     }

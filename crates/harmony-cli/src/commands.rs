@@ -4,7 +4,7 @@
 use crate::args::{Command, ServeArgs, TuneArgs, WireChoice};
 use crate::external::ExternalObjective;
 use harmony::engine::{drive, drive_parallel, SearchEngine};
-use harmony::history::{DataAnalyzer, ExperienceDb};
+use harmony::history::{DataAnalyzer, Experience, ExperienceDb};
 use harmony::kernel::SimplexOptions;
 use harmony::prelude::*;
 use harmony::sensitivity::Prioritizer;
@@ -233,11 +233,11 @@ fn mix_by_name(name: &str) -> Result<WorkloadMix, RunError> {
 /// finished run's records are saved back.
 fn tune_with_engine(out: &mut String, args: &TuneArgs) -> Result<(), RunError> {
     let space = load_space(&args.rsl)?;
-    let mut database = match &args.db {
+    let mut experience = match &args.db {
         Some(path) if fs::metadata(path).is_ok() => {
-            ExperienceDb::load(path).map_err(|e| fail(e.to_string()))?
+            Experience::new(ExperienceDb::load(path).map_err(|e| fail(e.to_string()))?)
         }
-        _ => ExperienceDb::new(),
+        _ => Experience::default(),
     };
     let obj = ExternalObjective::new(space.clone(), args.measure.clone());
     let name = args.engine.as_deref().unwrap_or("simplex");
@@ -264,14 +264,10 @@ fn tune_with_engine(out: &mut String, args: &TuneArgs) -> Result<(), RunError> {
         // system, not the search.
         spec.build(space.clone(), args.iterations, registry::DEFAULT_SEED)
     };
-    // A match recorded over a space of another arity cannot seed this
-    // search: it is skipped, and the run tunes cold.
     let prior = if args.characteristics.is_empty() {
         None
     } else {
-        DataAnalyzer::new()
-            .select(&database, &args.characteristics)
-            .filter(|run| run.fits(&space))
+        experience.prior_for(&DataAnalyzer::new(), &space, &args.characteristics)
     };
     if let Some(history) = &prior {
         let _ = writeln!(out, "training from prior run {:?}", history.label);
@@ -312,9 +308,10 @@ fn tune_with_engine(out: &mut String, args: &TuneArgs) -> Result<(), RunError> {
     );
 
     if let Some(path) = &args.db {
-        database.add_run(outcome.to_history(args.label.clone(), args.characteristics.clone()));
-        database.save(path).map_err(|e| fail(e.to_string()))?;
-        let _ = writeln!(out, "experience saved to {path} ({} runs)", database.len());
+        experience.record(outcome.to_history(args.label.clone(), args.characteristics.clone()));
+        let db = experience.db();
+        db.save(path).map_err(|e| fail(e.to_string()))?;
+        let _ = writeln!(out, "experience saved to {path} ({} runs)", db.len());
     }
     Ok(())
 }

@@ -181,11 +181,6 @@ impl Matrix {
         g
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
     /// Maximum absolute entry; 0 for an empty matrix.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0f64, |m, x| m.max(x.abs()))
@@ -334,7 +329,6 @@ mod tests {
     #[test]
     fn norms() {
         let m = Matrix::from_rows(&[vec![3.0, 0.0], vec![0.0, -4.0]]);
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-12);
         assert_eq!(m.max_abs(), 4.0);
         assert!(m.is_finite());
         let mut bad = m.clone();

@@ -34,7 +34,6 @@ const PIVOT_EPS: f64 = 1e-12;
 pub struct LuFactors {
     lu: Matrix,
     perm: Vec<usize>,
-    sign: f64,
 }
 
 impl LuFactors {
@@ -46,7 +45,6 @@ impl LuFactors {
         let n = a.rows();
         let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut sign = 1.0;
 
         for k in 0..n {
             // Partial pivoting: bring the largest remaining |entry| in
@@ -66,7 +64,6 @@ impl LuFactors {
             if pivot_row != k {
                 lu.swap_rows(pivot_row, k);
                 perm.swap(pivot_row, k);
-                sign = -sign;
             }
             let pivot = lu[(k, k)];
             for r in (k + 1)..n {
@@ -80,17 +77,12 @@ impl LuFactors {
                 }
             }
         }
-        Ok(LuFactors { lu, perm, sign })
-    }
-
-    /// Dimension of the factored matrix.
-    pub fn dim(&self) -> usize {
-        self.lu.rows()
+        Ok(LuFactors { lu, perm })
     }
 
     /// Solve `A·x = b` using the stored factors.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LuError> {
-        let n = self.dim();
+        let n = self.lu.rows();
         if b.len() != n {
             return Err(LuError::DimensionMismatch);
         }
@@ -111,16 +103,6 @@ impl LuFactors {
             x[i] = s / self.lu[(i, i)];
         }
         Ok(x)
-    }
-
-    /// Determinant of the original matrix (product of U's diagonal, signed
-    /// by the permutation parity).
-    pub fn det(&self) -> f64 {
-        let mut d = self.sign;
-        for i in 0..self.dim() {
-            d *= self.lu[(i, i)];
-        }
-        d
     }
 }
 
@@ -180,15 +162,6 @@ mod tests {
     fn rhs_mismatch_rejected() {
         let a = Matrix::identity(2);
         assert_eq!(lu_solve(&a, &[1.0]), Err(LuError::DimensionMismatch));
-    }
-
-    #[test]
-    fn determinant_of_permutation() {
-        let a = Matrix::from_rows(&[vec![0.0, 1.0], vec![1.0, 0.0]]);
-        let f = LuFactors::new(&a).unwrap();
-        assert!((f.det() + 1.0).abs() < 1e-12);
-        let i = LuFactors::new(&Matrix::identity(4)).unwrap();
-        assert!((i.det() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -22,15 +22,6 @@ pub fn std_dev(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64).sqrt()
 }
 
-/// Sample standard deviation (n−1 denominator); 0.0 for slices shorter than 2.
-pub fn sample_std_dev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64).sqrt()
-}
-
 /// Minimum; `None` for an empty slice or if any element is NaN-incomparable.
 pub fn min(xs: &[f64]) -> Option<f64> {
     xs.iter().copied().fold(None, |acc, x| match acc {
@@ -248,7 +239,6 @@ mod tests {
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
         assert_eq!(std_dev(&[5.0]), 0.0);
         assert!((std_dev(&[2.0, 4.0]) - 1.0).abs() < 1e-12);
-        assert!((sample_std_dev(&[2.0, 4.0]) - (2.0f64).sqrt()).abs() < 1e-12);
     }
 
     #[test]

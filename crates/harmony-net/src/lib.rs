@@ -83,6 +83,7 @@ pub mod protocol;
 #[cfg(unix)]
 pub(crate) mod reactor;
 pub mod server;
+mod store;
 pub mod wire;
 
 pub use client::RetryPolicy;

@@ -29,8 +29,6 @@ harmony_obs::metrics! {
         "In-protocol Error responses sent to clients, plus requests that panicked.";
     pub(crate) fn sessions_started_total: Counter = "harmony_net_sessions_started_total",
         "Tuning sessions opened via SessionStart.";
-    pub(crate) fn sessions_completed_total: Counter = "harmony_net_sessions_completed_total",
-        "Tuning sessions closed cleanly via SessionEnd.";
     pub(crate) fn sessions_abandoned_total: Counter = "harmony_net_sessions_abandoned_total",
         "Sessions whose connection dropped before SessionEnd (measured work is still recorded).";
     pub(crate) fn warm_start_hits_total: Counter = "harmony_net_warm_start_total" { result = "hit" },

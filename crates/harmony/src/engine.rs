@@ -11,6 +11,7 @@
 //! `harmony-engines`. [`drive`] and [`drive_parallel`] are the only
 //! in-process ask-tell loops: [`Tuner::run`](crate::tuner::Tuner::run),
 //! the CLI's local `tune` and the engine tournament all go through them.
+//! Every run ends in [`finish`]: theirs, and a daemon session's.
 
 use crate::history::RunHistory;
 use crate::report::{analyze_trace, ReportOptions, TraceEntry};
@@ -112,18 +113,22 @@ pub trait SearchEngine {
     }
 }
 
-/// Close a driven run: analyze its trace and account for it.
-fn finish(engine: &dyn SearchEngine, trace: Vec<TraceEntry>, started: Instant) -> TuningOutcome {
+/// Close a run: analyze its trace and account for it — the report, the
+/// `tune.finish` event and the `harmony_sessions_finished_total`,
+/// `harmony_session_wall_seconds` and converged-run series. The one
+/// end-of-run path: [`drive`], [`drive_parallel`] and a daemon session's
+/// `SessionEnd` all end here. `t0` is when the run began; for a
+/// daemon session, when this process built it.
+pub fn finish(engine: &dyn SearchEngine, trace: Vec<TraceEntry>, t0: Instant) -> TuningOutcome {
     let (best_configuration, best_performance) = engine
         .best()
         .unwrap_or_else(|| (engine.space().default_configuration(), f64::NEG_INFINITY));
     let converged = engine.converged();
     crate::obs::sessions_finished_total().inc();
     if converged {
-        crate::obs::sessions_converged_total().inc();
         crate::obs::engine_converged_iterations().observe(trace.len() as f64);
     }
-    crate::obs::session_wall_seconds().observe(started.elapsed().as_secs_f64());
+    crate::obs::session_wall_seconds().observe(t0.elapsed().as_secs_f64());
     event(Level::Info, "tune.finish")
         .u64("iterations", trace.len() as u64)
         .u64("training_iterations", engine.training_iterations() as u64)

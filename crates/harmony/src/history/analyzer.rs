@@ -69,17 +69,12 @@ impl DataAnalyzer {
     }
 
     /// Select the experience to train from, or `None` when the workload is
-    /// effectively new.
-    pub fn select(&self, db: &ExperienceDb, observed: &[f64]) -> Option<RunHistory> {
-        self.select_with(db, None, observed)
-    }
-
-    /// [`select`](Self::select) with an optional prebuilt
-    /// [`CharacteristicsIndex`] over `db`'s current contents. With an
-    /// index the distance-based classifiers answer from the k-d
-    /// partition instead of scanning every run; results are
-    /// bit-identical either way, so callers may pass `None` freely (the
-    /// daemon passes its per-snapshot index).
+    /// effectively new. `index`, when given, is a prebuilt
+    /// [`CharacteristicsIndex`] over `db`'s current contents: the
+    /// distance-based classifiers then answer from the k-d partition
+    /// instead of scanning every run. Results are bit-identical either
+    /// way; [`Experience::prior_for`](crate::history::Experience::prior_for)
+    /// passes its own index.
     pub fn select_with(
         &self,
         db: &ExperienceDb,
@@ -161,7 +156,7 @@ mod tests {
     #[test]
     fn least_squares_selects_nearest() {
         let an = DataAnalyzer::new();
-        let sel = an.select(&db(), &[0.9, 0.1]).unwrap();
+        let sel = an.select_with(&db(), None, &[0.9, 0.1]).unwrap();
         assert_eq!(sel.label, "b");
     }
 
@@ -169,16 +164,16 @@ mod tests {
     fn distance_gate_rejects_far_matches() {
         let an = DataAnalyzer::new().with_max_match_distance(0.2);
         assert!(
-            an.select(&db(), &[0.5, 0.5]).is_none(),
+            an.select_with(&db(), None, &[0.5, 0.5]).is_none(),
             "all runs are ~0.7 away"
         );
-        assert!(an.select(&db(), &[0.05, 0.05]).is_some());
+        assert!(an.select_with(&db(), None, &[0.05, 0.05]).is_some());
     }
 
     #[test]
     fn knn_merges_records() {
         let an = DataAnalyzer::new().with_classifier(Classifier::KNearest(2));
-        let sel = an.select(&db(), &[0.4, 0.4]).unwrap();
+        let sel = an.select_with(&db(), None, &[0.4, 0.4]).unwrap();
         assert_eq!(sel.records.len(), 2, "two nearest runs merged");
         assert!(sel.label.starts_with("knn:"));
         assert_eq!(sel.characteristics, vec![0.4, 0.4]);
@@ -190,7 +185,7 @@ mod tests {
             .with_classifier(Classifier::KNearest(3))
             .with_max_match_distance(0.5);
         // Only run "a" is within 0.5 of the origin-ish observation.
-        let sel = an.select(&db(), &[0.1, 0.1]).unwrap();
+        let sel = an.select_with(&db(), None, &[0.1, 0.1]).unwrap();
         assert_eq!(sel.records.len(), 1);
     }
 
@@ -203,7 +198,7 @@ mod tests {
             for observed in [&[0.9, 0.1][..], &[0.4, 0.4], &[0.05, 0.05], &[0.5]] {
                 assert_eq!(
                     an.select_with(&database, Some(&index), observed),
-                    an.select(&database, observed),
+                    an.select_with(&database, None, observed),
                     "at {observed:?}"
                 );
             }
@@ -213,7 +208,7 @@ mod tests {
     #[test]
     fn empty_db_yields_none() {
         let an = DataAnalyzer::new();
-        assert!(an.select(&ExperienceDb::new(), &[0.1]).is_none());
+        assert!(an.select_with(&ExperienceDb::new(), None, &[0.1]).is_none());
     }
 
     #[test]
@@ -224,12 +219,12 @@ mod tests {
             .expect("trainable");
         let an = DataAnalyzer::new().with_classifier(Classifier::DecisionTree(tree));
         // The tree memorizes the three stored characteristic vectors.
-        let sel = an.select(&database, &[1.0, 0.0]).unwrap();
+        let sel = an.select_with(&database, None, &[1.0, 0.0]).unwrap();
         assert_eq!(sel.label, "b");
-        let sel = an.select(&database, &[0.0, 1.0]).unwrap();
+        let sel = an.select_with(&database, None, &[0.0, 1.0]).unwrap();
         assert_eq!(sel.label, "c");
         // Wrong arity: treated as unclassifiable.
-        assert!(an.select(&database, &[0.5]).is_none());
+        assert!(an.select_with(&database, None, &[0.5]).is_none());
     }
 
     #[test]
@@ -243,7 +238,7 @@ mod tests {
             .with_max_match_distance(0.1);
         // The tree will pick *some* run for a far-away observation, but
         // the gate rejects it.
-        assert!(an.select(&database, &[5.0, 5.0]).is_none());
+        assert!(an.select_with(&database, None, &[5.0, 5.0]).is_none());
     }
 
     #[test]

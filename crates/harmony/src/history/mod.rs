@@ -7,6 +7,7 @@
 
 mod analyzer;
 mod db;
+mod experience;
 mod index;
 mod kmeans;
 mod record;
@@ -15,6 +16,7 @@ pub mod wal;
 
 pub use analyzer::{Classifier, DataAnalyzer};
 pub use db::{DbError, ExperienceDb};
+pub use experience::Experience;
 pub use index::CharacteristicsIndex;
 pub use kmeans::kmeans;
 pub use record::{RunHistory, TuningRecord};

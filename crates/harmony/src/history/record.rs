@@ -1,6 +1,6 @@
 //! Tuning records and per-run histories.
 
-use harmony_space::{Configuration, ParameterSpace};
+use harmony_space::Configuration;
 use serde::{Deserialize, Serialize};
 
 /// One explored configuration and its measured performance.
@@ -62,14 +62,6 @@ impl RunHistory {
             .max_by(|a, b| a.performance.total_cmp(&b.performance))
     }
 
-    /// Whether this run's records can seed a search over `space`: each
-    /// holds one value per parameter. A run recorded over a space of
-    /// another arity is no prior for it, however close its
-    /// characteristics.
-    pub fn fits(&self, space: &ParameterSpace) -> bool {
-        self.records.iter().all(|r| r.values.len() == space.len())
-    }
-
     /// The `k` best records, best first.
     pub fn top_k(&self, k: usize) -> Vec<&TuningRecord> {
         let mut v: Vec<&TuningRecord> = self.records.iter().collect();
@@ -102,24 +94,6 @@ mod tests {
         let top2: Vec<f64> = run.top_k(2).iter().map(|r| r.performance).collect();
         assert_eq!(top2, vec![30.0, 20.0]);
         assert_eq!(run.top_k(99).len(), 3);
-    }
-
-    #[test]
-    fn fits_only_spaces_of_the_recorded_arity() {
-        use harmony_space::ParamDef;
-        let space = |n: usize| {
-            (0..n)
-                .fold(ParameterSpace::builder(), |b, i| {
-                    b.param(ParamDef::int(format!("p{i}"), 0, 9, 0, 1))
-                })
-                .build()
-                .unwrap()
-        };
-        let mut run = RunHistory::new("w", vec![0.5]);
-        assert!(run.fits(&space(1)) && run.fits(&space(2)), "no records");
-        run.push(&Configuration::new(vec![4]), 1.0);
-        assert!(run.fits(&space(1)));
-        assert!(!run.fits(&space(2)));
     }
 
     #[test]

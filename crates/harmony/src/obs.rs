@@ -17,14 +17,10 @@ const SESSION_SECONDS: &[f64] = &[
 const CONVERGED_ITERATIONS: &[f64] = &[5.0, 10.0, 20.0, 40.0, 80.0, 160.0, 320.0, 640.0];
 
 harmony_obs::metrics! {
-    pub(crate) fn iterations_total: Counter = "harmony_session_iterations_total",
-        "Live tuning iterations observed across all sessions.";
     pub(crate) fn sessions_finished_total: Counter = "harmony_sessions_finished_total",
-        "Tuning runs driven to the end in-process.";
-    pub(crate) fn sessions_converged_total: Counter = "harmony_sessions_converged_total",
-        "Finished runs stopped by their convergence criteria rather than the budget.";
+        "Tuning runs driven to the end, or daemon sessions closed by SessionEnd.";
     pub(crate) fn session_wall_seconds: Histogram(SESSION_SECONDS) = "harmony_session_wall_seconds",
-        "Wall time of a tuning run driven in-process.";
+        "Wall time of a finished tuning run; a daemon session's runs from when this process built it.";
     pub(crate) fn training_iterations_total: Counter = "harmony_training_iterations_total",
         "Virtual iterations answered from prior experience during training stages.";
     pub(crate) fn db_classify_seconds: Histogram(LATENCY_SECONDS) = "harmony_db_classify_seconds",
@@ -41,7 +37,7 @@ harmony_obs::metrics! {
         "Journal compactions into a full experience-db snapshot.";
     pub(crate) fn sensitivity_reports_total: Counter = "harmony_sensitivity_reports_total",
         "Sensitivity reports computed (live sweeps and from-history estimates).";
-    pub fn engine_converged_iterations: Histogram(CONVERGED_ITERATIONS)
+    pub(crate) fn engine_converged_iterations: Histogram(CONVERGED_ITERATIONS)
         = "harmony_engine_converged_iterations",
         "Trace length of engine runs that met their convergence criteria";
     pub fn engine_proposals_total(engine in ENGINE_NAMES): Counter = "harmony_engine_proposals_total",

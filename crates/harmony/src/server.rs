@@ -5,7 +5,7 @@
 //! experience database → train the kernel from the closest prior run →
 //! tune live → store the new experience for next time.
 
-use crate::history::{DataAnalyzer, ExperienceDb, RunHistory};
+use crate::history::{DataAnalyzer, Experience, ExperienceDb, RunHistory};
 use crate::objective::Objective;
 use crate::sensitivity::{Prioritizer, SensitivityReport, SubspaceFocus};
 use crate::tuner::{TrainingMode, Tuner, TuningOptions, TuningOutcome};
@@ -54,7 +54,7 @@ pub struct SessionOutcome {
 pub struct HarmonyServer {
     space: ParameterSpace,
     options: ServerOptions,
-    db: ExperienceDb,
+    experience: Experience,
     sensitivity: Option<SensitivityReport>,
 }
 
@@ -64,7 +64,7 @@ impl HarmonyServer {
         HarmonyServer {
             space,
             options,
-            db: ExperienceDb::new(),
+            experience: Experience::default(),
             sensitivity: None,
         }
     }
@@ -81,12 +81,13 @@ impl HarmonyServer {
 
     /// The experience database.
     pub fn db(&self) -> &ExperienceDb {
-        &self.db
+        self.experience.db()
     }
 
-    /// Mutable access (e.g. to preload persisted experience).
-    pub fn db_mut(&mut self) -> &mut ExperienceDb {
-        &mut self.db
+    /// Mutable access to the experience, e.g. to preload persisted runs
+    /// through [`Experience::record`].
+    pub fn experience_mut(&mut self) -> &mut Experience {
+        &mut self.experience
     }
 
     /// Last sensitivity report, if prioritization has run.
@@ -121,7 +122,9 @@ impl HarmonyServer {
         characteristics: &[f64],
     ) -> SessionOutcome {
         // 1. Classify against prior experience.
-        let prior: Option<RunHistory> = self.options.analyzer.select(&self.db, characteristics);
+        let prior = self
+            .experience
+            .prior_for(&self.options.analyzer, &self.space, characteristics);
         let trained_from = prior.as_ref().map(|r| r.label.clone());
 
         // 2. Choose the space: full or focused on the top-n sensitive
@@ -172,8 +175,8 @@ impl HarmonyServer {
         };
 
         // 4. Record the new experience.
-        self.db
-            .add_run(outcome.to_history(label, characteristics.to_vec()));
+        self.experience
+            .record(outcome.to_history(label, characteristics.to_vec()));
 
         let tuned_indices = match &focus {
             Some(f) => f.indices().to_vec(),
@@ -251,6 +254,28 @@ mod tests {
         assert_eq!(out2.trained_from.as_deref(), Some("w1"));
         assert_eq!(server.db().len(), 2);
         assert!(out2.tuning.training_iterations > 0 || out2.tuning.best_performance > 450.0);
+    }
+
+    /// A prior recorded over one parameter cannot seed a search over
+    /// two, however close its characteristics: the session tunes cold.
+    #[test]
+    fn a_prior_of_another_arity_is_skipped() {
+        let two = ParameterSpace::builder()
+            .param(ParamDef::int("big", 0, 40, 20, 1))
+            .param(ParamDef::int("small", 0, 40, 20, 1))
+            .build()
+            .unwrap();
+        let mut server = HarmonyServer::new(two, ServerOptions::default());
+        let mut one = RunHistory::new("one", vec![1.0, 0.0]);
+        one.push(&Configuration::new(vec![31]), 500.0);
+        server.experience_mut().record(one);
+        let out = server.tune_session(&mut FnObjective::new(eval), "w", &[1.0, 0.0]);
+        assert!(
+            out.trained_from.is_none(),
+            "the 1-parameter run is no prior"
+        );
+        assert_eq!(server.db().len(), 2);
+        assert!(out.tuning.best_performance > 450.0);
     }
 
     #[test]

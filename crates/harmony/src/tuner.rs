@@ -216,7 +216,6 @@ impl TuningSession {
             _ => self.live_best = Some((config.clone(), performance)),
         }
         let iteration = self.trace.len();
-        crate::obs::iterations_total().inc();
         event(Level::Debug, "tune.iteration")
             .u64("iteration", iteration as u64)
             .f64("performance", performance)

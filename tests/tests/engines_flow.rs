@@ -118,7 +118,7 @@ fn warm_started_divide_diverge_converges_in_fewer_evaluations() {
 
     // A later session classifies against the database and warm starts.
     let prior = DataAnalyzer::new()
-        .select(&db, &characteristics)
+        .select_with(&db, None, &characteristics)
         .expect("identical characteristics classify");
     let mut warm_engine = spec.build(sys.space().clone(), budget, 5);
     warm_engine.warm_start(&prior);

@@ -1,7 +1,9 @@
 //! No dead series: ordinary work moves every row of every metric table,
 //! and a row it leaves at zero is named in [`QUIET`] with the condition
-//! that moves it. The registry is process-global, so this is the only
-//! test in its binary.
+//! that moves it. A daemon's own sessions move every row but those named
+//! in [`LOCAL_ONLY`], which only an in-process run moves: the daemon's
+//! exposition is read before anything runs in-process. The registry is
+//! process-global, so this is the only test in its binary.
 
 use harmony::engine::{drive, drive_parallel};
 use harmony::prelude::*;
@@ -71,6 +73,19 @@ const QUIET: &[(&str, &str)] = &[
     ("harmony_net_shard_replica_sessions_entries", "a ring"),
 ];
 
+/// Rows only an in-process run moves, each with what moves it: a
+/// daemon measures nothing (its clients do), so it never batches or
+/// memoizes a measurement.
+const LOCAL_ONLY: &[(&str, &str)] = &[
+    ("harmony_exec_batches_total", "an Executor batch"),
+    ("harmony_exec_evaluations_total", "an Executor batch"),
+    ("harmony_exec_batch_seconds", "an Executor batch"),
+    ("harmony_exec_cache_hits_total", "a MemoCache"),
+    ("harmony_exec_cache_misses_total", "a MemoCache"),
+    ("harmony_exec_cache_evictions_total", "a MemoCache"),
+    ("harmony_exec_cache_entries", "a MemoCache"),
+];
+
 const RSL: &str = "{ harmonyBundle x { int {0 100 1} }}\n{ harmonyBundle y { int {0 100 1} }}";
 
 fn perf(cfg: &Configuration) -> f64 {
@@ -92,6 +107,14 @@ fn samples<'a>(text: &'a str, row: &Series) -> impl Iterator<Item = &'a str> + '
     text.lines().filter(move |l| l.starts_with(&prefix))
 }
 
+/// Whether any sample of `row` in `text` is non-zero.
+fn moved(text: &str, row: &Series) -> bool {
+    samples(text, row).any(|line| {
+        let value = line.split(' ').nth(1).unwrap();
+        value.parse::<f64>().unwrap() != 0.0
+    })
+}
+
 fn row_id(row: &Series) -> String {
     match (row.label, row.value) {
         (Some(key), Some(value)) => format!("{}{{{key}=\"{value}\"}}", row.name),
@@ -103,13 +126,13 @@ fn row_id(row: &Series) -> String {
 fn every_series_moves_or_is_named_quiet() {
     let dir = std::env::temp_dir().join(format!("harmony-metric-series-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let daemon = TuningDaemon::start(DaemonConfig {
+    let server = TuningDaemon::start(DaemonConfig {
         db_path: Some(dir.join("exp.json")),
         compact_every: 1,
         ..DaemonConfig::default()
     })
     .unwrap();
-    let mut client = Client::connect(daemon.addr()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
     let measure = |cfg: &Configuration| Ok::<_, Infallible>(perf(cfg));
     for (label, characteristics) in [("cold", vec![0.2, 0.8]), ("warm", vec![0.21, 0.79])] {
         let space = SpaceSpec::Rsl(RSL.into());
@@ -123,6 +146,12 @@ fn every_series_moves_or_is_named_quiet() {
         assert!(!client.sensitivity().unwrap().is_empty());
         client.end_session().unwrap();
     }
+    // The daemon's exposition: gauges read live (a connected client),
+    // counters once more after shutdown, when the journal is compacted.
+    let mut daemon = client.stats().unwrap();
+    drop(client);
+    server.shutdown();
+    daemon += &harmony_obs::metrics::global().encode();
 
     let space = harmony_space::parse_rsl(RSL).unwrap();
     let tuner = Tuner::new(space, TuningOptions::improved().with_max_iterations(80));
@@ -139,31 +168,35 @@ fn every_series_moves_or_is_named_quiet() {
         .unwrap();
     }
 
-    // Gauges read live (a connected client, the cache's entries);
-    // counters once more after shutdown, when the journal is compacted.
-    let mut text = client.stats().unwrap();
-    drop(client);
-    daemon.shutdown();
-    text += &harmony_obs::metrics::global().encode();
+    // Read while the cache's entries gauge is live.
+    let local = harmony_obs::metrics::global().encode();
     std::fs::remove_dir_all(&dir).ok();
 
     let rows = DAEMON_SERIES.concat();
-    let mut dead = Vec::new();
+    let named = |list: &[(&str, &str)], id: &str| list.iter().any(|(row, _)| *row == id);
+    let (mut not_daemon, mut not_local_only) = (Vec::new(), Vec::new());
     for row in &rows {
         let id = row_id(row);
-        let moved = samples(&text, row).any(|line| {
-            let value = line.split(' ').nth(1).unwrap();
-            value.parse::<f64>().unwrap() != 0.0
-        });
-        if !moved && !QUIET.iter().any(|(quiet, _)| *quiet == id) {
-            dead.push(id);
+        if named(LOCAL_ONLY, &id) {
+            if moved(&daemon, row) || !moved(&local, row) {
+                not_local_only.push(id);
+            }
+        } else if !named(QUIET, &id) && !moved(&daemon, row) {
+            not_daemon.push(id);
         }
     }
-    assert!(dead.is_empty(), "series nothing moved: {dead:?}\n{text}");
-    for (quiet, _) in QUIET {
+    assert!(
+        not_daemon.is_empty(),
+        "series the daemon's sessions left at zero: {not_daemon:?}\n{daemon}"
+    );
+    assert!(
+        not_local_only.is_empty(),
+        "LOCAL_ONLY series the daemon moved, or nothing did: {not_local_only:?}"
+    );
+    for (row, _) in QUIET.iter().chain(LOCAL_ONLY) {
         assert!(
-            rows.iter().any(|row| row_id(row) == *quiet),
-            "{quiet} is no row of any table"
+            rows.iter().any(|r| row_id(r) == *row),
+            "{row} is no row of any table"
         );
     }
 }

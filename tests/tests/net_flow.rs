@@ -198,7 +198,7 @@ fn stats_counters_stay_monotonic_across_concurrent_sessions() {
     // is process-global, so parallel tests may add more).
     for (key, min_delta) in [
         ("harmony_net_sessions_started_total", 3.0),
-        ("harmony_net_sessions_completed_total", 3.0),
+        ("harmony_sessions_finished_total", 3.0),
         ("harmony_net_connections_total", 3.0),
         ("harmony_net_requests_total{type=\"SessionStart\"}", 3.0),
         ("harmony_net_requests_total{type=\"SessionEnd\"}", 3.0),
@@ -1534,10 +1534,9 @@ fn a_remote_session_moves_its_engine_series() {
         let delta = |key: &str| series(&after, key) - series(&before, key);
         let n = summary.iterations as f64;
         assert!(n > 5.0, "the session must explore");
-        assert_eq!(delta("harmony_session_iterations_total"), n);
         assert_eq!(
             delta("harmony_engine_evaluations_total{engine=\"simplex\"}"),
-            delta("harmony_session_iterations_total"),
+            n
         );
         assert_eq!(
             delta("harmony_engine_proposals_total{engine=\"simplex\"}"),
@@ -1546,6 +1545,8 @@ fn a_remote_session_moves_its_engine_series() {
         assert!(summary.converged, "the session must converge");
         assert_eq!(delta("harmony_engine_converged_iterations_count"), 1.0);
         assert_eq!(delta("harmony_engine_converged_iterations_sum"), n);
+        assert_eq!(delta("harmony_sessions_finished_total"), 1.0);
+        assert_eq!(delta("harmony_session_wall_seconds_count"), 1.0);
         handle.shutdown();
     });
 }
